@@ -1598,8 +1598,14 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
         eprintln!("snapshot info expects a snapshot file");
         return usage();
     };
-    let snap = match SweepSnapshot::load(Path::new(path)) {
-        Ok(s) => s,
+    // The version comes from the file, which may predate the current format.
+    let read = || -> Result<(u32, SweepSnapshot), lcl_core::SnapshotError> {
+        let bytes = std::fs::read(path)?;
+        let snap = SweepSnapshot::from_bytes(&bytes)?;
+        Ok((lcl_core::snapshot::format_version(&bytes)?, snap))
+    };
+    let (version, snap) = match read() {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("cannot read snapshot `{path}`: {e}");
             return ExitCode::FAILURE;
@@ -1617,10 +1623,7 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
 
     if json {
         let out = Json::Obj(vec![
-            (
-                "format_version".into(),
-                Json::uint(lcl_core::snapshot::SNAPSHOT_VERSION as u64),
-            ),
+            ("format_version".into(), Json::uint(version as u64)),
             ("delta".into(), Json::int(delta)),
             ("labels".into(), Json::int(labels)),
             ("engine".into(), Json::str(snap.cursor.engine.name())),
@@ -1646,14 +1649,12 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
         // A memo-only flush (the serve daemon's snapshot): no campaign cursor,
         // just the canonical-form cache.
         println!(
-            "memo snapshot v{}: {} canonical forms, no sweep campaign state",
-            lcl_core::snapshot::SNAPSHOT_VERSION,
+            "memo snapshot v{version}: {} canonical forms, no sweep campaign state",
             snap.memo.len()
         );
     } else {
         println!(
-            "sweep snapshot v{}: (δ={delta}, {labels}-label) universe, {} engine",
-            lcl_core::snapshot::SNAPSHOT_VERSION,
+            "sweep snapshot v{version}: (δ={delta}, {labels}-label) universe, {} engine",
             snap.cursor.engine.name()
         );
         println!(

@@ -33,7 +33,7 @@ use crate::classifier::{
 };
 use crate::problem::LclProblem;
 use crate::scratch::ClassifyScratch;
-use crate::snapshot::{self, MaskRange, SnapshotError, SweepCursor, SweepSnapshot};
+use crate::snapshot::{MaskRange, SnapshotError, SnapshotWriter, SweepCursor, SweepSnapshot};
 
 /// A label-permutation-invariant fingerprint of a problem.
 ///
@@ -1033,8 +1033,8 @@ impl ClassificationEngine {
     }
 
     /// Drains the shared state of a resumable sweep: surfaces deferred write
-    /// errors, warms the engine cache with everything the snapshot knows, and
-    /// writes the final checkpoint.
+    /// errors, writes the final checkpoint, and warms the engine cache with
+    /// everything the snapshot knows.
     fn finish_resumable(
         &self,
         shared: ResumeShared,
@@ -1046,6 +1046,10 @@ impl ClassificationEngine {
             .expect("resumable sweep state poisoned");
         if let Some(e) = committed.write_error.take() {
             return Err(SnapshotError::Io(e));
+        }
+        if let Some(path) = ckpt.path {
+            committed.checkpoint(path)?;
+            committed.writer = None;
         }
         if self.canonicalize {
             self.cache.extend(
@@ -1065,15 +1069,14 @@ impl ClassificationEngine {
         } = committed;
         memo.append(&mut new_memo);
         let completed = cursor.is_complete();
-        let snapshot = SweepSnapshot {
-            cursor,
-            outcome,
-            memo,
-        };
-        if let Some(path) = ckpt.path {
-            snapshot.save(path)?;
-        }
-        Ok((snapshot, completed))
+        Ok((
+            SweepSnapshot {
+                cursor,
+                outcome,
+                memo,
+            },
+            completed,
+        ))
     }
 }
 
@@ -1103,6 +1106,23 @@ impl Default for SweepCheckpoint<'_> {
     }
 }
 
+impl ResumeCommitted {
+    /// Writes the committed state to `path`: the baseline is encoded once, on
+    /// the first write, and each write appends only the entries committed
+    /// since the previous one. The file holds the memo in the order of the
+    /// returned snapshot (baseline, then new entries in commit order).
+    fn checkpoint(&mut self, path: &Path) -> std::io::Result<()> {
+        let writer = self.writer.get_or_insert_with(|| {
+            let mut writer = SnapshotWriter::new(&self.cursor);
+            writer.extend(&self.baseline);
+            writer
+        });
+        writer.extend(&self.new_memo[self.logged..]);
+        self.logged = self.new_memo.len();
+        writer.save(path, &self.cursor, &self.outcome)
+    }
+}
+
 /// Shared state of one resumable sweep call.
 struct ResumeShared {
     committed: Mutex<ResumeCommitted>,
@@ -1121,6 +1141,10 @@ struct ResumeCommitted {
     baseline: Vec<(CanonicalKey, Complexity)>,
     /// Entries classified by this call, in commit order.
     new_memo: Vec<(CanonicalKey, Complexity)>,
+    /// Checkpoint writer, created with `baseline` on the first write.
+    writer: Option<SnapshotWriter>,
+    /// Entries of `new_memo` already appended to `writer`.
+    logged: usize,
     /// Orbits processed by this call (classified or answered from the memo).
     processed: u64,
     /// Orbits processed since the last checkpoint write.
@@ -1140,6 +1164,8 @@ impl ResumeShared {
                     outcome: state.outcome,
                     baseline: state.memo,
                     new_memo: Vec::new(),
+                    writer: None,
+                    logged: 0,
                     processed: 0,
                     since_write: 0,
                     write_error: None,
@@ -1181,9 +1207,7 @@ impl ResumeShared {
         if let Some(path) = ckpt.path {
             if c.write_error.is_none() && c.since_write >= ckpt.every_orbits.max(1) {
                 c.since_write = 0;
-                let bytes =
-                    snapshot::to_bytes_parts(&c.cursor, &c.outcome, &[&c.baseline, &c.new_memo]);
-                if let Err(e) = snapshot::save_bytes(path, &bytes) {
+                if let Err(e) = c.checkpoint(path) {
                     c.write_error = Some(e);
                     self.stop.store(true, Ordering::Relaxed);
                 }

@@ -6,40 +6,52 @@
 //! learned — every `canonical key → Complexity` verdict, the orbit and
 //! whole-universe histograms, the bit-sliced lane statistics, and a per-shard
 //! *watermark* (the next configuration mask each shard has yet to visit) — in
-//! one dense little-endian byte stream:
+//! one dense little-endian byte stream (format version 2):
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  "RTLCLSNP"
-//! 8       4     format version (u32, currently 1)
-//! 12      2     δ                       ┐
-//! 14      2     |Σ|                     │ sweep cursor
-//! 16      1     engine kind (0 scalar,  │
-//!               1 bit-sliced)           │
-//! 17      4     shard-range count r     │
-//! 21      16·r  per range: next, hi     ┘  (u64 each; next == hi ⇒ done)
-//! …       8·13  orbit histogram         ┐
-//! …       8·13  universe histogram      │ SweepOutcome (13 = 5 classes
-//! …       8·4   lane statistics         ┘  + 8 poly-exponent buckets)
-//! …       8     memo entry count        ┐
-//! …       …     per entry: key length   │ canonical-form memo
-//!               (u16), key words (u16   │
-//!               each), tag (u8), and    │
-//!               for Polynomial the      │
-//!               exponent (u32)          ┘
+//! 0       8     magic  "RTLCLSNP"                 ┐
+//! 8       4     format version (u32, 2)           │ immutable prefix:
+//! 12      2     δ                                 │ fixed for the whole
+//! 14      2     |Σ|                               │ campaign
+//! 16      1     engine kind (0 scalar,            │
+//!               1 bit-sliced)                     ┘
+//! 17      …     per entry: key length (u16),      ┐ canonical-form memo,
+//!               key words (u16 each), tag (u8),   │ append-only, in
+//!               and for Polynomial the exponent   │ commit order
+//!               (u32)                             ┘
+//! …       16·r  per range: next, hi (u64 each;    ┐
+//!               next == hi ⇒ done)                │
+//! …       8·13  orbit histogram                   │ footer: every field a
+//! …       8·13  universe histogram                │ checkpoint rewrites
+//! …       8·4   lane statistics                   │ (13 = 5 classes + 8
+//! …       4     shard-range count r (u32)         │ poly-exponent buckets)
+//! …       8     memo entry count (u64)            ┘
 //! last    8     FNV-1a 64 digest of every preceding byte
 //! ```
 //!
+//! The order is what makes a checkpoint cheap. During a sweep the prefix never
+//! changes and the memo only grows, so a [`SnapshotWriter`] keeps the encoded
+//! prefix and entries together with the running FNV-1a state over them:
+//! a checkpoint encodes and hashes only the entries committed since the last
+//! one, then the small footer, and streams the file out. Both counts sit at
+//! the very end, so a reader finds the footer from the end of the file.
+//!
+//! Version 1 files (written before the append-only layout) are still read:
+//! the same prefix, then range count, ranges, both histograms, lane
+//! statistics, memo entry count, and the entries, with the same digest
+//! trailer. Every write produces version 2.
+//!
 //! The digest makes truncated or bit-flipped files a clean
 //! [`SnapshotError`], never a silently wrong histogram; writes go through a
-//! temp file plus `rename` ([`SweepSnapshot::save`]), so a reader — or a
+//! temp file plus `rename` ([`SnapshotWriter::save`]), so a reader — or a
 //! resumed sweep — observes either the previous checkpoint or the new one,
 //! never a torn mix, even if the writer is SIGKILLed mid-write. Everything is
 //! hand-rolled over `std::fs`/`std::io`, mirroring the CLI's hand-rolled JSON:
 //! the workspace stays dependency-free.
 
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 use crate::classifier::Complexity;
@@ -50,8 +62,17 @@ use crate::engine::{
 /// First eight bytes of every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RTLCLSNP";
 
-/// Current on-disk format version. Readers reject anything else.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// On-disk format version every write produces. Readers also accept the
+/// earlier version 1 layout and reject anything else.
+pub const SNAPSHOT_VERSION: u32 = 2;
+
+/// Length of the immutable prefix shared by every version: magic, version,
+/// δ, |Σ|, and engine kind.
+const PREFIX_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 2 + 2 + 1;
+
+/// Bytes of a version-2 footer besides its ranges: both histograms, the lane
+/// statistics, the range count, and the memo entry count.
+const FOOTER_FIXED_LEN: usize = 8 * (2 * (5 + POLY_EXPONENT_BUCKETS) + 4) + 4 + 8;
 
 /// Which sweep engine produced (and should resume) a snapshot. Stored in the
 /// cursor so `--resume` never mixes block-boundary watermarks of one engine
@@ -159,7 +180,7 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's format version is not [`SNAPSHOT_VERSION`].
+    /// The file's format version is neither 1 nor [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
     /// The file ends before a complete record (no digest to check against).
     Truncated,
@@ -178,7 +199,7 @@ impl fmt::Display for SnapshotError {
             SnapshotError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported snapshot version {v} (expected {SNAPSHOT_VERSION})"
+                    "unsupported snapshot version {v} (expected 1 to {SNAPSHOT_VERSION})"
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot file is truncated"),
@@ -208,12 +229,33 @@ impl From<io::Error> for SnapshotError {
 /// FNV-1a 64 over `bytes` — the digest in a snapshot's trailer. Public so
 /// tests (and external tooling) can craft or verify files.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 hash whose state after the preceding bytes is
+/// `hash`.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// The format version of a snapshot file's bytes, read from its header
+/// without validating the rest (load it with [`SweepSnapshot::from_bytes`]
+/// for that). What `rtlcl snapshot info` reports.
+pub fn format_version(bytes: &[u8]) -> Result<u32, SnapshotError> {
+    if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
+        return Err(SnapshotError::Truncated);
+    }
+    if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    let at = SNAPSHOT_MAGIC.len();
+    Ok(u32::from_le_bytes(
+        bytes[at..at + 4].try_into().expect("a four-byte slice"),
+    ))
 }
 
 /// Complexity → on-disk tag. `Polynomial` is followed by its `u32` exponent.
@@ -302,6 +344,121 @@ impl<'a> Reader<'a> {
         h.unsolvable = self.u64()?;
         Ok(h)
     }
+
+    fn ranges(&mut self, count: usize) -> Result<Vec<MaskRange>, SnapshotError> {
+        if count > self.remaining() / 16 {
+            return Err(SnapshotError::Malformed("range count"));
+        }
+        let mut ranges = Vec::with_capacity(count);
+        for _ in 0..count {
+            let next = self.u64()?;
+            let hi = self.u64()?;
+            if next > hi {
+                return Err(SnapshotError::Malformed("range watermark past end"));
+            }
+            ranges.push(MaskRange { next, hi });
+        }
+        Ok(ranges)
+    }
+
+    fn outcome(&mut self) -> Result<SweepOutcome, SnapshotError> {
+        Ok(SweepOutcome {
+            orbits: self.histogram()?,
+            problems: self.histogram()?,
+            lanes: SweepLaneStats {
+                blocks: self.u64()?,
+                fixpoint_rounds: self.u64()?,
+                live_lane_rounds: self.u64()?,
+                scalar_fallbacks: self.u64()?,
+            },
+        })
+    }
+
+    /// `count` memo entries, which must use up the rest of the reader.
+    fn memo(&mut self, count: u64) -> Result<Vec<(CanonicalKey, Complexity)>, SnapshotError> {
+        // Each entry is at least 3 bytes (empty key + tag); a count beyond
+        // that bound cannot be real even with a valid digest.
+        if count > (self.remaining() / 3) as u64 {
+            return Err(SnapshotError::Malformed("memo count"));
+        }
+        let mut memo = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            let key_len = self.u16()? as usize;
+            let mut words = Vec::with_capacity(key_len);
+            for _ in 0..key_len {
+                words.push(self.u16()?);
+            }
+            let complexity = match self.u8()? {
+                0 => Complexity::Unsolvable,
+                1 => Complexity::Constant,
+                2 => Complexity::LogStar,
+                3 => Complexity::Log,
+                4 => Complexity::Polynomial {
+                    exponent: self.u32()? as usize,
+                },
+                _ => return Err(SnapshotError::Malformed("complexity tag")),
+            };
+            memo.push((CanonicalKey::from_words(words), complexity));
+        }
+        if self.remaining() != 0 {
+            return Err(SnapshotError::Malformed("trailing bytes"));
+        }
+        Ok(memo)
+    }
+}
+
+/// Cursor ranges, outcome, and memo: the parts of a snapshot after the
+/// prefix.
+type SnapshotBody = (
+    Vec<MaskRange>,
+    SweepOutcome,
+    Vec<(CanonicalKey, Complexity)>,
+);
+
+/// Version 1 after the prefix (read-only): range count, ranges, outcome,
+/// memo count, entries.
+fn parse_v1(mut r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
+    let range_count = r.u32()? as usize;
+    let ranges = r.ranges(range_count)?;
+    let outcome = r.outcome()?;
+    let memo_count = r.u64()?;
+    let memo = r.memo(memo_count)?;
+    Ok((ranges, outcome, memo))
+}
+
+/// Version 2 after the prefix: entries, then the footer, whose last twelve
+/// bytes are the range and entry counts.
+fn parse_v2(r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
+    let body = r.bytes;
+    let counts_at = body
+        .len()
+        .checked_sub(12)
+        .filter(|&at| at >= r.at)
+        .ok_or(SnapshotError::Truncated)?;
+    let mut counts = Reader {
+        bytes: body,
+        at: counts_at,
+    };
+    let range_count = counts.u32()? as usize;
+    let memo_count = counts.u64()?;
+    let footer_at = range_count
+        .checked_mul(16)
+        .and_then(|n| n.checked_add(FOOTER_FIXED_LEN))
+        .and_then(|len| body.len().checked_sub(len))
+        .filter(|&at| at >= r.at)
+        .ok_or(SnapshotError::Malformed("range count"))?;
+    let mut footer = Reader {
+        bytes: &body[..counts_at],
+        at: footer_at,
+    };
+    let ranges = footer.ranges(range_count)?;
+    let outcome = footer.outcome()?;
+    let mut entries = Reader {
+        bytes: &body[..footer_at],
+        at: r.at,
+    };
+    let memo = entries.memo(memo_count)?;
+    Ok((ranges, outcome, memo))
 }
 
 impl SweepSnapshot {
@@ -320,12 +477,20 @@ impl SweepSnapshot {
         }
     }
 
-    /// Serializes to the on-disk byte layout, digest included.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        to_bytes_parts(&self.cursor, &self.outcome, &[&self.memo])
+    /// A writer holding this snapshot's prefix and memo.
+    fn writer(&self) -> SnapshotWriter {
+        let mut writer = SnapshotWriter::new(&self.cursor);
+        writer.extend(&self.memo);
+        writer
     }
 
-    /// Parses and validates a snapshot: magic, digest, version, then fields.
+    /// Serializes to the on-disk byte layout, digest included.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.writer().to_bytes(&self.cursor, &self.outcome)
+    }
+
+    /// Parses and validates a snapshot of either version: magic, digest,
+    /// version, then fields.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
             return Err(SnapshotError::Truncated);
@@ -343,63 +508,17 @@ impl SweepSnapshot {
             at: SNAPSHOT_MAGIC.len(),
         };
         let version = r.u32()?;
-        if version != SNAPSHOT_VERSION {
+        if version != 1 && version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let delta = r.u16()?;
         let num_labels = r.u16()?;
         let engine = EngineKind::from_u8(r.u8()?).ok_or(SnapshotError::Malformed("engine kind"))?;
-        let range_count = r.u32()? as usize;
-        if range_count > r.remaining() / 16 {
-            return Err(SnapshotError::Malformed("range count"));
-        }
-        let mut ranges = Vec::with_capacity(range_count);
-        for _ in 0..range_count {
-            let next = r.u64()?;
-            let hi = r.u64()?;
-            if next > hi {
-                return Err(SnapshotError::Malformed("range watermark past end"));
-            }
-            ranges.push(MaskRange { next, hi });
-        }
-        let outcome = SweepOutcome {
-            orbits: r.histogram()?,
-            problems: r.histogram()?,
-            lanes: SweepLaneStats {
-                blocks: r.u64()?,
-                fixpoint_rounds: r.u64()?,
-                live_lane_rounds: r.u64()?,
-                scalar_fallbacks: r.u64()?,
-            },
+        let (ranges, outcome, memo) = if version == 1 {
+            parse_v1(r)?
+        } else {
+            parse_v2(r)?
         };
-        let memo_count = r.u64()?;
-        // Each entry is at least 3 bytes (empty key + tag); a count beyond
-        // that bound cannot be real even with a valid digest.
-        if memo_count > (r.remaining() / 3) as u64 {
-            return Err(SnapshotError::Malformed("memo count"));
-        }
-        let mut memo = Vec::with_capacity(memo_count as usize);
-        for _ in 0..memo_count {
-            let key_len = r.u16()? as usize;
-            let mut words = Vec::with_capacity(key_len);
-            for _ in 0..key_len {
-                words.push(r.u16()?);
-            }
-            let complexity = match r.u8()? {
-                0 => Complexity::Unsolvable,
-                1 => Complexity::Constant,
-                2 => Complexity::LogStar,
-                3 => Complexity::Log,
-                4 => Complexity::Polynomial {
-                    exponent: r.u32()? as usize,
-                },
-                _ => return Err(SnapshotError::Malformed("complexity tag")),
-            };
-            memo.push((CanonicalKey::from_words(words), complexity));
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
         Ok(SweepSnapshot {
             cursor: SweepCursor {
                 delta,
@@ -416,7 +535,7 @@ impl SweepSnapshot {
     /// directory, then `rename` over `path`. A reader never observes a
     /// partial file.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        save_bytes(path, &self.to_bytes())?;
+        self.writer().save(path, &self.cursor, &self.outcome)?;
         Ok(())
     }
 
@@ -427,72 +546,142 @@ impl SweepSnapshot {
     }
 }
 
-/// Serializes cursor + outcome + memo chunks (concatenated in order) to the
-/// on-disk layout. The sweep drivers keep the baseline memo (loaded from a
-/// prior snapshot) and the newly classified entries in separate buffers; this
-/// writes both without gluing them into one allocation first.
-pub(crate) fn to_bytes_parts(
-    cursor: &SweepCursor,
-    outcome: &SweepOutcome,
-    memos: &[&[(CanonicalKey, Complexity)]],
-) -> Vec<u8> {
-    let memo_count: usize = memos.iter().map(|m| m.len()).sum();
-    let memo_bytes: usize = memos
-        .iter()
-        .flat_map(|m| m.iter())
-        .map(|(k, c)| 2 + 2 * k.as_words().len() + if complexity_tag(*c) == 4 { 5 } else { 1 })
-        .sum();
-    let mut out = Vec::with_capacity(
-        SNAPSHOT_MAGIC.len()
-            + 4
-            + 5
-            + 4
-            + 16 * cursor.ranges.len()
-            + 8 * (2 * (5 + POLY_EXPONENT_BUCKETS) + 4)
-            + 8
-            + memo_bytes
-            + 8,
-    );
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    push_u32(&mut out, SNAPSHOT_VERSION);
-    push_u16(&mut out, cursor.delta);
-    push_u16(&mut out, cursor.num_labels);
-    out.push(cursor.engine.to_u8());
-    push_u32(&mut out, cursor.ranges.len() as u32);
-    for range in &cursor.ranges {
-        push_u64(&mut out, range.next);
-        push_u64(&mut out, range.hi);
-    }
-    push_histogram(&mut out, &outcome.orbits);
-    push_histogram(&mut out, &outcome.problems);
-    push_u64(&mut out, outcome.lanes.blocks);
-    push_u64(&mut out, outcome.lanes.fixpoint_rounds);
-    push_u64(&mut out, outcome.lanes.live_lane_rounds);
-    push_u64(&mut out, outcome.lanes.scalar_fallbacks);
-    push_u64(&mut out, memo_count as u64);
-    for (key, complexity) in memos.iter().flat_map(|m| m.iter()) {
-        let words = key.as_words();
-        push_u16(&mut out, words.len() as u16);
-        for &w in words {
-            push_u16(&mut out, w);
-        }
-        out.push(complexity_tag(*complexity));
-        if let Complexity::Polynomial { exponent } = *complexity {
-            push_u32(&mut out, exponent as u32);
-        }
-    }
-    let digest = fnv1a64(&out);
-    push_u64(&mut out, digest);
-    out
+/// The one snapshot writer: every snapshot file — [`SweepSnapshot::save`],
+/// the engine's memo flush, and a sweep's periodic and final checkpoints —
+/// is written through it.
+///
+/// It keeps the encoded prefix and memo entries, plus the running FNV-1a
+/// state over them. [`Self::extend`] encodes and hashes only the entries it
+/// is given, and [`Self::save`] hashes only the footer, so a sweep that
+/// checkpoints repeatedly pays for each entry once instead of once per write.
+#[derive(Debug, Clone)]
+pub struct SnapshotWriter {
+    /// The prefix followed by every entry appended so far, in chunks that
+    /// are filled but never reallocated, so a growing memo is never copied.
+    chunks: Vec<Vec<u8>>,
+    /// Total length of `chunks`.
+    len: usize,
+    /// FNV-1a 64 state after `chunks`.
+    hash: u64,
+    /// Entries appended so far.
+    entries: u64,
 }
 
-/// Atomic file write: `<path>.tmp` in the same directory, then `rename`.
-pub(crate) fn save_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+impl SnapshotWriter {
+    /// A writer with no entries for the campaign of `cursor`, whose δ, |Σ|,
+    /// and engine make the prefix. The prefix is fixed: every later
+    /// [`Self::save`] must pass a cursor of the same campaign.
+    pub fn new(cursor: &SweepCursor) -> Self {
+        let prefix = prefix(cursor);
+        SnapshotWriter {
+            hash: fnv1a64(&prefix),
+            chunks: vec![prefix.to_vec()],
+            len: PREFIX_LEN,
+            entries: 0,
+        }
+    }
+
+    /// Appends memo entries: encodes and hashes only these.
+    pub fn extend(&mut self, entries: &[(CanonicalKey, Complexity)]) {
+        let needed: usize = entries
+            .iter()
+            .map(|(k, c)| 2 + 2 * k.as_words().len() + if complexity_tag(*c) == 4 { 5 } else { 1 })
+            .sum();
+        let last = self.chunks.last().expect("the prefix chunk");
+        if last.capacity() - last.len() < needed {
+            // At least a quarter of the bytes so far: the chunk count stays
+            // logarithmic in the file size.
+            self.chunks
+                .push(Vec::with_capacity(needed.max(self.len / 4)));
+        }
+        let chunk = self.chunks.last_mut().expect("the prefix chunk");
+        let start = chunk.len();
+        for (key, complexity) in entries {
+            let words = key.as_words();
+            push_u16(chunk, words.len() as u16);
+            for &w in words {
+                push_u16(chunk, w);
+            }
+            chunk.push(complexity_tag(*complexity));
+            if let Complexity::Polynomial { exponent } = *complexity {
+                push_u32(chunk, exponent as u32);
+            }
+        }
+        debug_assert_eq!(chunk.len() - start, needed);
+        self.hash = fnv1a64_extend(self.hash, &chunk[start..]);
+        self.len += needed;
+        self.entries += entries.len() as u64;
+    }
+
+    /// Footer for `cursor` and `outcome`, digest included.
+    fn footer(&self, cursor: &SweepCursor, outcome: &SweepOutcome) -> Vec<u8> {
+        debug_assert_eq!(
+            prefix(cursor),
+            self.chunks[0][..PREFIX_LEN],
+            "a writer's cursor must keep its campaign"
+        );
+        let mut out = Vec::with_capacity(16 * cursor.ranges.len() + FOOTER_FIXED_LEN + 8);
+        for range in &cursor.ranges {
+            push_u64(&mut out, range.next);
+            push_u64(&mut out, range.hi);
+        }
+        push_histogram(&mut out, &outcome.orbits);
+        push_histogram(&mut out, &outcome.problems);
+        push_u64(&mut out, outcome.lanes.blocks);
+        push_u64(&mut out, outcome.lanes.fixpoint_rounds);
+        push_u64(&mut out, outcome.lanes.live_lane_rounds);
+        push_u64(&mut out, outcome.lanes.scalar_fallbacks);
+        push_u32(&mut out, cursor.ranges.len() as u32);
+        push_u64(&mut out, self.entries);
+        let digest = fnv1a64_extend(self.hash, &out);
+        push_u64(&mut out, digest);
+        out
+    }
+
+    /// The complete file for `cursor` and `outcome`, as [`Self::save`]
+    /// writes it.
+    pub fn to_bytes(&self, cursor: &SweepCursor, outcome: &SweepOutcome) -> Vec<u8> {
+        let footer = self.footer(cursor, outcome);
+        let mut out = Vec::with_capacity(self.len + footer.len());
+        for chunk in &self.chunks {
+            out.extend_from_slice(chunk);
+        }
+        out.extend_from_slice(&footer);
+        out
+    }
+
+    /// Writes the file for `cursor` and `outcome` atomically: stream it to
+    /// `<path>.tmp` in the same directory, then `rename` over `path`. A
+    /// reader never observes a partial file.
+    pub fn save(
+        &self,
+        path: &Path,
+        cursor: &SweepCursor,
+        outcome: &SweepOutcome,
+    ) -> io::Result<()> {
+        let footer = self.footer(cursor, outcome);
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        let mut file = std::fs::File::create(&tmp)?;
+        for chunk in &self.chunks {
+            file.write_all(chunk)?;
+        }
+        file.write_all(&footer)?;
+        drop(file);
+        std::fs::rename(&tmp, path)
+    }
+}
+
+/// The immutable prefix of `cursor`'s campaign.
+fn prefix(cursor: &SweepCursor) -> [u8; PREFIX_LEN] {
+    let mut out = [0u8; PREFIX_LEN];
+    out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out[12..14].copy_from_slice(&cursor.delta.to_le_bytes());
+    out[14..16].copy_from_slice(&cursor.num_labels.to_le_bytes());
+    out[16] = cursor.engine.to_u8();
+    out
 }
 
 /// What [`load_or_quarantine`] found at a checkpoint path.
@@ -685,6 +874,51 @@ mod tests {
         assert!(matches!(
             SweepSnapshot::from_bytes(&bytes),
             Err(SnapshotError::Malformed("engine kind"))
+        ));
+    }
+
+    /// `bytes` with the digest recomputed over its body.
+    fn redigest(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body_len = bytes.len() - 8;
+        let digest = fnv1a64(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&digest.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn rejects_inconsistent_footer_counts_behind_a_recomputed_digest() {
+        let good = sample().to_bytes();
+        let counts_at = good.len() - 8 - 12;
+        let with_counts = |ranges: u32, entries: u64| {
+            let mut bytes = good.clone();
+            bytes[counts_at..counts_at + 4].copy_from_slice(&ranges.to_le_bytes());
+            bytes[counts_at + 4..counts_at + 12].copy_from_slice(&entries.to_le_bytes());
+            SweepSnapshot::from_bytes(&redigest(bytes))
+        };
+        assert!(with_counts(2, 3).is_ok());
+        // One range more or less moves the footer onto other fields.
+        for ranges in [1, 3, u32::MAX] {
+            assert!(
+                matches!(with_counts(ranges, 3), Err(SnapshotError::Malformed(_))),
+                "{ranges} ranges"
+            );
+        }
+        // Too few entries leave bytes over; too many run out of them.
+        for entries in [0, 2, 4, u64::MAX] {
+            assert!(
+                matches!(
+                    with_counts(2, entries),
+                    Err(SnapshotError::Malformed(_) | SnapshotError::Truncated)
+                ),
+                "{entries} entries"
+            );
+        }
+        // A body too short to hold the counts at all.
+        let mut short = good[..PREFIX_LEN].to_vec();
+        short.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            SweepSnapshot::from_bytes(&redigest(short)),
+            Err(SnapshotError::Truncated)
         ));
     }
 

@@ -2,6 +2,8 @@
 //! classes, used by the E1/E2 experiments ("classify every sample problem"), the
 //! CLI, and the integration tests.
 
+use std::sync::OnceLock;
+
 use lcl_core::{Complexity, LclProblem};
 
 use crate::{coloring, extras, mis, pi_k};
@@ -49,6 +51,7 @@ impl ExpectedComplexity {
 }
 
 /// A named problem together with its paper reference and expected class.
+#[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Short identifier (stable, used on the command line).
     pub name: &'static str,
@@ -60,8 +63,19 @@ pub struct CatalogEntry {
     pub problem: LclProblem,
 }
 
-/// Builds the full catalog of sample problems.
+/// The full catalog of sample problems.
 pub fn catalog() -> Vec<CatalogEntry> {
+    entries().to_vec()
+}
+
+/// The catalog, built once on first use.
+fn entries() -> &'static [CatalogEntry] {
+    static CATALOG: OnceLock<Vec<CatalogEntry>> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog)
+}
+
+/// Builds every catalog entry.
+fn build_catalog() -> Vec<CatalogEntry> {
     let mut entries = vec![
         CatalogEntry {
             name: "3-coloring",
@@ -155,7 +169,7 @@ pub fn catalog() -> Vec<CatalogEntry> {
 
 /// Looks a catalog entry up by name.
 pub fn by_name(name: &str) -> Option<CatalogEntry> {
-    catalog().into_iter().find(|e| e.name == name)
+    entries().iter().find(|e| e.name == name).cloned()
 }
 
 #[cfg(test)]
@@ -171,6 +185,17 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), entries.len());
+    }
+
+    #[test]
+    fn every_name_resolves_to_an_equal_freshly_built_problem() {
+        for fresh in build_catalog() {
+            let found = by_name(fresh.name).expect("every catalog name resolves");
+            assert_eq!(found.name, fresh.name);
+            assert_eq!(found.expected, fresh.expected);
+            assert_eq!(found.problem, fresh.problem, "{}", fresh.name);
+        }
+        assert!(by_name("no-such-problem").is_none());
     }
 
     #[test]

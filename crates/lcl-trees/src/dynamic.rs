@@ -112,8 +112,12 @@ pub struct DynamicTree {
     /// Lowest tree level whose BFS-positional arrays are stale
     /// (`usize::MAX` = clean).
     dirty_level: usize,
-    /// Nodes attached + removed since the last sync.
+    /// Nodes attached + removed since the last level-index sync: past half
+    /// the tree, [`Self::sync_index`] rebuilds from the root.
     churn: usize,
+    /// Nodes attached + removed since the last CSR sync: past half the tree,
+    /// [`Self::sync_csr`] repacks instead of merging.
+    csr_churn: usize,
     /// The packed CSR arrays mirror the slack adjacency.
     csr_synced: bool,
     /// The BFS-positional level-index arrays are current. Kept separate from
@@ -173,6 +177,7 @@ impl DynamicTree {
             dirty_relabel: Vec::new(),
             dirty_level: usize::MAX,
             churn: 0,
+            csr_churn: 0,
             csr_synced: true,
             index_synced: true,
             csr_dirty_rows: Vec::new(),
@@ -399,6 +404,7 @@ impl DynamicTree {
         self.csr_dirty_rows.push(leaf);
         self.dirty_level = self.dirty_level.min(leaf_depth as usize + 1);
         self.churn += added;
+        self.csr_churn += added;
         self.csr_synced = false;
         self.index_synced = false;
         first..self.len() as u32
@@ -528,6 +534,7 @@ impl DynamicTree {
         self.dirty_check.push(node_now);
 
         self.churn += r_count;
+        self.csr_churn += r_count;
         self.csr_synced = false;
         self.index_synced = false;
         r_count
@@ -593,7 +600,7 @@ impl DynamicTree {
         // block-copy the clean segments between them. Past heavy churn the
         // segment bookkeeping stops paying for itself; fall back to the tight
         // full repack.
-        if 2 * self.churn < n && 8 * self.csr_dirty_rows.len() < n {
+        if self.csr_merge_pays() {
             self.csr_dirty_rows.sort_unstable();
             self.csr_dirty_rows.dedup();
             self.merge_csr(n);
@@ -601,9 +608,19 @@ impl DynamicTree {
             self.repack_csr(n);
         }
         self.csr_dirty_rows.clear();
+        self.csr_churn = 0;
         self.min_len = n;
         self.flat.depth_cache.take();
         self.csr_synced = true;
+    }
+
+    /// Whether [`Self::sync_csr`] merges the edited rows into the packed
+    /// arrays rather than repacking them all: only while the edits since the
+    /// last CSR sync touched less than half the tree's nodes and an eighth of
+    /// its rows.
+    fn csr_merge_pays(&self) -> bool {
+        let n = self.len();
+        2 * self.csr_churn < n && 8 * self.csr_dirty_rows.len() < n
     }
 
     /// Full CSR repack from the slack rows into the retained buffers: counts
@@ -1029,6 +1046,30 @@ mod tests {
         dt.detach_subtree(big);
         dt.sync();
         dt.validate().unwrap();
+    }
+
+    #[test]
+    fn csr_only_batches_keep_merging_past_half_the_tree_in_total_churn() {
+        // Steady-state repair syncs only the CSR. Each small batch must take
+        // the merge path even once the churn since the last index sync has
+        // passed half the tree, and the merged CSR must equal a full repack.
+        let mut dt = tree(4001, 11);
+        let mut gen = EditScriptGen::new(5, 4001);
+        let mut edits = Vec::new();
+        let mut batches = 0;
+        while 2 * dt.churn < 3 * dt.len() {
+            gen.apply_batch(&mut dt, 4, &mut edits);
+            assert!(dt.csr_merge_pays(), "batch {batches} fell back to a repack");
+            dt.sync_csr();
+            let mut fresh = dt.clone();
+            fresh.repack_csr(fresh.len());
+            assert_eq!(dt.flat.child_start, fresh.flat.child_start);
+            assert_eq!(dt.flat.children, fresh.flat.children);
+            dt.tree().validate().unwrap();
+            dt.clear_journal();
+            batches += 1;
+        }
+        assert!(batches > 10, "the churn crossed n/2 in {batches} batches");
     }
 
     #[test]
