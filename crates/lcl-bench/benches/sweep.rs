@@ -13,8 +13,8 @@
 //! runner.
 //!
 //! The bit-sliced engine goes one level further: same canonical stream, but
-//! 64–512 orbit representatives per block run the decision fixed points in
-//! lockstep as lane words (`lcl_core::bitslice`), with mask-direct
+//! 64 orbit representatives per block run the decision fixed points in
+//! lockstep as the bits of one `u64` (`lcl_core::bitslice`), with mask-direct
 //! canonical memo keys — no `LclProblem` is even built except for the rare
 //! scalar polynomial-exponent fallback.
 //!
@@ -23,14 +23,12 @@
 //! 1. the canonical-first sweep is faster than enumerate + `classify_batch`;
 //! 2. the bit-sliced sweep is faster than the scalar canonical-first sweep
 //!    (ratio recorded as `bitsliced_vs_canonical_first`);
-//! 3. every lane width (64/128/256/512) reproduces the **exact** same
-//!    orbit-weighted histogram, and the best wide width vs the `u64` kernels
-//!    is recorded as `wide_vs_u64` (CI-guarded to stay ≥ 1.0);
-//! 4. all histograms **exactly** match the enumerate+dedup baseline.
+//! 3. both sweep histograms **exactly** match the enumerate+dedup baseline.
 //!
-//! Also recorded as metrics: the batched canonical filter's full-universe
-//! scan rate (`canonical_filter_masks_per_sec`) and the best bit-sliced
-//! sweep's classification rate (`bitsliced_orbits_per_sec`).
+//! Both sweeps run on the one resumable sweep driver, in memory (no
+//! checkpoint file). Also recorded as metrics: the batched canonical filter's
+//! full-universe scan rate (`canonical_filter_masks_per_sec`) and the
+//! bit-sliced sweep's classification rate (`bitsliced_orbits_per_sec`).
 
 use std::time::Instant;
 
@@ -38,7 +36,7 @@ use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::engine::ComplexityHistogram;
 use lcl_core::{
     CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth, SweepCheckpoint,
-    SweepSnapshot,
+    SweepOutcome, SweepSnapshot,
 };
 use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::random::enumerate_problems;
@@ -56,42 +54,18 @@ fn baseline_histogram(delta: usize, labels: usize) -> ComplexityHistogram {
 
 fn sweep_histogram(delta: usize, labels: usize, shards: usize) -> ComplexityHistogram {
     let family = CanonicalFamily::new(delta, labels);
-    let engine = ClassificationEngine::new();
-    engine
-        .sweep_sharded(shards, |s| family.shard(s, shards))
+    campaign(&family, EngineKind::Scalar, shards, Vec::new())
+        .outcome
         .problems
 }
 
-fn bitsliced_outcome(
-    delta: usize,
-    labels: usize,
-    shards: usize,
-    width: LaneWidth,
-) -> lcl_core::SweepOutcome {
+fn bitsliced_outcome(delta: usize, labels: usize, shards: usize) -> SweepOutcome {
     let family = CanonicalFamily::new(delta, labels);
-    let universe = family.sliced_universe();
-    let engine = ClassificationEngine::new();
-    engine.sweep_sharded_bitsliced(
-        &universe,
-        width,
-        shards,
-        |s| family.blocks(s, shards, width.lanes()),
-        |mask| family.problem_at(mask),
-        |mask| family.canonical_key_of(mask),
-    )
-}
-
-fn bitsliced_histogram(
-    delta: usize,
-    labels: usize,
-    shards: usize,
-    width: LaneWidth,
-) -> ComplexityHistogram {
-    bitsliced_outcome(delta, labels, shards, width).problems
+    campaign(&family, EngineKind::Bitsliced, shards, Vec::new()).outcome
 }
 
 /// Full-universe scan rate of the batched canonical filter: how fast
-/// `CanonicalFamily::blocks` streams canonical representatives when it tests
+/// `CanonicalFamily::blocks_in` streams canonical representatives when it tests
 /// 64-mask windows at once (one hoisted permutation image per window plus a
 /// precomputed low-bit image table, instead of one `is_canonical` per mask).
 fn canonical_filter_masks_per_sec(delta: usize, labels: usize) -> f64 {
@@ -100,7 +74,7 @@ fn canonical_filter_masks_per_sec(delta: usize, labels: usize) -> f64 {
     for _ in 0..5 {
         let start = Instant::now();
         let mut orbits = 0u64;
-        for block in family.blocks(0, 1, 64) {
+        for block in family.blocks_in(family.ranges(1)[0], 64) {
             orbits += block.masks.len() as u64;
         }
         black_box(orbits);
@@ -109,44 +83,58 @@ fn canonical_filter_masks_per_sec(delta: usize, labels: usize) -> f64 {
     family.family_size() as f64 / best.max(1e-12)
 }
 
-/// One full resumable scalar campaign over the family, booted from the given
-/// memo (empty = cold boot, a completed campaign's memo = warm boot). The
-/// scalar engine is where the memo pays: a hit skips a whole scalar decision,
-/// whereas the bit-sliced lanes classify 64 orbits for less than the lookups
-/// would cost. No checkpoint file is attached; this isolates the in-memory
-/// warm-boot path.
-fn resumable_campaign(
+/// One full in-memory campaign over the family on the given engine, booted
+/// from the given memo (empty = cold boot, a completed campaign's memo = warm
+/// boot). No checkpoint file is attached.
+fn campaign(
     family: &CanonicalFamily,
-    delta: usize,
-    labels: usize,
+    kind: EngineKind,
     shards: usize,
     memo: Vec<(CanonicalKey, Complexity)>,
 ) -> SweepSnapshot {
     let engine = ClassificationEngine::new();
     let mut state = SweepSnapshot::fresh(
-        delta as u16,
-        labels as u16,
-        EngineKind::Scalar,
+        family.delta() as u16,
+        family.num_labels() as u16,
+        kind,
         family.ranges(shards),
     );
     state.memo = memo;
-    let (snap, completed) = engine
-        .sweep_resumable(state, |r| family.orbits_in(r), &SweepCheckpoint::default())
-        .expect("in-memory campaign cannot hit snapshot I/O errors");
+    let ckpt = SweepCheckpoint::default();
+    let (snap, completed) = match kind {
+        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
+        EngineKind::Bitsliced => {
+            let universe = family.sliced_universe();
+            let width = LaneWidth::default();
+            engine.sweep_resumable_bitsliced(
+                &universe,
+                width,
+                state,
+                |r| family.blocks_in(r, width.lanes()),
+                |mask| family.problem_at(mask),
+                |mask| family.canonical_key_of(mask),
+                &ckpt,
+            )
+        }
+    }
+    .expect("in-memory campaign cannot hit snapshot I/O errors");
     assert!(completed, "an unlimited campaign runs to completion");
     snap
 }
 
 /// Warm-boot acceptance: re-sweeping a universe with the memo of a finished
 /// campaign must beat sweeping it cold, and produce the identical histogram.
+/// Both run the scalar engine, which is where the memo pays: a hit skips a
+/// whole scalar decision, whereas the bit-sliced lanes classify 64 orbits for
+/// less than the lookups would cost.
 fn run_warm_boot(report: &mut BenchReport, delta: usize, labels: usize, samples: usize) {
     let shards = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let family = CanonicalFamily::new(delta, labels);
 
-    let cold_snap = resumable_campaign(&family, delta, labels, shards, Vec::new());
-    let warm_snap = resumable_campaign(&family, delta, labels, shards, cold_snap.memo.clone());
+    let cold_snap = campaign(&family, EngineKind::Scalar, shards, Vec::new());
+    let warm_snap = campaign(&family, EngineKind::Scalar, shards, cold_snap.memo.clone());
     assert_eq!(
         warm_snap.outcome.problems, cold_snap.outcome.problems,
         "warm-booted re-sweep must reproduce the cold histogram exactly"
@@ -159,10 +147,10 @@ fn run_warm_boot(report: &mut BenchReport, delta: usize, labels: usize, samples:
     let cold_label = "cold boot (empty memo)";
     let warm_label = "warm boot (completed campaign's memo)";
     bench.case_samples(cold_label, samples, || {
-        black_box(resumable_campaign(&family, delta, labels, shards, Vec::new()).outcome)
+        black_box(campaign(&family, EngineKind::Scalar, shards, Vec::new()).outcome)
     });
     bench.case_samples(warm_label, samples, || {
-        black_box(resumable_campaign(&family, delta, labels, shards, memo.clone()).outcome)
+        black_box(campaign(&family, EngineKind::Scalar, shards, memo.clone()).outcome)
     });
     let cold = bench.median_of(cold_label).expect("case ran");
     let warm = bench.median_of(warm_label).expect("case ran");
@@ -196,15 +184,11 @@ fn run_universe(
         swept, baseline,
         "sweep histogram must exactly match the enumerate+dedup baseline on (δ={delta}, {labels} labels)"
     );
-    for width in LaneWidth::ALL {
-        let bitsliced = bitsliced_histogram(delta, labels, shards, width);
-        assert_eq!(
-            bitsliced,
-            baseline,
-            "{}-lane bit-sliced histogram must exactly match the enumerate+dedup baseline on (δ={delta}, {labels} labels)",
-            width.lanes()
-        );
-    }
+    let bitsliced = bitsliced_outcome(delta, labels, shards);
+    assert_eq!(
+        bitsliced.problems, baseline,
+        "bit-sliced histogram must exactly match the enumerate+dedup baseline on (δ={delta}, {labels} labels)"
+    );
 
     let mut bench = Bench::new(&format!(
         "exhaustive (δ={delta}, {labels}-label) universe ({} problems)",
@@ -220,7 +204,7 @@ fn run_universe(
         black_box(sweep_histogram(delta, labels, shards))
     });
     bench.case_samples(bitsliced_label, samples, || {
-        black_box(bitsliced_histogram(delta, labels, shards, LaneWidth::W64))
+        black_box(bitsliced_outcome(delta, labels, shards).problems)
     });
 
     let naive = bench.median_of(baseline_label).expect("case ran");
@@ -248,39 +232,13 @@ fn run_universe(
              sweep ({sweep:?}) on the full (δ={delta}, {labels}-label) universe"
         );
 
-        // Wide lane words on the same acceptance workload. Histograms were
-        // asserted identical for every width above; here the best wide width
-        // is pitted against the `u64` kernels (`wide_vs_u64` > 1 means wide
-        // wins — the committed value is CI-guarded to stay ≥ 1.0).
-        let mut best_wide = None;
-        for width in [LaneWidth::W128, LaneWidth::W256, LaneWidth::W512] {
-            let label = format!("bit-sliced sweep ({} lanes)", width.lanes());
-            bench.case_samples(&label, samples, || {
-                black_box(bitsliced_histogram(delta, labels, shards, width))
-            });
-            let median = bench.median_of(&label).expect("case ran");
-            if best_wide.is_none_or(|(_, best)| median < best) {
-                best_wide = Some((width, median));
-            }
-        }
-        let (wide_width, wide) = best_wide.expect("three wide widths ran");
-        let wide_speedup = report.add_ratio("wide_vs_u64", sliced, wide);
-        println!(
-            "best wide width: {} lanes, {wide_speedup:.2}x vs 64 lanes",
-            wide_width.lanes()
-        );
-
         // Classification and canonical-filter rates, for campaign planning
         // (the README's 4-label arithmetic divides orbit counts by these).
-        let orbit_total = bitsliced_outcome(delta, labels, shards, wide_width)
-            .orbits
-            .total();
-        let best_sweep = wide.min(sliced);
-        let orbits_per_sec = orbit_total as f64 / best_sweep.as_secs_f64().max(1e-12);
+        let orbits_per_sec = bitsliced.orbits.total() as f64 / sliced.as_secs_f64().max(1e-12);
         report.add_metric("bitsliced_orbits_per_sec", orbits_per_sec);
         let filter_rate = canonical_filter_masks_per_sec(delta, labels);
         report.add_metric("canonical_filter_masks_per_sec", filter_rate);
-        println!("best bit-sliced sweep: {orbits_per_sec:.0} orbits/s");
+        println!("bit-sliced sweep: {orbits_per_sec:.0} orbits/s");
         println!("batched canonical filter: {filter_rate:.3e} masks/s");
     }
     println!();

@@ -10,9 +10,10 @@
 //!
 //! Besides the human-readable table, every bench binary funnels its groups into
 //! a [`BenchReport`], which writes a machine-readable `BENCH_<name>.json` at
-//! the workspace root (median nanoseconds, iteration count per case, plus any
-//! named ratios the bench asserts on). CI runs the benches on every push, so
-//! the sequence of those files tracks the performance trajectory across PRs.
+//! the workspace root (median, min and max nanoseconds, sample and iteration
+//! counts per case, plus any named ratios the bench asserts on). CI runs the
+//! benches on every push, so the sequence of those files tracks the
+//! performance trajectory across PRs.
 
 use std::time::{Duration, Instant};
 
@@ -23,14 +24,20 @@ const SAMPLE_TARGET: Duration = Duration::from_millis(5);
 /// Default number of measurement samples per benchmark.
 const SAMPLES: usize = 11;
 
-/// One measured case: label, median per-iteration time, and how many
-/// iterations made up each sample.
+/// One measured case: label, the median and spread of the per-iteration
+/// time, and how the samples were taken.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
     /// The case label passed to [`Bench::case`].
     pub label: String,
     /// Median per-iteration time over the samples.
     pub median: Duration,
+    /// Fastest sample's per-iteration time.
+    pub min: Duration,
+    /// Slowest sample's per-iteration time.
+    pub max: Duration,
+    /// Number of measurement samples.
+    pub samples: usize,
     /// Iterations per sample chosen by the calibration loop.
     pub iters: usize,
 }
@@ -102,16 +109,20 @@ impl Bench {
             .collect();
         measured.sort_unstable();
         let median = true_median(&measured);
+        let (min, max) = (measured[0], measured[samples - 1]);
         println!(
             "{:<44} {:>12} {:>12} {:>12}",
             label,
-            format_duration(measured[0]),
+            format_duration(min),
             format_duration(median),
-            format_duration(*measured.last().expect("non-empty samples"))
+            format_duration(max)
         );
         self.results.push(CaseResult {
             label: label.to_string(),
             median,
+            min,
+            max,
+            samples,
             iters,
         });
         median
@@ -197,9 +208,12 @@ impl BenchReport {
             ));
             for (ci, case) in group.results.iter().enumerate() {
                 out.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"median_ns\": {}, \"iters\": {}}}{}\n",
+                    "      {{\"name\": \"{}\", \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": {}, \"iters\": {}}}{}\n",
                     escape(&case.label),
                     case.median.as_nanos(),
+                    case.min.as_nanos(),
+                    case.max.as_nanos(),
+                    case.samples,
                     case.iters,
                     if ci + 1 < group.results.len() {
                         ","
@@ -309,7 +323,10 @@ mod tests {
     #[test]
     fn report_json_shape() {
         let mut group = Bench::new("g \"quoted\"");
-        group.case_samples("fast", 1, || black_box(1 + 1));
+        group.case_samples("fast", 3, || black_box(1 + 1));
+        let case = group.results()[0].clone();
+        assert_eq!(case.samples, 3);
+        assert!(case.min <= case.median && case.median <= case.max);
         let mut report = BenchReport::new("selftest");
         let d = group.median_of("fast").unwrap();
         report.add_group(group);
@@ -318,8 +335,13 @@ mod tests {
         report.add_metric("p99_us", 123.456);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"selftest\""));
-        assert!(json.contains("\"median_ns\":"));
-        assert!(json.contains("\"iters\":"));
+        assert!(json.contains(&format!(
+            "\"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": 3, \"iters\": {}",
+            case.median.as_nanos(),
+            case.min.as_nanos(),
+            case.max.as_nanos(),
+            case.iters
+        )));
         assert!(json.contains("\"speedup\":"));
         assert!(json.contains("\"metrics\": {\"p99_us\": 123.4560}"));
         assert!(json.contains("g \\\"quoted\\\""));

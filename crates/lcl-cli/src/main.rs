@@ -81,12 +81,8 @@
 //! --engine <e>     `bitsliced` (default: classify a block of orbit
 //!                  representatives per kernel pass in bit-parallel lockstep)
 //!                  or `scalar` (one decision at a time); histograms are
-//!                  identical either way
-//! --lane-width <w> `64` (default), `128`, `256`, `512`, or `auto`: lanes per
-//!                  bit-sliced block (wider words autovectorize to the
-//!                  machine's SIMD width; `auto` runs a timing micro-probe at
-//!                  startup and prints its pick). Bitsliced engine only;
-//!                  histograms are identical at every width
+//!                  identical either way. The bit-sliced engine runs 64 lanes
+//!                  (one `u64` word) per block
 //! --checkpoint <file>      write resumable snapshots of the campaign here
 //!                          (atomic temp-file + rename, plus a final write)
 //! --checkpoint-every <n>   orbits between snapshot writes (default 4096)
@@ -123,8 +119,8 @@ use std::time::Instant;
 
 use lcl_algorithms::solve;
 use lcl_core::{
-    calibrate_lane_width, classify, ClassificationEngine, EngineKind, LaneWidth, LclProblem,
-    LoadOutcome, MaskRange, SweepCheckpoint, SweepOutcome, SweepSnapshot,
+    classify, ClassificationEngine, EngineKind, LaneWidth, LclProblem, LoadOutcome, MaskRange,
+    SweepCheckpoint, SweepSnapshot,
 };
 use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::catalog;
@@ -968,20 +964,11 @@ struct SweepOptions {
     labels: Option<usize>,
     shards: Option<usize>,
     engine: Option<EngineKind>,
-    lane_width: Option<LaneWidthChoice>,
     checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
     max_orbits: Option<u64>,
     resume: bool,
     json: bool,
-}
-
-/// `--lane-width` argument: a fixed bit-sliced lane width, or `auto` (a
-/// calibrating micro-probe at startup picks the fastest on this machine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LaneWidthChoice {
-    Auto,
-    Fixed(LaneWidth),
 }
 
 fn parse_sweep_options(args: &[String]) -> Result<SweepOptions, String> {
@@ -1002,18 +989,6 @@ fn parse_sweep_options(args: &[String]) -> Result<SweepOptions, String> {
                         ))
                     }
                 })
-            }
-            "--lane-width" => {
-                let value = cur.value("--lane-width")?;
-                opts.lane_width = Some(match value.as_str() {
-                    "auto" => LaneWidthChoice::Auto,
-                    other => LaneWidth::parse(other)
-                        .map(LaneWidthChoice::Fixed)
-                        .ok_or(format!(
-                            "unknown lane width `{other}` (expected `auto`, `64`, `128`, \
-                             `256`, or `512`)"
-                        ))?,
-                });
             }
             "--checkpoint" => opts.checkpoint = Some(cur.value("--checkpoint")?.clone()),
             "--checkpoint-every" => {
@@ -1044,9 +1019,6 @@ fn parse_sweep_options(args: &[String]) -> Result<SweepOptions, String> {
     }
     if opts.resume && opts.checkpoint.is_none() {
         return Err("--resume requires --checkpoint <file> to resume from".into());
-    }
-    if opts.lane_width.is_some() && opts.engine == Some(EngineKind::Scalar) {
-        return Err("--lane-width applies to the bitsliced engine, not --engine scalar".into());
     }
     Ok(opts)
 }
@@ -1090,16 +1062,6 @@ fn format_eta(secs: f64) -> String {
     } else {
         format!("{:.1} days", secs / 86400.0)
     }
-}
-
-/// One step of the SplitMix64 generator — deterministic mask samples for the
-/// `--lane-width auto` calibration probe (no RNG dependency in this crate).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// `labels · C(labels + delta − 1, delta)` with saturation — the number of
@@ -1216,29 +1178,9 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
         .or(opts.engine)
         .unwrap_or(EngineKind::Bitsliced);
     validate_sweep_family(delta, labels)?;
-    if opts.lane_width.is_some() && engine_kind == EngineKind::Scalar {
-        return Err("--lane-width applies to the bitsliced engine, not a scalar campaign".into());
-    }
 
     let family = CanonicalFamily::new(delta, labels);
     let engine = ClassificationEngine::new();
-
-    // Lane width of the bit-sliced kernels; `auto` probes each width on a
-    // pseudo-random mask sample of this universe before the sweep starts.
-    let width = match opts.lane_width {
-        None | Some(LaneWidthChoice::Fixed(LaneWidth::W64)) => LaneWidth::W64,
-        Some(LaneWidthChoice::Fixed(w)) => w,
-        Some(LaneWidthChoice::Auto) => {
-            let universe = family.sliced_universe();
-            let mut state = 0x5EED_CA11_B4A7_E001u64;
-            let samples: Vec<u64> = (0..512)
-                .map(|_| splitmix64(&mut state) & (family.family_size() - 1))
-                .collect();
-            let picked = calibrate_lane_width(&universe, &samples);
-            eprintln!("lane-width auto: calibrated to {picked} lanes");
-            picked
-        }
-    };
 
     // Empty shards are clamped away up front: the family only has
     // `family_size` masks, so more shards than mask ranges would leave
@@ -1257,55 +1199,38 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
 
     let resumed = loaded.is_some();
     let start = Instant::now();
-    // `completed` is false only for a budgeted (--max-orbits) leg that ran
-    // out; `masks_remaining` then counts the universe still unswept.
-    let (outcome, completed, masks_remaining): (SweepOutcome, bool, u64) =
-        if let Some(path) = ckpt_path {
-            let state = loaded.unwrap_or_else(|| {
-                SweepSnapshot::fresh(delta as u16, labels as u16, engine_kind, ranges.clone())
-            });
-            let ckpt = SweepCheckpoint {
-                path: Some(path),
-                every_orbits: opts.checkpoint_every.unwrap_or(4096),
-                orbit_limit: opts.max_orbits,
-            };
-            let (snap, completed) = match engine_kind {
-                EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
-                EngineKind::Bitsliced => {
-                    let universe = family.sliced_universe();
-                    engine.sweep_resumable_bitsliced(
-                        &universe,
-                        width,
-                        state,
-                        |r| family.blocks_in(r, width.lanes()),
-                        |mask| family.problem_at(mask),
-                        |mask| family.canonical_key_of(mask),
-                        &ckpt,
-                    )
-                }
-            }
-            .map_err(|e| format!("sweep checkpointing failed: {e}"))?;
-            let remaining = snap.cursor.remaining_masks();
-            (snap.outcome, completed, remaining)
-        } else {
-            let outcome = match engine_kind {
-                EngineKind::Scalar => {
-                    engine.sweep_sharded(effective_shards, |s| family.orbits_in(ranges[s]))
-                }
-                EngineKind::Bitsliced => {
-                    let universe = family.sliced_universe();
-                    engine.sweep_sharded_bitsliced(
-                        &universe,
-                        width,
-                        effective_shards,
-                        |s| family.blocks_in(ranges[s], width.lanes()),
-                        |mask| family.problem_at(mask),
-                        |mask| family.canonical_key_of(mask),
-                    )
-                }
-            };
-            (outcome, true, 0)
-        };
+    // Without --checkpoint the campaign runs in memory only. `completed` is
+    // false only for a budgeted (--max-orbits) leg that ran out;
+    // `masks_remaining` then counts the universe still unswept.
+    let state = loaded
+        .unwrap_or_else(|| SweepSnapshot::fresh(delta as u16, labels as u16, engine_kind, ranges));
+    let ckpt = match ckpt_path {
+        Some(path) => SweepCheckpoint {
+            path: Some(path),
+            every_orbits: opts.checkpoint_every.unwrap_or(4096),
+            orbit_limit: opts.max_orbits,
+        },
+        None => SweepCheckpoint::default(),
+    };
+    let width = LaneWidth::default();
+    let (snap, completed) = match engine_kind {
+        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
+        EngineKind::Bitsliced => {
+            let universe = family.sliced_universe();
+            engine.sweep_resumable_bitsliced(
+                &universe,
+                width,
+                state,
+                |r| family.blocks_in(r, width.lanes()),
+                |mask| family.problem_at(mask),
+                |mask| family.canonical_key_of(mask),
+                &ckpt,
+            )
+        }
+    }
+    .map_err(|e| format!("sweep checkpointing failed: {e}"))?;
+    let masks_remaining = snap.cursor.remaining_masks();
+    let outcome = snap.outcome;
     let elapsed = start.elapsed();
 
     let orbit_count = outcome.orbits.total();
@@ -1749,7 +1674,7 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rtlcl catalog\n  rtlcl classify <file|name> [--json]\n  rtlcl explain <file|name>\n  rtlcl solve <file|name> <tree size | --nodes n> [--flat] [--baseline] [--edits BxE[@seed]] [--emit-labeling path]\n  rtlcl classify-batch [--count n] [--labels k] [--delta d] [--density p] [--seed s] [--enumerate] [--sequential] [--no-memo] [--json]\n  rtlcl sweep [--delta d] [--labels k] [--shards n] [--engine bitsliced|scalar] [--lane-width auto|64|128|256|512] [--checkpoint file] [--checkpoint-every n] [--max-orbits n] [--resume] [--json]\n  rtlcl serve [--addr host:port] [--workers n] [--queue n] [--deadline-ms n] [--read-timeout-ms n] [--snapshot file] [--debug-endpoints]\n  rtlcl snapshot info <file> [--json]\n  rtlcl verify <file|name> <labeling-file> [--tree random|balanced|hairy] [--nodes n] [--seed s] [--edits BxE[@seed]] [--json]\n  rtlcl fuzz [--iters n] [--seed s] [--json]"
+        "usage:\n  rtlcl catalog\n  rtlcl classify <file|name> [--json]\n  rtlcl explain <file|name>\n  rtlcl solve <file|name> <tree size | --nodes n> [--flat] [--baseline] [--edits BxE[@seed]] [--emit-labeling path]\n  rtlcl classify-batch [--count n] [--labels k] [--delta d] [--density p] [--seed s] [--enumerate] [--sequential] [--no-memo] [--json]\n  rtlcl sweep [--delta d] [--labels k] [--shards n] [--engine bitsliced|scalar] [--checkpoint file] [--checkpoint-every n] [--max-orbits n] [--resume] [--json]\n  rtlcl serve [--addr host:port] [--workers n] [--queue n] [--deadline-ms n] [--read-timeout-ms n] [--snapshot file] [--debug-endpoints]\n  rtlcl snapshot info <file> [--json]\n  rtlcl verify <file|name> <labeling-file> [--tree random|balanced|hairy] [--nodes n] [--seed s] [--edits BxE[@seed]] [--json]\n  rtlcl fuzz [--iters n] [--seed s] [--json]"
     );
     ExitCode::FAILURE
 }

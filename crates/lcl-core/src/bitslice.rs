@@ -1,13 +1,13 @@
-//! Bit-sliced classification: 64–512 problems of one (δ, Σ) universe in
+//! Bit-sliced classification: 64 problems of one (δ, Σ) universe in
 //! lockstep.
 //!
 //! Every problem of a complete (δ, Σ) family is a subset of one shared
 //! configuration universe — a `u64` mask over at most 63 possible
 //! configurations (see `lcl_problems::canonical::CanonicalFamily`). The masked
 //! kernels in [`crate::scratch`] classify one such mask at a time; this module
-//! transposes a **block of up to `W::LANES` masks** (64 per `u64` of the
-//! [`LaneWord`] `W` — up to 512 for `[u64; 8]`) so that the same fixed-point
-//! iterations run on all of them simultaneously, one bit lane per problem:
+//! transposes a **block of up to [`LANES`] masks** (one `u64` [`LaneWord`])
+//! so that the same fixed-point iterations run on all of them
+//! simultaneously, one bit lane per problem:
 //!
 //! * per universe configuration `i`, a lane word whose bit `j` says "problem
 //!   `j` contains configuration `i`" (the transposed successor table
@@ -17,11 +17,9 @@
 //!   label, lifted one axis.
 //!
 //! Every stage of the decision procedure is then a short loop over word-wide
-//! AND/OR operations shared by all lanes of the block. Wide lane words are
-//! plain `[u64; N]` arrays whose per-word method loops autovectorize to the
-//! machine's native SIMD width — no intrinsics, no unsafe; pick a width at
-//! runtime with [`LaneWidth`] or let [`calibrate_lane_width`] probe for the
-//! fastest one. The stages:
+//! AND/OR operations shared by all lanes of the block. The kernels are
+//! generic over [`LaneWord`], and the sweep engine instantiates them at
+//! `u64` only. The stages:
 //!
 //! * [`prune_fixpoint_sliced`] — Algorithm 2's pruning loop (trim +
 //!   flexibility), lane-parallel, with a per-lane iteration counter;
@@ -62,18 +60,12 @@
 
 use crate::classifier::Complexity;
 
-/// Number of problems classified per block by the base `u64` lane word — the
-/// narrowest (and default) width. Wider words ([`LaneWord`]) are multiples of
-/// this, up to [`LaneWidth::W512`].
+/// Number of problems classified per block: the lanes of one `u64`
+/// [`LaneWord`].
 pub const LANES: usize = 64;
 
-/// A machine word (or small fixed array of words) holding one bit lane per
-/// problem — the element type every bit-sliced kernel operates on.
-///
-/// `u64` is the scalar baseline (64 lanes). The `[u64; 2]`, `[u64; 4]` and
-/// `[u64; 8]` impls widen a kernel pass to 128/256/512 lanes: each method is a
-/// short fixed-length loop over the words, which the compiler autovectorizes
-/// into SIMD-width AND/OR/ANDN instructions (no intrinsics, no unsafe). All
+/// A machine word holding one bit lane per problem — the element type every
+/// bit-sliced kernel operates on. `u64` (64 lanes) is its one impl. All
 /// methods are branch-free except the queries (`is_zero`, `test_bit`,
 /// `for_each_lane`).
 pub trait LaneWord: Copy + Eq + Send + Sync + std::fmt::Debug + 'static {
@@ -165,143 +157,21 @@ impl LaneWord for u64 {
     }
 }
 
-macro_rules! lane_word_array {
-    ($n:literal) => {
-        impl LaneWord for [u64; $n] {
-            const LANES: usize = 64 * $n;
-            const ZERO: Self = [0; $n];
-
-            #[inline]
-            fn lanes_mask(n: usize) -> Self {
-                debug_assert!(n <= Self::LANES);
-                let mut out = [0u64; $n];
-                let full = (n / 64).min($n);
-                for word in out.iter_mut().take(full) {
-                    *word = !0;
-                }
-                if full < $n && n % 64 != 0 {
-                    out[full] = (1u64 << (n % 64)) - 1;
-                }
-                out
-            }
-
-            #[inline]
-            fn and(mut self, other: Self) -> Self {
-                for i in 0..$n {
-                    self[i] &= other[i];
-                }
-                self
-            }
-
-            #[inline]
-            fn or(mut self, other: Self) -> Self {
-                for i in 0..$n {
-                    self[i] |= other[i];
-                }
-                self
-            }
-
-            #[inline]
-            fn andnot(mut self, other: Self) -> Self {
-                for i in 0..$n {
-                    self[i] &= !other[i];
-                }
-                self
-            }
-
-            #[inline]
-            fn is_zero(self) -> bool {
-                self.iter().all(|&w| w == 0)
-            }
-
-            #[inline]
-            fn count_lanes(self) -> u32 {
-                self.iter().map(|w| w.count_ones()).sum()
-            }
-
-            #[inline]
-            fn set_bit(&mut self, j: usize) {
-                self[j >> 6] |= 1u64 << (j & 63);
-            }
-
-            #[inline]
-            fn test_bit(self, j: usize) -> bool {
-                self[j >> 6] >> (j & 63) & 1 != 0
-            }
-
-            #[inline]
-            fn for_each_lane(self, mut f: impl FnMut(usize)) {
-                for (w, &word) in self.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        f(w * 64 + bits.trailing_zeros() as usize);
-                        bits &= bits - 1;
-                    }
-                }
-            }
-        }
-    };
-}
-
-lane_word_array!(2);
-lane_word_array!(4);
-lane_word_array!(8);
-
-/// The runtime-selectable lane widths of the bit-sliced sweep engine, one per
-/// [`LaneWord`] impl. `rtlcl sweep --lane-width` picks one (or calibrates with
-/// [`calibrate_lane_width`]); the engine dispatches to the matching generic
-/// kernel instantiation.
+/// The lane width of the bit-sliced sweep engine: one `u64` word, 64
+/// problems per kernel pass. It is the only width; the type stays a
+/// parameter of `ClassificationEngine::sweep_resumable_bitsliced` so that
+/// callers written against it keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneWidth {
-    /// 64 lanes (`u64`) — the baseline word.
+    /// 64 lanes (`u64`).
     #[default]
     W64,
-    /// 128 lanes (`[u64; 2]`).
-    W128,
-    /// 256 lanes (`[u64; 4]`).
-    W256,
-    /// 512 lanes (`[u64; 8]`).
-    W512,
 }
 
 impl LaneWidth {
-    /// Every width, narrowest first.
-    pub const ALL: [LaneWidth; 4] = [
-        LaneWidth::W64,
-        LaneWidth::W128,
-        LaneWidth::W256,
-        LaneWidth::W512,
-    ];
-
     /// Number of lanes (problems per block) at this width.
     pub fn lanes(self) -> usize {
-        match self {
-            LaneWidth::W64 => 64,
-            LaneWidth::W128 => 128,
-            LaneWidth::W256 => 256,
-            LaneWidth::W512 => 512,
-        }
-    }
-
-    /// The width's display name — its lane count in decimal.
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneWidth::W64 => "64",
-            LaneWidth::W128 => "128",
-            LaneWidth::W256 => "256",
-            LaneWidth::W512 => "512",
-        }
-    }
-
-    /// Parses a lane count (`"64"`, `"128"`, `"256"`, `"512"`).
-    pub fn parse(s: &str) -> Option<LaneWidth> {
-        LaneWidth::ALL.into_iter().find(|w| w.name() == s)
-    }
-}
-
-impl std::fmt::Display for LaneWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        LANES
     }
 }
 
@@ -446,11 +316,10 @@ pub struct BlockStats {
 
 /// Reusable per-worker buffers for the bit-sliced kernels: the transposed
 /// configuration table of the current block plus every lane-word the stages
-/// iterate on, generic over the [`LaneWord`] `W` (64–512 lanes per block). All
-/// buffers grow to the universe's size on first use and are reused; a warmed
-/// scratch serves every further block without touching the allocator (pinned
-/// by `crates/lcl-core/tests/zero_alloc.rs` for both the `u64` and a wide
-/// width).
+/// iterate on, generic over the [`LaneWord`] `W` (`u64`: 64 lanes per
+/// block). All buffers grow to the universe's size on first use and are
+/// reused; a warmed scratch serves every further block without touching the
+/// allocator (pinned by `crates/lcl-core/tests/zero_alloc.rs`).
 #[derive(Debug)]
 pub struct BitSliceScratch<W: LaneWord = u64> {
     /// Transposed block: per configuration, the lanes containing it.
@@ -1051,49 +920,6 @@ pub fn classify_block_sliced<W: LaneWord>(
     stats
 }
 
-/// Picks the fastest [`LaneWidth`] for `universe` on the current machine by a
-/// timing micro-probe: classifies `samples` (chunked to each width's block
-/// size) once to warm the buffers and once timed, and returns the width with
-/// the lowest per-mask time. The probe is what `rtlcl sweep
-/// --lane-width auto` runs at startup; a few hundred sample masks take well
-/// under a millisecond per width on the families the sweeps enumerate.
-///
-/// Wider is not always better: past the machine's native SIMD width the extra
-/// words only add register pressure, and on blocks where one slow lane
-/// dominates the fixed points, a wider block keeps more lanes spinning.
-/// Returns [`LaneWidth::W64`] when `samples` is empty.
-pub fn calibrate_lane_width(universe: &SlicedUniverse, samples: &[u64]) -> LaneWidth {
-    fn probe<W: LaneWord>(universe: &SlicedUniverse, samples: &[u64]) -> f64 {
-        let mut scratch = BitSliceScratch::<W>::new();
-        let mut verdicts = Vec::new();
-        for chunk in samples.chunks(W::LANES) {
-            classify_block_sliced(universe, chunk, &mut scratch, &mut verdicts);
-        }
-        let start = std::time::Instant::now();
-        for chunk in samples.chunks(W::LANES) {
-            classify_block_sliced(universe, chunk, &mut scratch, &mut verdicts);
-        }
-        start.elapsed().as_secs_f64() / samples.len() as f64
-    }
-
-    if samples.is_empty() {
-        return LaneWidth::W64;
-    }
-    let mut best = (LaneWidth::W64, f64::INFINITY);
-    for width in LaneWidth::ALL {
-        let per_mask = match width {
-            LaneWidth::W64 => probe::<u64>(universe, samples),
-            LaneWidth::W128 => probe::<[u64; 2]>(universe, samples),
-            LaneWidth::W256 => probe::<[u64; 4]>(universe, samples),
-            LaneWidth::W512 => probe::<[u64; 8]>(universe, samples),
-        };
-        if per_mask < best.1 {
-            best = (width, per_mask);
-        }
-    }
-    best.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1287,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_word_bit_operations_agree_across_widths() {
+    fn lane_word_bit_operations_are_consistent() {
         fn check<W: LaneWord>() {
             assert!(W::ZERO.is_zero());
             assert_eq!(W::ZERO.count_lanes(), 0);
@@ -1316,64 +1142,5 @@ mod tests {
             assert_eq!(full.andnot(word).count_lanes() as usize, W::LANES - 3);
         }
         check::<u64>();
-        check::<[u64; 2]>();
-        check::<[u64; 4]>();
-        check::<[u64; 8]>();
-    }
-
-    /// Every wide width classifies the exhaustive (δ=2, 2-label) universe
-    /// lane-for-lane identically to the `u64` kernels and the scalar
-    /// classifier — including partial final blocks.
-    #[test]
-    fn wide_blocks_match_u64_blocks_exhaustively() {
-        fn verdicts_at<W: LaneWord>(universe: &SlicedUniverse, masks: &[u64]) -> Vec<LaneVerdict> {
-            let mut scratch = BitSliceScratch::<W>::new();
-            let mut verdicts = Vec::new();
-            let mut all = Vec::new();
-            for chunk in masks.chunks(W::LANES) {
-                classify_block_sliced(universe, chunk, &mut scratch, &mut verdicts);
-                all.extend_from_slice(&verdicts);
-            }
-            all
-        }
-        let universe = two_label_sliced();
-        let masks: Vec<u64> = (0..64).collect();
-        let baseline = verdicts_at::<u64>(&universe, &masks);
-        assert_eq!(baseline, verdicts_at::<[u64; 2]>(&universe, &masks));
-        assert_eq!(baseline, verdicts_at::<[u64; 4]>(&universe, &masks));
-        assert_eq!(baseline, verdicts_at::<[u64; 8]>(&universe, &masks));
-        // Partial block: 5 lanes in a 512-wide word.
-        let partial = [5u64, 63, 5, 0, 42];
-        assert_eq!(
-            verdicts_at::<u64>(&universe, &partial),
-            verdicts_at::<[u64; 8]>(&universe, &partial)
-        );
-        let mut scalar = ClassifyScratch::new();
-        for (j, &mask) in masks.iter().enumerate() {
-            let expected = classify_complexity_with(&problem_at(mask), &mut scalar);
-            match baseline[j] {
-                LaneVerdict::Decided(c) => assert_eq!(c, expected, "mask {mask}"),
-                LaneVerdict::NeedsPolyExponent => {
-                    assert!(
-                        matches!(expected, Complexity::Polynomial { .. }),
-                        "mask {mask}"
-                    )
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lane_width_parse_round_trips_and_calibration_picks_a_width() {
-        for width in LaneWidth::ALL {
-            assert_eq!(LaneWidth::parse(width.name()), Some(width));
-            assert_eq!(width.lanes() % 64, 0);
-        }
-        assert_eq!(LaneWidth::parse("96"), None);
-        let universe = two_label_sliced();
-        assert_eq!(calibrate_lane_width(&universe, &[]), LaneWidth::W64);
-        let samples: Vec<u64> = (0..64).collect();
-        // Any width is a valid answer; the probe must simply terminate.
-        let _ = calibrate_lane_width(&universe, &samples);
     }
 }

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::bitslice::{
-    classify_block_sliced, BitSliceScratch, LaneVerdict, LaneWidth, LaneWord, SlicedUniverse,
+    classify_block_sliced, BitSliceScratch, LaneVerdict, LaneWidth, SlicedUniverse,
 };
 use crate::classifier::{
     classify_complexity_with, classify_with_config, ClassifierConfig, Complexity,
@@ -454,206 +454,6 @@ impl ClassificationEngine {
             .collect()
     }
 
-    /// Sharded sweep over a canonical-first problem stream: the backbone of the
-    /// `rtlcl sweep` workload ("classify the entire (δ, Σ) universe").
-    ///
-    /// `shard(s)` must yield the `s`-th shard of the canonical stream — exactly
-    /// one representative per label-permutation orbit, each with its orbit
-    /// size; `lcl-problems`' `CanonicalFamily::shard` produces such streams by
-    /// partitioning the configuration-mask space. Shards are pulled by up to
-    /// `available_parallelism` workers over `std::thread::scope`.
-    ///
-    /// Canonical representatives are pairwise *non*-equivalent, so the shared
-    /// memo could never hit during the sweep; workers therefore classify with a
-    /// private scratch and record verdicts into a **private** memo map (no lock
-    /// contention on the hot path), merged into the engine cache once per
-    /// worker at the end. After a sweep the cache is warm for the whole family:
-    /// any later [`Self::classify`] of any member of the family is a hit.
-    pub fn sweep_sharded<I, F>(&self, shards: usize, shard: F) -> SweepOutcome
-    where
-        I: Iterator<Item = OrbitProblem>,
-        F: Fn(usize) -> I + Sync,
-    {
-        let shards = shards.max(1);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(shards);
-        let next = AtomicUsize::new(0);
-        let merged: Mutex<SweepOutcome> = Mutex::new(SweepOutcome::default());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = ClassifyScratch::new();
-                    let mut local_memo: HashMap<CanonicalKey, Complexity> = HashMap::new();
-                    let mut outcome = SweepOutcome::default();
-                    let mut classified = 0usize;
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        for item in shard(s) {
-                            let complexity = classify_complexity_with(&item.problem, &mut scratch);
-                            classified += 1;
-                            if self.canonicalize {
-                                local_memo.insert(canonical_form(&item.problem), complexity);
-                            }
-                            outcome.orbits.add(complexity, 1);
-                            outcome.problems.add(complexity, item.orbit_size);
-                        }
-                    }
-                    self.misses.fetch_add(classified, Ordering::Relaxed);
-                    if !local_memo.is_empty() {
-                        self.cache.extend(local_memo);
-                    }
-                    merged
-                        .lock()
-                        .expect("sweep outcome poisoned")
-                        .merge(&outcome);
-                });
-            }
-        });
-        merged.into_inner().expect("sweep outcome poisoned")
-    }
-
-    /// Bit-sliced variant of [`Self::sweep_sharded`]: the canonical stream
-    /// arrives as [`MaskBlock`]s of ≤ `width.lanes()` configuration masks over
-    /// one shared [`SlicedUniverse`], and every block runs
-    /// [`crate::bitslice::classify_block_sliced`] — all lanes in lockstep —
-    /// instead of that many scalar decisions. `width` picks the lane word at
-    /// runtime ([`crate::bitslice::calibrate_lane_width`] probes for the
-    /// fastest); the caller's block stream must pack at most `width.lanes()`
-    /// masks per block.
-    ///
-    /// `blocks(s)` yields the `s`-th shard's blocks (`CanonicalFamily::blocks`
-    /// produces them). `problem_of(mask)` materializes one lane's problem —
-    /// only called for the rare scalar-fallback lanes
-    /// ([`LaneVerdict::NeedsPolyExponent`], the exact polynomial-exponent
-    /// descent). `key_of(mask)` is the lane's canonical memo key, identical to
-    /// [`canonical_form`] of the materialized problem (`CanonicalFamily`
-    /// computes it mask-directly); it is only called when memoization is on.
-    /// Memo merge and worker structure match the scalar sweep: private scratch
-    /// and memo per worker, one merge at the end, cache warm for the whole
-    /// family afterwards.
-    pub fn sweep_sharded_bitsliced<I, F, P, K>(
-        &self,
-        universe: &SlicedUniverse,
-        width: LaneWidth,
-        shards: usize,
-        blocks: F,
-        problem_of: P,
-        key_of: K,
-    ) -> SweepOutcome
-    where
-        I: Iterator<Item = MaskBlock>,
-        F: Fn(usize) -> I + Sync,
-        P: Fn(u64) -> LclProblem + Sync,
-        K: Fn(u64) -> CanonicalKey + Sync,
-    {
-        match width {
-            LaneWidth::W64 => self.sweep_sharded_bitsliced_w::<u64, _, _, _, _>(
-                universe, shards, blocks, problem_of, key_of,
-            ),
-            LaneWidth::W128 => self.sweep_sharded_bitsliced_w::<[u64; 2], _, _, _, _>(
-                universe, shards, blocks, problem_of, key_of,
-            ),
-            LaneWidth::W256 => self.sweep_sharded_bitsliced_w::<[u64; 4], _, _, _, _>(
-                universe, shards, blocks, problem_of, key_of,
-            ),
-            LaneWidth::W512 => self.sweep_sharded_bitsliced_w::<[u64; 8], _, _, _, _>(
-                universe, shards, blocks, problem_of, key_of,
-            ),
-        }
-    }
-
-    /// [`Self::sweep_sharded_bitsliced`] monomorphized over the lane word.
-    fn sweep_sharded_bitsliced_w<W: LaneWord, I, F, P, K>(
-        &self,
-        universe: &SlicedUniverse,
-        shards: usize,
-        blocks: F,
-        problem_of: P,
-        key_of: K,
-    ) -> SweepOutcome
-    where
-        I: Iterator<Item = MaskBlock>,
-        F: Fn(usize) -> I + Sync,
-        P: Fn(u64) -> LclProblem + Sync,
-        K: Fn(u64) -> CanonicalKey + Sync,
-    {
-        let shards = shards.max(1);
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(shards);
-        let next = AtomicUsize::new(0);
-        let merged: Mutex<SweepOutcome> = Mutex::new(SweepOutcome::default());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = ClassifyScratch::new();
-                    let mut sliced = BitSliceScratch::<W>::new();
-                    let mut verdicts = Vec::new();
-                    let mut local_memo: HashMap<CanonicalKey, Complexity> = HashMap::new();
-                    let mut outcome = SweepOutcome::default();
-                    let mut classified = 0usize;
-                    loop {
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        for block in blocks(s) {
-                            debug_assert_eq!(block.masks.len(), block.orbit_sizes.len());
-                            let stats = classify_block_sliced(
-                                universe,
-                                &block.masks,
-                                &mut sliced,
-                                &mut verdicts,
-                            );
-                            outcome.lanes.blocks += 1;
-                            outcome.lanes.fixpoint_rounds += stats.fixpoint_rounds;
-                            outcome.lanes.live_lane_rounds += stats.live_lane_rounds;
-                            classified += block.masks.len();
-                            for (j, &mask) in block.masks.iter().enumerate() {
-                                let complexity = match verdicts[j] {
-                                    LaneVerdict::Decided(c) => c,
-                                    LaneVerdict::NeedsPolyExponent => {
-                                        outcome.lanes.scalar_fallbacks += 1;
-                                        let problem = problem_of(mask);
-                                        let sustaining =
-                                            crate::solvability::solvable_labels(&problem);
-                                        Complexity::Polynomial {
-                                            exponent: crate::scratch::poly_exponent_masked(
-                                                &problem,
-                                                sustaining,
-                                                &mut scratch,
-                                            ),
-                                        }
-                                    }
-                                };
-                                if self.canonicalize {
-                                    local_memo.insert(key_of(mask), complexity);
-                                }
-                                outcome.orbits.add(complexity, 1);
-                                outcome.problems.add(complexity, block.orbit_sizes[j]);
-                            }
-                        }
-                    }
-                    self.misses.fetch_add(classified, Ordering::Relaxed);
-                    if !local_memo.is_empty() {
-                        self.cache.extend(local_memo);
-                    }
-                    merged
-                        .lock()
-                        .expect("sweep outcome poisoned")
-                        .merge(&outcome);
-                });
-            }
-        });
-        merged.into_inner().expect("sweep outcome poisoned")
-    }
-
     /// Snapshot view of the canonical-form memo: every cached
     /// `key → Complexity`, sorted by key so exports are deterministic
     /// regardless of hash-map iteration order.
@@ -714,25 +514,32 @@ impl ClassificationEngine {
         Ok(count)
     }
 
-    /// Resumable, checkpointing variant of [`Self::sweep_sharded`].
+    /// Resumable, checkpointing sweep over a canonical-first problem stream:
+    /// the backbone of the `rtlcl sweep` workload ("classify the entire
+    /// (δ, Σ) universe"), one scalar decision per orbit.
     ///
     /// `state` is where the campaign stands — [`SweepSnapshot::fresh`] for a
     /// new sweep, or a loaded checkpoint to continue one. The snapshot's
     /// cursor is authoritative: `shard_of(range)` must yield the canonical
     /// orbit stream of the masks `range.next..range.hi`
-    /// (`CanonicalFamily::orbits_in`), and the stored ranges — not a new
-    /// shard split — define the work, so a campaign can be resumed under any
-    /// worker count and still commit the exact same chunks.
+    /// (`CanonicalFamily::orbits_in`) — exactly one representative per
+    /// label-permutation orbit, each with its orbit size — and the stored
+    /// ranges, not a new shard split, define the work, so a campaign can be
+    /// resumed under any worker count and still commit the exact same chunks.
+    /// Ranges are pulled by up to `available_parallelism` workers over
+    /// `std::thread::scope`.
     ///
-    /// Workers classify privately and fold finished chunks into the shared
-    /// state under one lock: histograms, new memo entries, and the range's
-    /// watermark advance together, so every intermediate checkpoint is a
-    /// consistent prefix of the sweep. With [`SweepCheckpoint::path`] set,
-    /// the state is written atomically (temp file + rename) every
-    /// [`SweepCheckpoint::every_orbits`] processed orbits and once more at
-    /// the end — killing the process at any instant loses at most the
-    /// uncommitted tail, and `state = SweepSnapshot::load(path)?` continues
-    /// to histograms identical to an uninterrupted run.
+    /// Workers classify privately and fold finished chunks (every
+    /// `min(64, orbit_limit)` orbits) into the shared state under one lock:
+    /// histograms, new memo entries, and the range's watermark advance
+    /// together, so every intermediate checkpoint is a consistent prefix of
+    /// the sweep. With [`SweepCheckpoint::path`] set, the state is written
+    /// atomically (temp file + rename) every [`SweepCheckpoint::every_orbits`]
+    /// processed orbits and once more at the end — killing the process at
+    /// any instant loses at most the uncommitted tail, and
+    /// `state = SweepSnapshot::load(path)?` continues to histograms identical
+    /// to an uninterrupted run. [`SweepCheckpoint::default`] keeps the whole
+    /// campaign in memory.
     ///
     /// Orbits whose canonical key is already in `state.memo` are answered
     /// from it without running the decision procedure (the warm-boot
@@ -740,7 +547,8 @@ impl ClassificationEngine {
     /// snapshot and whether the cursor completed —
     /// [`SweepCheckpoint::orbit_limit`] stops early with a valid, resumable
     /// snapshot. The engine cache is warm for everything in the returned
-    /// snapshot's memo afterwards.
+    /// snapshot's memo afterwards: after a complete sweep, any later
+    /// [`Self::classify`] of any member of the family is a hit.
     pub fn sweep_resumable<I, F>(
         &self,
         state: SweepSnapshot,
@@ -751,116 +559,63 @@ impl ClassificationEngine {
         I: Iterator<Item = OrbitProblem>,
         F: Fn(MaskRange) -> I + Sync,
     {
-        let baseline_map: HashMap<CanonicalKey, Complexity> = if self.canonicalize {
-            state.memo.iter().cloned().collect()
-        } else {
-            HashMap::new()
-        };
-        let (shared, ranges) = ResumeShared::start(state);
-        let pending = ranges.iter().filter(|r| !r.is_done()).count();
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(pending.max(1));
         // Commit granularity: small enough that an orbit limit stops promptly,
         // large enough that the shared lock stays cold.
         let chunk_cap = ckpt.orbit_limit.map_or(64, |limit| limit.clamp(1, 64));
-        if pending > 0 {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = ClassifyScratch::new();
-                        let mut hits = 0usize;
-                        let mut misses = 0usize;
-                        'ranges: loop {
-                            if shared.stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let ri = shared.next_range.fetch_add(1, Ordering::Relaxed);
-                            if ri >= ranges.len() {
-                                break;
-                            }
-                            let range = ranges[ri];
-                            if range.is_done() {
-                                continue;
-                            }
-                            let mut chunk = SweepOutcome::default();
-                            let mut chunk_memo = Vec::new();
-                            let mut orbits = 0u64;
-                            for item in shard_of(range) {
-                                let key = self.canonicalize.then(|| canonical_form(&item.problem));
-                                let complexity = match key
-                                    .as_ref()
-                                    .and_then(|k| baseline_map.get(k))
-                                {
-                                    Some(&hit) => {
-                                        hits += 1;
-                                        hit
-                                    }
-                                    None => {
-                                        let c =
-                                            classify_complexity_with(&item.problem, &mut scratch);
-                                        misses += 1;
-                                        if let Some(k) = key {
-                                            chunk_memo.push((k, c));
-                                        }
-                                        c
-                                    }
-                                };
-                                chunk.orbits.add(complexity, 1);
-                                chunk.problems.add(complexity, item.orbit_size);
-                                orbits += 1;
-                                if orbits >= chunk_cap {
-                                    shared.commit(
-                                        ckpt,
-                                        ri,
-                                        item.mask + 1,
-                                        &chunk,
-                                        &mut chunk_memo,
-                                        orbits,
-                                    );
-                                    chunk = SweepOutcome::default();
-                                    orbits = 0;
-                                    if shared.stop.load(Ordering::Relaxed) {
-                                        // Watermark committed; the rest of
-                                        // this range stays pending.
-                                        break 'ranges;
-                                    }
-                                }
-                            }
-                            // Stream exhausted: trailing non-canonical masks
-                            // are accounted by advancing to the range's end.
-                            shared.commit(ckpt, ri, range.hi, &chunk, &mut chunk_memo, orbits);
+        self.sweep_ranges(state, ckpt, |scratch: &mut ClassifyScratch, w, range| {
+            let baseline = w.baseline;
+            for item in shard_of(range) {
+                let key = self.canonicalize.then(|| canonical_form(&item.problem));
+                let complexity = match key.as_ref().and_then(|k| baseline.get(k)) {
+                    Some(&hit) => {
+                        w.hits += 1;
+                        hit
+                    }
+                    None => {
+                        let c = classify_complexity_with(&item.problem, scratch);
+                        w.misses += 1;
+                        if let Some(k) = key {
+                            w.chunk_memo.push((k, c));
                         }
-                        self.hits.fetch_add(hits, Ordering::Relaxed);
-                        self.misses.fetch_add(misses, Ordering::Relaxed);
-                    });
+                        c
+                    }
+                };
+                w.record(complexity, item.orbit_size);
+                if w.orbits >= chunk_cap && w.commit(item.mask + 1) {
+                    return true;
                 }
-            });
-        }
-        self.finish_resumable(shared, ckpt)
+            }
+            false
+        })
     }
 
-    /// Resumable, checkpointing variant of [`Self::sweep_sharded_bitsliced`];
-    /// the bit-sliced sibling of [`Self::sweep_resumable`] (see there for the
-    /// cursor/checkpoint/warm-boot contract). `blocks_of(range)` must yield
-    /// the [`MaskBlock`]s of `range.next..range.hi`
-    /// (`CanonicalFamily::blocks_in`); commits happen at block boundaries
-    /// using each block's [`MaskBlock::next_mask`] watermark. Block formation
-    /// depends only on the starting mask and the lane width, so an
-    /// interrupted-and-resumed campaign *at the same width* classifies the
-    /// exact same block sequence as an uninterrupted one — lane statistics
-    /// included. Resuming at a *different* width repacks the remaining masks
-    /// into differently sized blocks: histograms and memo still converge to
-    /// the identical final state (verdicts are per-lane and width-invariant),
-    /// only the lane statistics differ. Blocks whose lanes are all covered by
-    /// `state.memo` are answered from it without classification (such blocks
-    /// add nothing to the lane statistics).
+    /// Bit-sliced sibling of [`Self::sweep_resumable`] (see there for the
+    /// cursor/checkpoint/warm-boot contract): the canonical stream arrives as
+    /// [`MaskBlock`]s of ≤ [`crate::bitslice::LANES`] configuration masks
+    /// over one shared [`SlicedUniverse`], and every block runs
+    /// [`crate::bitslice::classify_block_sliced`] — all lanes of one `u64`
+    /// in lockstep — instead of that many scalar decisions. `_width` is
+    /// always [`LaneWidth::W64`], the one lane width.
+    ///
+    /// `blocks_of(range)` must yield the blocks of `range.next..range.hi`
+    /// (`CanonicalFamily::blocks_in` at 64 lanes); commits happen once per
+    /// block, using its [`MaskBlock::next_mask`] watermark. Block formation
+    /// depends only on the starting mask, so an interrupted-and-resumed
+    /// campaign classifies the exact same block sequence as an uninterrupted
+    /// one — lane statistics included. `problem_of(mask)` materializes one
+    /// lane's problem — only called for the rare scalar-fallback lanes
+    /// ([`LaneVerdict::NeedsPolyExponent`], the exact polynomial-exponent
+    /// descent). `key_of(mask)` is the lane's canonical memo key, identical
+    /// to [`canonical_form`] of the materialized problem (`CanonicalFamily`
+    /// computes it mask-directly); it is only called when memoization is on.
+    /// Blocks whose lanes are all covered by `state.memo` are answered from
+    /// it without classification (such blocks add nothing to the lane
+    /// statistics).
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_resumable_bitsliced<I, F, P, K>(
         &self,
         universe: &SlicedUniverse,
-        width: LaneWidth,
+        _width: LaneWidth,
         state: SweepSnapshot,
         blocks_of: F,
         problem_of: P,
@@ -873,39 +628,94 @@ impl ClassificationEngine {
         P: Fn(u64) -> LclProblem + Sync,
         K: Fn(u64) -> CanonicalKey + Sync,
     {
-        match width {
-            LaneWidth::W64 => self.sweep_resumable_bitsliced_w::<u64, _, _, _, _>(
-                universe, state, blocks_of, problem_of, key_of, ckpt,
-            ),
-            LaneWidth::W128 => self.sweep_resumable_bitsliced_w::<[u64; 2], _, _, _, _>(
-                universe, state, blocks_of, problem_of, key_of, ckpt,
-            ),
-            LaneWidth::W256 => self.sweep_resumable_bitsliced_w::<[u64; 4], _, _, _, _>(
-                universe, state, blocks_of, problem_of, key_of, ckpt,
-            ),
-            LaneWidth::W512 => self.sweep_resumable_bitsliced_w::<[u64; 8], _, _, _, _>(
-                universe, state, blocks_of, problem_of, key_of, ckpt,
-            ),
-        }
+        type Buffers = (
+            ClassifyScratch,
+            BitSliceScratch,
+            Vec<LaneVerdict>,
+            Vec<CanonicalKey>,
+        );
+        self.sweep_ranges(state, ckpt, |buffers: &mut Buffers, w, range| {
+            let (scratch, sliced, verdicts, keys) = buffers;
+            let baseline = w.baseline;
+            for block in blocks_of(range) {
+                debug_assert_eq!(block.masks.len(), block.orbit_sizes.len());
+                keys.clear();
+                if self.canonicalize {
+                    keys.extend(block.masks.iter().map(|&m| key_of(m)));
+                }
+                let all_hit = !keys.is_empty()
+                    && !baseline.is_empty()
+                    && keys.iter().all(|k| baseline.contains_key(k));
+                if all_hit {
+                    for (key, &orbit_size) in keys.iter().zip(&block.orbit_sizes) {
+                        w.hits += 1;
+                        w.record(baseline[key], orbit_size);
+                    }
+                } else {
+                    let stats = classify_block_sliced(universe, &block.masks, sliced, verdicts);
+                    w.chunk.lanes.blocks += 1;
+                    w.chunk.lanes.fixpoint_rounds += stats.fixpoint_rounds;
+                    w.chunk.lanes.live_lane_rounds += stats.live_lane_rounds;
+                    for (j, &mask) in block.masks.iter().enumerate() {
+                        let computed = match verdicts[j] {
+                            LaneVerdict::Decided(c) => c,
+                            LaneVerdict::NeedsPolyExponent => {
+                                w.chunk.lanes.scalar_fallbacks += 1;
+                                let problem = problem_of(mask);
+                                let sustaining = crate::solvability::solvable_labels(&problem);
+                                Complexity::Polynomial {
+                                    exponent: crate::scratch::poly_exponent_masked(
+                                        &problem, sustaining, scratch,
+                                    ),
+                                }
+                            }
+                        };
+                        let mut complexity = computed;
+                        if self.canonicalize {
+                            match baseline.get(&keys[j]) {
+                                Some(&known) => {
+                                    w.hits += 1;
+                                    complexity = known;
+                                }
+                                None => {
+                                    w.misses += 1;
+                                    w.chunk_memo.push((keys[j].clone(), computed));
+                                }
+                            }
+                        } else {
+                            w.misses += 1;
+                        }
+                        w.record(complexity, block.orbit_sizes[j]);
+                    }
+                }
+                if w.commit(block.next_mask) {
+                    return true;
+                }
+            }
+            false
+        })
     }
 
-    /// [`Self::sweep_resumable_bitsliced`] monomorphized over the lane word.
-    fn sweep_resumable_bitsliced_w<W: LaneWord, I, F, P, K>(
+    /// The one driver behind both resumable sweeps. Up to
+    /// `available_parallelism` workers, each with its own `S` buffers, claim
+    /// the cursor's pending ranges in order and hand each to
+    /// `sweep_range`, which classifies the range's stream into its
+    /// [`SweepWorker`] and commits at its engine's granularity. It returns
+    /// `true` when a commit raised the stop flag: the committed watermark
+    /// stands and the rest of the range stays pending. Otherwise the driver
+    /// commits the uncommitted tail with the range's end as the watermark,
+    /// which also accounts the trailing non-canonical masks.
+    fn sweep_ranges<S, R>(
         &self,
-        universe: &SlicedUniverse,
         state: SweepSnapshot,
-        blocks_of: F,
-        problem_of: P,
-        key_of: K,
         ckpt: &SweepCheckpoint<'_>,
+        sweep_range: R,
     ) -> Result<(SweepSnapshot, bool), SnapshotError>
     where
-        I: Iterator<Item = MaskBlock>,
-        F: Fn(MaskRange) -> I + Sync,
-        P: Fn(u64) -> LclProblem + Sync,
-        K: Fn(u64) -> CanonicalKey + Sync,
+        S: Default,
+        R: Fn(&mut S, &mut SweepWorker<'_>, MaskRange) -> bool + Sync,
     {
-        let baseline_map: HashMap<CanonicalKey, Complexity> = if self.canonicalize {
+        let baseline: HashMap<CanonicalKey, Complexity> = if self.canonicalize {
             state.memo.iter().cloned().collect()
         } else {
             HashMap::new()
@@ -920,16 +730,19 @@ impl ClassificationEngine {
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| {
-                        let mut scratch = ClassifyScratch::new();
-                        let mut sliced = BitSliceScratch::<W>::new();
-                        let mut verdicts = Vec::new();
-                        let mut keys: Vec<CanonicalKey> = Vec::new();
-                        let mut hits = 0usize;
-                        let mut misses = 0usize;
-                        'ranges: loop {
-                            if shared.stop.load(Ordering::Relaxed) {
-                                break;
-                            }
+                        let mut buffers = S::default();
+                        let mut worker = SweepWorker {
+                            shared: &shared,
+                            ckpt,
+                            baseline: &baseline,
+                            range: 0,
+                            chunk: SweepOutcome::default(),
+                            chunk_memo: Vec::new(),
+                            orbits: 0,
+                            hits: 0,
+                            misses: 0,
+                        };
+                        while !shared.stop.load(Ordering::Relaxed) {
                             let ri = shared.next_range.fetch_add(1, Ordering::Relaxed);
                             if ri >= ranges.len() {
                                 break;
@@ -938,93 +751,14 @@ impl ClassificationEngine {
                             if range.is_done() {
                                 continue;
                             }
-                            for block in blocks_of(range) {
-                                debug_assert_eq!(block.masks.len(), block.orbit_sizes.len());
-                                let mut chunk = SweepOutcome::default();
-                                let mut chunk_memo = Vec::new();
-                                keys.clear();
-                                if self.canonicalize {
-                                    keys.extend(block.masks.iter().map(|&m| key_of(m)));
-                                }
-                                let all_hit = !keys.is_empty()
-                                    && !baseline_map.is_empty()
-                                    && keys.iter().all(|k| baseline_map.contains_key(k));
-                                if all_hit {
-                                    for (j, key) in keys.iter().enumerate() {
-                                        let complexity = baseline_map[key];
-                                        hits += 1;
-                                        chunk.orbits.add(complexity, 1);
-                                        chunk.problems.add(complexity, block.orbit_sizes[j]);
-                                    }
-                                } else {
-                                    let stats = classify_block_sliced(
-                                        universe,
-                                        &block.masks,
-                                        &mut sliced,
-                                        &mut verdicts,
-                                    );
-                                    chunk.lanes.blocks += 1;
-                                    chunk.lanes.fixpoint_rounds += stats.fixpoint_rounds;
-                                    chunk.lanes.live_lane_rounds += stats.live_lane_rounds;
-                                    for (j, &mask) in block.masks.iter().enumerate() {
-                                        let computed = match verdicts[j] {
-                                            LaneVerdict::Decided(c) => c,
-                                            LaneVerdict::NeedsPolyExponent => {
-                                                chunk.lanes.scalar_fallbacks += 1;
-                                                let problem = problem_of(mask);
-                                                let sustaining =
-                                                    crate::solvability::solvable_labels(&problem);
-                                                Complexity::Polynomial {
-                                                    exponent: crate::scratch::poly_exponent_masked(
-                                                        &problem,
-                                                        sustaining,
-                                                        &mut scratch,
-                                                    ),
-                                                }
-                                            }
-                                        };
-                                        let mut complexity = computed;
-                                        if self.canonicalize {
-                                            match baseline_map.get(&keys[j]) {
-                                                Some(&known) => {
-                                                    hits += 1;
-                                                    complexity = known;
-                                                }
-                                                None => {
-                                                    misses += 1;
-                                                    chunk_memo.push((keys[j].clone(), computed));
-                                                }
-                                            }
-                                        } else {
-                                            misses += 1;
-                                        }
-                                        chunk.orbits.add(complexity, 1);
-                                        chunk.problems.add(complexity, block.orbit_sizes[j]);
-                                    }
-                                }
-                                shared.commit(
-                                    ckpt,
-                                    ri,
-                                    block.next_mask,
-                                    &chunk,
-                                    &mut chunk_memo,
-                                    block.masks.len() as u64,
-                                );
-                                if shared.stop.load(Ordering::Relaxed) {
-                                    break 'ranges;
-                                }
+                            worker.range = ri;
+                            if sweep_range(&mut buffers, &mut worker, range) {
+                                break;
                             }
-                            shared.commit(
-                                ckpt,
-                                ri,
-                                range.hi,
-                                &SweepOutcome::default(),
-                                &mut Vec::new(),
-                                0,
-                            );
+                            worker.commit(range.hi);
                         }
-                        self.hits.fetch_add(hits, Ordering::Relaxed);
-                        self.misses.fetch_add(misses, Ordering::Relaxed);
+                        self.hits.fetch_add(worker.hits, Ordering::Relaxed);
+                        self.misses.fetch_add(worker.misses, Ordering::Relaxed);
                     });
                 }
             });
@@ -1216,10 +950,54 @@ impl ResumeShared {
     }
 }
 
-/// One unit of a bit-sliced sweep: up to `width.lanes()` canonical
-/// configuration masks (64–512, depending on the [`LaneWidth`] the sweep
-/// runs at) over one shared [`SlicedUniverse`], with the orbit size of each
-/// mask's representative (parallel arrays, one lane per mask).
+/// One worker of the sweep driver: the chunk it is filling for the range it
+/// holds, and its memo hit and miss counts.
+struct SweepWorker<'a> {
+    shared: &'a ResumeShared,
+    ckpt: &'a SweepCheckpoint<'a>,
+    /// The starting snapshot's memo, keyed for lookups.
+    baseline: &'a HashMap<CanonicalKey, Complexity>,
+    /// Index of the held range in the cursor.
+    range: usize,
+    /// Histograms and lane statistics since the last commit.
+    chunk: SweepOutcome,
+    /// Memo entries classified since the last commit.
+    chunk_memo: Vec<(CanonicalKey, Complexity)>,
+    /// Orbits recorded since the last commit.
+    orbits: u64,
+    hits: usize,
+    misses: usize,
+}
+
+impl SweepWorker<'_> {
+    /// Counts one orbit of the given class into the chunk.
+    fn record(&mut self, complexity: Complexity, orbit_size: u64) {
+        self.chunk.orbits.add(complexity, 1);
+        self.chunk.problems.add(complexity, orbit_size);
+        self.orbits += 1;
+    }
+
+    /// Commits the chunk with the held range's watermark at `watermark` and
+    /// starts a new chunk. Returns `true` when the sweep must stop.
+    fn commit(&mut self, watermark: u64) -> bool {
+        self.shared.commit(
+            self.ckpt,
+            self.range,
+            watermark,
+            &self.chunk,
+            &mut self.chunk_memo,
+            self.orbits,
+        );
+        self.chunk = SweepOutcome::default();
+        self.orbits = 0;
+        self.shared.stop.load(Ordering::Relaxed)
+    }
+}
+
+/// One unit of a bit-sliced sweep: up to [`crate::bitslice::LANES`]
+/// canonical configuration masks over one shared [`SlicedUniverse`], with
+/// the orbit size of each mask's representative (parallel arrays, one lane
+/// per mask).
 #[derive(Debug, Clone, Default)]
 pub struct MaskBlock {
     /// The configuration masks, one lane each.
@@ -1339,12 +1117,12 @@ impl ComplexityHistogram {
 }
 
 /// Lane-utilization statistics of a bit-sliced sweep
-/// ([`ClassificationEngine::sweep_sharded_bitsliced`]); all-zero for scalar
+/// ([`ClassificationEngine::sweep_resumable_bitsliced`]); all-zero for scalar
 /// sweeps. Watched so lane-packing regressions (sparser blocks, more scalar
 /// fallbacks) show up in `rtlcl sweep` output instead of only in wall time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepLaneStats {
-    /// Number of blocks classified (each ≤ the sweep's lane width).
+    /// Number of blocks classified (each ≤ 64 lanes).
     pub blocks: u64,
     /// Total fixed-point rounds (trim + pruning) across all blocks.
     pub fixpoint_rounds: u64,
@@ -1374,9 +1152,10 @@ impl SweepLaneStats {
     }
 }
 
-/// The result of [`ClassificationEngine::sweep_sharded`]: per-class counts of
-/// the canonical representatives (`orbits`) and of the full universe they
-/// stand for (`problems`, each orbit weighted by its size).
+/// The outcome of a sweep ([`ClassificationEngine::sweep_resumable`]):
+/// per-class counts of the canonical representatives (`orbits`) and of the
+/// full universe they stand for (`problems`, each orbit weighted by its
+/// size).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepOutcome {
     /// One count per canonical representative (= per label-permutation orbit).

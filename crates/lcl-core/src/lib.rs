@@ -47,7 +47,7 @@
 //!
 //! The [`engine::ClassificationEngine`] layers canonical-form memoization
 //! (label-permutation-invariant keys), a parallel `classify_batch`, and a
-//! sharded canonical-first [`engine::ClassificationEngine::sweep_sharded`]
+//! resumable canonical-first [`engine::ClassificationEngine::sweep_resumable`]
 //! driver on top of the classifier, opening the "sweep a whole problem family"
 //! workload: see `lcl-problems::random` / `lcl-problems::canonical` for family
 //! generators and the `rtlcl classify-batch` / `rtlcl sweep` subcommands for
@@ -95,8 +95,8 @@ pub mod solvability;
 
 pub use automaton::Automaton;
 pub use bitslice::{
-    calibrate_lane_width, classify_block_sliced, BitSliceScratch, BlockStats, LaneVerdict,
-    LaneWidth, LaneWord, SlicedUniverse, LANES,
+    classify_block_sliced, BitSliceScratch, BlockStats, LaneVerdict, LaneWidth, LaneWord,
+    SlicedUniverse, LANES,
 };
 pub use builder::{find_unrestricted_certificate, CertificateBuilder};
 pub use certificate::{CertificateTree, ConstantCertificate, LogStarCertificate};

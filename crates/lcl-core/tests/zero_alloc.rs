@@ -119,30 +119,4 @@ fn warm_scratch_classification_performs_zero_allocations() {
          allocator (transposition, fixed points, and subset searches all run \
          in the reusable scratch)"
     );
-
-    // And for the wide-lane path: a warmed 256-lane scratch classifies a full
-    // [u64; 4] block — four 64-mask windows per slice word — with the same
-    // zero-allocation guarantee. The universe has 64 masks, so cycle through
-    // them to fill all 256 lanes.
-    let wide_masks: Vec<u64> = (0..256).map(|m| m % 64).collect();
-    let mut wide = BitSliceScratch::<[u64; 4]>::new();
-    classify_block_sliced(&universe, &wide_masks, &mut wide, &mut verdicts); // warm-up
-    let warm_wide = verdicts.clone();
-    // Each 64-lane window saw the same masks, so verdicts repeat the u64 run.
-    for (j, &v) in verdicts.iter().enumerate() {
-        assert_eq!(v, warm[j % 64], "lane {j}");
-    }
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    classify_block_sliced(&universe, &wide_masks, &mut wide, &mut verdicts);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert_eq!(verdicts, warm_wide);
-    assert_eq!(
-        after - before,
-        0,
-        "a warmed-up 256-lane block classification must not touch the \
-         allocator either — wide lane words change the word type, not the \
-         buffer reuse contract"
-    );
 }

@@ -23,9 +23,9 @@
 //! `canonical_form`-dedup of [`crate::random::enumerate_problems`].
 //!
 //! Sharding for the parallel sweep driver
-//! (`lcl_core::engine::ClassificationEngine::sweep_sharded`) partitions the
-//! mask space into contiguous ranges ([`CanonicalFamily::shard`]); the
-//! canonicity filter runs inside each shard, so no pass over the universe is
+//! (`lcl_core::engine::ClassificationEngine::sweep_resumable`) partitions the
+//! mask space into contiguous ranges ([`CanonicalFamily::ranges`]); the
+//! canonicity filter runs inside each range, so no pass over the universe is
 //! needed up front.
 
 use std::collections::HashMap;
@@ -299,34 +299,34 @@ impl CanonicalFamily {
         })
     }
 
-    /// The `shard`-th of `shards` contiguous mask-range partitions of
-    /// [`Self::enumerate`]'s stream — the input the parallel sweep driver
-    /// (`ClassificationEngine::sweep_sharded`) fans out over worker threads.
-    /// The union over all shards is exactly [`Self::enumerate`]; shards may be
-    /// uneven (canonical masks cluster towards small values).
-    pub fn shard(&self, shard: usize, shards: usize) -> impl Iterator<Item = OrbitProblem> + '_ {
-        let (lo, hi) = self.shard_range(shard, shards);
-        self.orbits_in(MaskRange { next: lo, hi })
-    }
-
     /// The non-empty members of the `shards`-way contiguous mask partition of
     /// the family, as watermarked [`MaskRange`]s with every watermark at its
-    /// range's start — the cursor of a fresh resumable sweep campaign
-    /// (`SweepSnapshot::fresh`). Requesting more shards than the family has
-    /// masks yields one range per mask and no empty ranges, so `len()` is the
-    /// *effective* shard count (≤ `shards`, and ≤ the family size).
+    /// range's start — the cursor of a fresh sweep campaign
+    /// (`SweepSnapshot::fresh`), which the sweep driver fans out over worker
+    /// threads. The union of [`Self::orbits_in`] over the ranges is exactly
+    /// [`Self::enumerate`]; ranges may be uneven in orbits (canonical masks
+    /// cluster towards small values). Requesting more shards than the family
+    /// has masks yields one range per mask and no empty ranges, so `len()` is
+    /// the *effective* shard count (≤ `shards`, and ≤ the family size).
     pub fn ranges(&self, shards: usize) -> Vec<MaskRange> {
-        (0..shards.max(1))
-            .map(|s| self.shard_range(s, shards))
-            .filter(|&(lo, hi)| lo < hi)
-            .map(|(lo, hi)| MaskRange { next: lo, hi })
+        let size = self.family_size();
+        let shards = shards.max(1) as u64;
+        let per_shard = size.div_ceil(shards);
+        (0..shards)
+            .map(|s| {
+                let lo = per_shard.saturating_mul(s).min(size);
+                let hi = lo.saturating_add(per_shard).min(size);
+                MaskRange { next: lo, hi }
+            })
+            .filter(|r| r.next < r.hi)
             .collect()
     }
 
-    /// The canonical orbit stream of one watermarked mask range — what
-    /// [`Self::shard`] yields, but resumable from any watermark: the stream
-    /// of `MaskRange { next, hi }` is exactly the unvisited tail of the
-    /// stream of `MaskRange { lo, hi }` once masks below `next` are done.
+    /// The canonical orbit stream of one watermarked mask range — the input
+    /// of `ClassificationEngine::sweep_resumable` — resumable from any
+    /// watermark: the stream of `MaskRange { next, hi }` is exactly the
+    /// unvisited tail of the stream of `MaskRange { lo, hi }` once masks
+    /// below `next` are done.
     pub fn orbits_in(&self, range: MaskRange) -> impl Iterator<Item = OrbitProblem> + '_ {
         (range.next..range.hi)
             .filter(|&m| self.is_canonical(m))
@@ -335,17 +335,6 @@ impl CanonicalFamily {
                 problem: self.problem_at(m),
                 orbit_size: self.orbit_size(m),
             })
-    }
-
-    /// The `shard`-th of `shards` contiguous mask ranges covering the family.
-    fn shard_range(&self, shard: usize, shards: usize) -> (u64, u64) {
-        let shards = shards.max(1) as u64;
-        let per_shard = self.family_size().div_ceil(shards);
-        let lo = per_shard
-            .saturating_mul(shard as u64)
-            .min(self.family_size());
-        let hi = lo.saturating_add(per_shard).min(self.family_size());
-        (lo, hi)
     }
 
     /// The family's dense configuration table as a
@@ -360,24 +349,11 @@ impl CanonicalFamily {
         sliced
     }
 
-    /// [`Self::shard`]'s stream as [`MaskBlock`]s of up to `lanes` canonical
-    /// masks — the input of `ClassificationEngine::sweep_sharded_bitsliced`.
-    /// `lanes` must match the sweep's lane width (`LaneWidth::lanes()`:
-    /// 64–512). No problem is materialized; lanes carry only the mask and its
-    /// orbit size, and candidate masks are canonicity-filtered in 64-mask
-    /// windows through [`Self::canonical_survivors`].
-    pub fn blocks(
-        &self,
-        shard: usize,
-        shards: usize,
-        lanes: usize,
-    ) -> impl Iterator<Item = MaskBlock> + '_ {
-        let (lo, hi) = self.shard_range(shard, shards);
-        self.blocks_in(MaskRange { next: lo, hi }, lanes)
-    }
-
     /// [`Self::orbits_in`]'s stream as [`MaskBlock`]s — the resumable input
-    /// of `ClassificationEngine::sweep_resumable_bitsliced`. Block formation
+    /// of `ClassificationEngine::sweep_resumable_bitsliced`, which takes
+    /// `lanes = 64`. No problem is materialized; lanes carry only the mask
+    /// and its orbit size, and candidate masks are canonicity-filtered in
+    /// 64-mask windows through [`Self::canonical_survivors`]. Block formation
     /// is a function of the starting mask and `lanes` alone (≤ `lanes`
     /// canonical masks are taken in ascending order), so resuming from a
     /// committed block's [`MaskBlock::next_mask`] at the same lane count
@@ -601,9 +577,10 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_stream() {
-        // Drive `shard()` itself and compare its concatenated output against
-        // `enumerate()`, so a regression in the range arithmetic cannot hide.
+    fn ranges_partition_the_stream() {
+        // Drive `orbits_in` over `ranges()` and compare the concatenated
+        // output against `enumerate()`, so a regression in the range
+        // arithmetic cannot hide.
         let family = CanonicalFamily::new(2, 3);
         let all: Vec<(String, u64)> = family
             .enumerate()
@@ -611,14 +588,14 @@ mod tests {
             .collect();
         assert!(!all.is_empty());
         for shards in [1usize, 2, 3, 7] {
-            let sharded: Vec<(String, u64)> = (0..shards)
-                .flat_map(|s| family.shard(s, shards))
+            let sharded: Vec<(String, u64)> = family
+                .ranges(shards)
+                .into_iter()
+                .flat_map(|r| family.orbits_in(r))
                 .map(|o| (o.problem.to_text(), o.orbit_size))
                 .collect();
             assert_eq!(sharded, all, "{shards} shards");
         }
-        // Out-of-range shard indices yield nothing rather than wrapping.
-        assert_eq!(family.shard(7, 7).count(), 0);
     }
 
     #[test]
@@ -634,11 +611,11 @@ mod tests {
             .canonical_masks()
             .map(|m| (m, family.orbit_size(m)))
             .collect();
-        for lanes in [1usize, 64, 128, 256, 512] {
+        for lanes in [1usize, 5, 64] {
             for shards in [1usize, 2, 3, 7] {
                 let mut blocked: Vec<(u64, u64)> = Vec::new();
-                for s in 0..shards {
-                    for block in family.blocks(s, shards, lanes) {
+                for range in family.ranges(shards) {
+                    for block in family.blocks_in(range, lanes) {
                         assert!(!block.masks.is_empty());
                         assert!(block.masks.len() <= lanes);
                         assert_eq!(block.masks.len(), block.orbit_sizes.len());
@@ -648,7 +625,6 @@ mod tests {
                 assert_eq!(blocked, all, "{shards} shards, {lanes} lanes");
             }
         }
-        assert_eq!(family.blocks(7, 7, 64).count(), 0);
     }
 
     #[test]

@@ -4,23 +4,20 @@
 //!   exhaustively over the full (δ=2, 2-label) universe and over ≥512 seeded
 //!   random 64-lane blocks of the (δ=2, 3-label) universe (verdict *and*
 //!   exact polynomial exponent);
-//! * every wide lane width (128/256/512) must match the `u64` kernels
-//!   lane-for-lane on the same universes — exhaustively at 2 labels, on
-//!   seeded random blocks at 3 labels;
-//! * `sweep_sharded_bitsliced` must produce the same orbit and whole-universe
-//!   histograms as the scalar `sweep_sharded`, for every tested universe,
-//!   every lane width, and independent of the shard count;
+//! * `sweep_resumable_bitsliced` must produce the same orbit and
+//!   whole-universe histograms as the scalar `sweep_resumable`, for every
+//!   tested universe, independent of the shard count;
 //! * a bit-sliced sweep must leave the engine cache warm for the whole family
 //!   (the mask-direct canonical keys must hit for every member).
 
 use lcl_rand::SplitMix64;
 use rooted_tree_lcl::core::bitslice::{
-    classify_block_sliced, BitSliceScratch, LaneVerdict, LaneWidth, LaneWord,
+    classify_block_sliced, BitSliceScratch, LaneVerdict, LaneWidth,
 };
 use rooted_tree_lcl::core::scratch::poly_exponent_masked;
 use rooted_tree_lcl::core::{
     classify_complexity_with, solvable_labels, ClassificationEngine, ClassifyScratch, Complexity,
-    SweepOutcome,
+    EngineKind, SweepCheckpoint, SweepOutcome, SweepSnapshot,
 };
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 use rooted_tree_lcl::problems::random::enumerate_problems;
@@ -85,146 +82,74 @@ fn bitsliced_blocks_match_scalar_on_seeded_random_three_label_blocks() {
     }
 }
 
-/// Classifies `masks` in `W`-sized blocks and returns one verdict per mask.
-fn verdicts_at_width<W: LaneWord>(family: &CanonicalFamily, masks: &[u64]) -> Vec<LaneVerdict> {
-    let universe = family.sliced_universe();
-    let mut sliced = BitSliceScratch::<W>::new();
-    let mut verdicts = Vec::new();
-    let mut all = Vec::with_capacity(masks.len());
-    for chunk in masks.chunks(W::LANES) {
-        classify_block_sliced(&universe, chunk, &mut sliced, &mut verdicts);
-        all.extend_from_slice(&verdicts);
-    }
-    all
-}
-
-#[test]
-fn wide_lane_widths_match_u64_exhaustively_at_two_labels() {
-    let family = CanonicalFamily::new(2, 2);
-    let masks: Vec<u64> = (0..family.family_size()).collect();
-    let baseline = verdicts_at_width::<u64>(&family, &masks);
-    // Every lane's verdict also matches the scalar classifier.
-    let mut scratch = ClassifyScratch::new();
-    for (j, &mask) in masks.iter().enumerate() {
-        let got = resolve(&family, mask, baseline[j], &mut scratch);
-        let expected = classify_complexity_with(&family.problem_at(mask), &mut scratch);
-        assert_eq!(got, expected, "u64 lanes, mask {mask}");
-    }
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 2]>(&family, &masks),
-        "128 lanes"
-    );
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 4]>(&family, &masks),
-        "256 lanes"
-    );
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 8]>(&family, &masks),
-        "512 lanes"
-    );
-}
-
-#[test]
-fn wide_lane_widths_match_u64_on_seeded_random_three_label_masks() {
-    let family = CanonicalFamily::new(2, 3);
-    let mut rng = SplitMix64::seed_from_u64(0x51DE_57E9);
-    let masks: Vec<u64> = (0..4096)
-        .map(|_| rng.next_u64() & (family.family_size() - 1))
-        .collect();
-    let baseline = verdicts_at_width::<u64>(&family, &masks);
-    let mut scratch = ClassifyScratch::new();
-    for (j, &mask) in masks.iter().enumerate().step_by(64) {
-        // Spot-check the baseline against the scalar classifier (the full
-        // lane-for-lane scalar diff is the dedicated test above).
-        let got = resolve(&family, mask, baseline[j], &mut scratch);
-        let expected = classify_complexity_with(&family.problem_at(mask), &mut scratch);
-        assert_eq!(got, expected, "u64 lanes, mask {mask}");
-    }
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 2]>(&family, &masks),
-        "128 lanes"
-    );
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 4]>(&family, &masks),
-        "256 lanes"
-    );
-    assert_eq!(
-        baseline,
-        verdicts_at_width::<[u64; 8]>(&family, &masks),
-        "512 lanes"
-    );
-}
-
-fn sweep_bitsliced(
+/// A complete in-memory sweep of the (δ, labels) family on `kind`, split
+/// into `shards` mask ranges.
+fn sweep(
+    kind: EngineKind,
     delta: usize,
     labels: usize,
     shards: usize,
-    width: LaneWidth,
 ) -> (ClassificationEngine, SweepOutcome) {
     let family = CanonicalFamily::new(delta, labels);
-    let universe = family.sliced_universe();
     let engine = ClassificationEngine::new();
-    let outcome = engine.sweep_sharded_bitsliced(
-        &universe,
-        width,
-        shards,
-        |s| family.blocks(s, shards, width.lanes()),
-        |mask| family.problem_at(mask),
-        |mask| family.canonical_key_of(mask),
-    );
-    (engine, outcome)
+    let state = SweepSnapshot::fresh(delta as u16, labels as u16, kind, family.ranges(shards));
+    let ckpt = SweepCheckpoint::default();
+    let (snap, completed) = match kind {
+        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
+        EngineKind::Bitsliced => {
+            let universe = family.sliced_universe();
+            let width = LaneWidth::default();
+            engine.sweep_resumable_bitsliced(
+                &universe,
+                width,
+                state,
+                |r| family.blocks_in(r, width.lanes()),
+                |mask| family.problem_at(mask),
+                |mask| family.canonical_key_of(mask),
+                &ckpt,
+            )
+        }
+    }
+    .expect("in-memory sweep cannot hit snapshot I/O");
+    assert!(completed);
+    (engine, snap.outcome)
 }
 
 #[test]
 fn bitsliced_sweep_histograms_match_the_scalar_sweep_at_every_width() {
     for (delta, labels) in [(1, 2), (2, 2), (1, 3), (2, 3)] {
         let family = CanonicalFamily::new(delta, labels);
-        let scalar = ClassificationEngine::new().sweep_sharded(3, |s| family.shard(s, 3));
-        for width in LaneWidth::ALL {
-            let (_, bitsliced) = sweep_bitsliced(delta, labels, 3, width);
-            assert_eq!(
-                bitsliced.orbits, scalar.orbits,
-                "orbit histogram (δ={delta}, k={labels}, {width} lanes)"
-            );
-            assert_eq!(
-                bitsliced.problems, scalar.problems,
-                "universe histogram (δ={delta}, k={labels}, {width} lanes)"
-            );
-            assert_eq!(bitsliced.problems.total(), family.family_size());
-            assert!(bitsliced.lanes.blocks > 0);
-            assert!(bitsliced.lanes.avg_live_lanes() > 0.0);
-        }
+        let (_, scalar) = sweep(EngineKind::Scalar, delta, labels, 3);
+        let (_, bitsliced) = sweep(EngineKind::Bitsliced, delta, labels, 3);
+        assert_eq!(
+            bitsliced.orbits, scalar.orbits,
+            "orbit histogram (δ={delta}, k={labels})"
+        );
+        assert_eq!(
+            bitsliced.problems, scalar.problems,
+            "universe histogram (δ={delta}, k={labels})"
+        );
+        assert_eq!(bitsliced.problems.total(), family.family_size());
+        assert!(bitsliced.lanes.blocks > 0);
+        assert!(bitsliced.lanes.avg_live_lanes() > 0.0);
     }
 }
 
 #[test]
 fn bitsliced_sweep_histograms_are_independent_of_shard_count_and_width() {
-    let (_, one) = sweep_bitsliced(2, 3, 1, LaneWidth::W64);
-    for width in LaneWidth::ALL {
-        for shards in [1usize, 2, 4, 9] {
-            if width == LaneWidth::W64 && shards == 1 {
-                continue;
-            }
-            let (_, many) = sweep_bitsliced(2, 3, shards, width);
-            // Lane statistics legitimately vary with block packing at shard
-            // boundaries and lane widths; the histograms must not.
-            assert_eq!(one.orbits, many.orbits, "{shards} shards, {width} lanes");
-            assert_eq!(
-                one.problems, many.problems,
-                "{shards} shards, {width} lanes"
-            );
-        }
+    let (_, one) = sweep(EngineKind::Bitsliced, 2, 3, 1);
+    for shards in [2usize, 4, 9] {
+        let (_, many) = sweep(EngineKind::Bitsliced, 2, 3, shards);
+        // Lane statistics legitimately vary with block packing at shard
+        // boundaries; the histograms must not.
+        assert_eq!(one.orbits, many.orbits, "{shards} shards");
+        assert_eq!(one.problems, many.problems, "{shards} shards");
     }
 }
 
 #[test]
 fn bitsliced_sweep_leaves_the_engine_cache_warm_for_the_whole_family() {
-    let (engine, outcome) = sweep_bitsliced(2, 2, 2, LaneWidth::W256);
+    let (engine, outcome) = sweep(EngineKind::Bitsliced, 2, 2, 2);
     let swept = engine.stats();
     assert_eq!(swept.cache_hits, 0);
     assert_eq!(swept.cache_misses as u64, outcome.orbits.total());

@@ -4,12 +4,17 @@
 //!   `canonical_form` dedup of the fully enumerated universe;
 //! * sweep histograms (orbit-weighted) must match `classify_batch` over the
 //!   full universe, and the orbit histogram must match dedup-then-classify;
-//! * the sweep leaves the engine cache warm for every member of the family.
+//! * the sweep leaves the engine cache warm for every member of the family;
+//! * completed sweeps on both engines report the orbit totals of Burnside's
+//!   lemma, computed here from the configurations alone.
 
 use std::collections::HashMap;
 
 use rooted_tree_lcl::core::engine::{ComplexityHistogram, SweepOutcome};
-use rooted_tree_lcl::core::{canonical_form, classify, CanonicalKey, ClassificationEngine};
+use rooted_tree_lcl::core::{
+    canonical_form, classify, CanonicalKey, ClassificationEngine, EngineKind, LaneWidth,
+    SweepCheckpoint, SweepSnapshot,
+};
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 use rooted_tree_lcl::problems::random::enumerate_problems;
 
@@ -91,11 +96,95 @@ fn baseline_histogram(delta: usize, labels: usize) -> ComplexityHistogram {
     histogram
 }
 
-fn sweep(delta: usize, labels: usize, shards: usize) -> (ClassificationEngine, SweepOutcome) {
+/// A complete in-memory sweep of the (δ, labels) family on `kind`, split
+/// into `shards` mask ranges.
+fn sweep_on(
+    kind: EngineKind,
+    delta: usize,
+    labels: usize,
+    shards: usize,
+) -> (ClassificationEngine, SweepOutcome) {
     let family = CanonicalFamily::new(delta, labels);
     let engine = ClassificationEngine::new();
-    let outcome = engine.sweep_sharded(shards, |s| family.shard(s, shards));
-    (engine, outcome)
+    let state = SweepSnapshot::fresh(delta as u16, labels as u16, kind, family.ranges(shards));
+    let ckpt = SweepCheckpoint::default();
+    let (snap, completed) = match kind {
+        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
+        EngineKind::Bitsliced => {
+            let universe = family.sliced_universe();
+            let width = LaneWidth::default();
+            engine.sweep_resumable_bitsliced(
+                &universe,
+                width,
+                state,
+                |r| family.blocks_in(r, width.lanes()),
+                |mask| family.problem_at(mask),
+                |mask| family.canonical_key_of(mask),
+                &ckpt,
+            )
+        }
+    }
+    .expect("in-memory sweep cannot hit snapshot I/O");
+    assert!(completed);
+    (engine, snap.outcome)
+}
+
+fn sweep(delta: usize, labels: usize, shards: usize) -> (ClassificationEngine, SweepOutcome) {
+    sweep_on(EngineKind::Scalar, delta, labels, shards)
+}
+
+/// The base-`base` digits of `code`, least significant first.
+fn digits(code: usize, base: usize, len: usize) -> Vec<usize> {
+    (0..len).map(|i| code / base.pow(i as u32) % base).collect()
+}
+
+/// The number of label-permutation orbits of configuration sets in the
+/// (δ, labels) family, by Burnside's lemma: the average over every
+/// permutation g of Σ of 2^(cycles of g on the configurations). Shares no
+/// code with `CanonicalFamily`.
+fn burnside_orbits(delta: usize, labels: usize) -> u64 {
+    // A configuration is a parent label and a sorted child multiset.
+    let configs: Vec<(usize, Vec<usize>)> = (0..labels.pow(delta as u32))
+        .map(|code| digits(code, labels, delta))
+        .filter(|children| children.windows(2).all(|w| w[0] <= w[1]))
+        .flat_map(|children| (0..labels).map(move |parent| (parent, children.clone())))
+        .collect();
+    let perms: Vec<Vec<usize>> = (0..labels.pow(labels as u32))
+        .map(|code| digits(code, labels, labels))
+        .filter(|p| {
+            let mut seen = p.clone();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len() == labels
+        })
+        .collect();
+    let mut fixed_sets = 0u64;
+    for perm in &perms {
+        let image: Vec<usize> = configs
+            .iter()
+            .map(|(parent, children)| {
+                let mut mapped: Vec<usize> = children.iter().map(|&c| perm[c]).collect();
+                mapped.sort_unstable();
+                let target = (perm[*parent], mapped);
+                configs.iter().position(|c| *c == target).expect("closed")
+            })
+            .collect();
+        let mut visited = vec![false; configs.len()];
+        let mut cycles = 0u32;
+        for start in 0..configs.len() {
+            if !visited[start] {
+                cycles += 1;
+                let mut i = start;
+                while !visited[i] {
+                    visited[i] = true;
+                    i = image[i];
+                }
+            }
+        }
+        fixed_sets += 1u64 << cycles;
+    }
+    assert_eq!(fixed_sets % perms.len() as u64, 0);
+    fixed_sets / perms.len() as u64
 }
 
 #[test]
@@ -160,4 +249,34 @@ fn sweep_leaves_the_engine_cache_warm_for_the_whole_family() {
         "no new decision runs"
     );
     assert_eq!(after.cache_hits, problems.len());
+}
+
+#[test]
+fn completed_sweeps_report_the_burnside_orbit_totals() {
+    for (delta, labels, orbits) in [
+        (1, 2, 10),
+        (2, 2, 36),
+        (3, 2, 136),
+        (1, 3, 104),
+        (2, 3, 44_224),
+        (1, 4, 3_044),
+    ] {
+        assert_eq!(
+            burnside_orbits(delta, labels),
+            orbits,
+            "(δ={delta}, k={labels})"
+        );
+        for kind in [EngineKind::Scalar, EngineKind::Bitsliced] {
+            let (_, outcome) = sweep_on(kind, delta, labels, 3);
+            assert_eq!(
+                outcome.orbits.total(),
+                orbits,
+                "(δ={delta}, k={labels}, {} engine)",
+                kind.name()
+            );
+        }
+    }
+    // The (δ=2, 4-label) census is far too large to sweep; its total is
+    // pinned as arithmetic only.
+    assert_eq!(burnside_orbits(2, 4), 45_817_315_584);
 }

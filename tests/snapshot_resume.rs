@@ -253,60 +253,6 @@ fn checkpoint_file_round_trips_mid_campaign() {
 }
 
 #[test]
-fn u64_checkpoints_resume_at_any_lane_width() {
-    // Backward compatibility with PR 7-format snapshots: the snapshot records
-    // only the engine kind and a mask cursor — never a lane width — so a
-    // campaign checkpointed by a 64-lane build must resume under any wide
-    // width. Lane statistics legitimately differ (block packing changes with
-    // the width), but the orbit and whole-universe histograms and the memo
-    // must converge to the uninterrupted run's exactly.
-    let family = CanonicalFamily::new(2, 3);
-    let (reference, completed) = step(&family, fresh(&family, EngineKind::Bitsliced, 2), None);
-    assert!(completed);
-
-    for width in [LaneWidth::W128, LaneWidth::W256, LaneWidth::W512] {
-        // First leg at 64 lanes, interrupted mid-universe.
-        let (checkpoint, completed) = step(
-            &family,
-            fresh(&family, EngineKind::Bitsliced, 2),
-            Some(9000),
-        );
-        assert!(!completed, "the orbit budget must interrupt the campaign");
-
-        // Round-trip the checkpoint through the on-disk format, exactly as a
-        // restarted process would see it.
-        let dir = std::env::temp_dir().join(format!(
-            "rtlcl-widen-{}-{}",
-            std::process::id(),
-            width.lanes()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("u64-leg.bin");
-        checkpoint.save(&path).expect("snapshot saved");
-        let loaded = SweepSnapshot::load(&path).expect("PR 7-format snapshot loads");
-        std::fs::remove_dir_all(&dir).ok();
-
-        // Remaining legs at the wide width.
-        let (finished, completed) = step_at_width(&family, loaded, None, width);
-        assert!(completed);
-        assert_eq!(
-            finished.outcome.orbits,
-            reference.outcome.orbits,
-            "orbit histogram after widening to {} lanes",
-            width.lanes()
-        );
-        assert_eq!(
-            finished.outcome.problems,
-            reference.outcome.problems,
-            "universe histogram after widening to {} lanes",
-            width.lanes()
-        );
-        assert_eq!(sorted_memo(&finished), sorted_memo(&reference));
-        assert!(finished.cursor.is_complete());
-    }
-}
-
-#[test]
 fn warm_boot_reproduces_the_histogram_with_zero_new_decisions() {
     let family = CanonicalFamily::new(3, 2);
     let (reference, _) = step(&family, fresh(&family, EngineKind::Bitsliced, 2), None);
