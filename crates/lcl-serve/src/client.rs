@@ -46,7 +46,7 @@ pub fn request(
     conn.set_read_timeout(Some(timeout))?;
     conn.set_write_timeout(Some(timeout))?;
     let payload = body.map(|b| b.to_compact()).unwrap_or_default();
-    let mut wire = format!("{method} {path} HTTP/1.1\r\nHost: rtlcl\r\n");
+    let mut wire = format!("{method} {path} HTTP/1.1\r\nHost: rtlcl\r\nConnection: close\r\n");
     if body.is_some() {
         wire.push_str(&format!(
             "Content-Type: application/json\r\nContent-Length: {}\r\n",

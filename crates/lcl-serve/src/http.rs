@@ -1,8 +1,13 @@
 //! Minimal HTTP/1.1 over `std::net::TcpStream`, hardened for hostile peers.
 //!
-//! Scope: exactly what the daemon needs — parse one request (method, path,
-//! `Content-Length` body) and write one response, then close. No keep-alive,
-//! no chunked bodies, no extensions. What it *does* do carefully is fail:
+//! Scope: exactly what the daemon needs — parse requests (method, path,
+//! `Content-Length` body) and write responses, with HTTP/1.1 keep-alive: the
+//! reader keeps any bytes that arrive past a request's body for the next
+//! request (so pipelined requests work) and reports whether the peer allows
+//! the connection to be reused. HTTP/1.1 allows it unless the request sends
+//! `Connection: close`; HTTP/1.0 only with `Connection: keep-alive`. Whether
+//! the daemon then *does* reuse it is the server's call ([`crate::server`]).
+//! No chunked bodies, no extensions. What it *does* do carefully is fail:
 //!
 //! * every read runs against an **absolute deadline** — the socket read
 //!   timeout is re-armed with the remaining budget before each `read`, so a
@@ -129,26 +134,46 @@ fn read_some(
     }
 }
 
-/// Reads and parses one request under `limits`.
-pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Request, HttpError> {
+/// Size of one socket read.
+const CHUNK: usize = 1024;
+
+/// Appends one read's worth of bytes to `pending`, against `deadline`.
+pub(crate) fn read_more(
+    stream: &mut TcpStream,
+    pending: &mut Vec<u8>,
+    deadline: Instant,
+) -> Result<(), HttpError> {
+    let mut chunk = [0u8; CHUNK];
+    let n = read_some(stream, &mut chunk, deadline)?;
+    pending.extend_from_slice(&chunk[..n]);
+    Ok(())
+}
+
+/// Reads and parses one request under `limits`. `pending` holds the bytes
+/// already read off this connection and not yet parsed; on success it keeps
+/// whatever arrived past this request's body — the start of the next,
+/// pipelined request. The flag beside the request is `true` when the peer
+/// allows the connection to be reused.
+pub fn read_request(
+    stream: &mut TcpStream,
+    pending: &mut Vec<u8>,
+    limits: &ReadLimits,
+) -> Result<(Request, bool), HttpError> {
     // Accumulate until the blank line ending the headers, bounded.
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
     let header_end = loop {
-        if let Some(at) = find_header_end(&buf) {
+        if let Some(at) = find_header_end(pending) {
             break at;
         }
-        if buf.len() > limits.max_header_bytes {
+        if pending.len() > limits.max_header_bytes {
             return Err(HttpError::HeadersTooLarge);
         }
-        let n = read_some(stream, &mut chunk, limits.deadline)?;
-        buf.extend_from_slice(&chunk[..n]);
+        read_more(stream, pending, limits.deadline)?;
     };
     if header_end > limits.max_header_bytes {
         return Err(HttpError::HeadersTooLarge);
     }
 
-    let head = std::str::from_utf8(&buf[..header_end])
+    let head = std::str::from_utf8(&pending[..header_end])
         .map_err(|_| HttpError::Bad("headers are not valid UTF-8"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().ok_or(HttpError::Bad("empty request"))?;
@@ -162,16 +187,18 @@ pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Reque
         .next()
         .filter(|t| t.starts_with('/'))
         .ok_or(HttpError::Bad("request line has no absolute path"))?;
-    match parts.next() {
-        Some("HTTP/1.1") | Some("HTTP/1.0") => {}
+    let http11 = match parts.next() {
+        Some("HTTP/1.1") => true,
+        Some("HTTP/1.0") => false,
         _ => return Err(HttpError::Bad("expected HTTP/1.0 or HTTP/1.1")),
-    }
+    };
     if parts.next().is_some() {
         return Err(HttpError::Bad("request line has trailing fields"));
     }
     let path = target.split('?').next().unwrap_or(target).to_string();
 
     let mut content_length: Option<usize> = None;
+    let (mut close, mut keep_alive) = (false, false);
     for line in lines {
         if line.is_empty() {
             continue;
@@ -190,6 +217,12 @@ pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Reque
                     return Err(HttpError::Bad("conflicting Content-Length headers"));
                 }
                 content_length = Some(n);
+            }
+            "connection" => {
+                for token in value.split(',').map(str::trim) {
+                    close |= token.eq_ignore_ascii_case("close");
+                    keep_alive |= token.eq_ignore_ascii_case("keep-alive");
+                }
             }
             "transfer-encoding" => {
                 // No chunked support: refusing is safer than misframing.
@@ -212,17 +245,19 @@ pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Reque
         return Err(HttpError::BodyTooLarge);
     }
 
-    let mut body = buf.split_off(header_end + 4);
-    drop(buf);
-    if body.len() > body_len {
-        return Err(HttpError::Bad("more body bytes than Content-Length"));
-    }
+    // Bytes past the body stay in `pending` for the next request; the body
+    // itself is read to its exact length, never past it.
+    pending.drain(..header_end + 4);
+    let buffered = body_len.min(pending.len());
+    let mut body: Vec<u8> = pending.drain(..buffered).collect();
+    let mut chunk = [0u8; CHUNK];
     while body.len() < body_len {
-        let want = (body_len - body.len()).min(chunk.len());
+        let want = (body_len - body.len()).min(CHUNK);
         let n = read_some(stream, &mut chunk[..want], limits.deadline)?;
         body.extend_from_slice(&chunk[..n]);
     }
-    Ok(Request { method, path, body })
+    let reusable = !close && (http11 || keep_alive);
+    Ok((Request { method, path, body }, reusable))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -269,14 +304,22 @@ impl Response {
         self
     }
 
-    /// Serializes status line + headers + compact body.
+    /// Serializes status line + headers + compact body, announcing
+    /// `Connection: close`.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.encode(false)
+    }
+
+    /// Serializes the response, announcing `Connection: keep-alive` when
+    /// `keep_alive` is set and `Connection: close` otherwise.
+    pub fn encode(&self, keep_alive: bool) -> Vec<u8> {
         let body = self.body.to_compact();
         let mut out = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_reason(self.status),
-            body.len()
+            body.len(),
+            if keep_alive { "keep-alive" } else { "close" }
         );
         if let Some(secs) = self.retry_after {
             out.push_str(&format!("Retry-After: {secs}\r\n"));
@@ -286,11 +329,17 @@ impl Response {
         out.into_bytes()
     }
 
-    /// Writes the response, bounded by a write timeout; errors are returned
-    /// (the caller logs and drops the connection, nothing else to do).
-    pub fn write(&self, stream: &mut TcpStream, write_timeout: Duration) -> std::io::Result<()> {
+    /// Writes the response ([`Self::encode`] with `keep_alive`), bounded by
+    /// a write timeout; errors are returned (the caller drops the connection,
+    /// nothing else to do).
+    pub fn write(
+        &self,
+        stream: &mut TcpStream,
+        write_timeout: Duration,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
         stream.set_write_timeout(Some(write_timeout))?;
-        stream.write_all(&self.to_bytes())?;
+        stream.write_all(&self.encode(keep_alive))?;
         stream.flush()
     }
 }
@@ -328,17 +377,22 @@ mod tests {
 
     /// Writes `wire` into a loopback socket and parses it from the other end.
     fn parse(wire: &[u8]) -> Result<Request, HttpError> {
-        parse_with(wire, limits())
+        parse_with(wire, limits()).map(|(req, _)| req)
     }
 
-    fn parse_with(wire: &[u8], limits: ReadLimits) -> Result<Request, HttpError> {
+    /// Parses `wire` and returns the reuse flag.
+    fn reusable(wire: &[u8]) -> bool {
+        parse_with(wire, limits()).unwrap().1
+    }
+
+    fn parse_with(wire: &[u8], limits: ReadLimits) -> Result<(Request, bool), HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         client.write_all(wire).unwrap();
         client.flush().unwrap();
         let (mut server_side, _) = listener.accept().unwrap();
-        read_request(&mut server_side, &limits)
+        read_request(&mut server_side, &mut Vec::new(), &limits)
     }
 
     #[test]
@@ -422,7 +476,7 @@ mod tests {
             ..limits()
         };
         let start = Instant::now();
-        let err = read_request(&mut server_side, &tight).unwrap_err();
+        let err = read_request(&mut server_side, &mut Vec::new(), &tight).unwrap_err();
         assert!(matches!(err, HttpError::Timeout), "{err:?}");
         assert_eq!(err.status(), 408);
         // The deadline is absolute: we returned promptly, not after some
@@ -440,8 +494,54 @@ mod tests {
             .unwrap();
         drop(client);
         let (mut server_side, _) = listener.accept().unwrap();
-        let err = read_request(&mut server_side, &limits()).unwrap_err();
+        let err = read_request(&mut server_side, &mut Vec::new(), &limits()).unwrap_err();
         assert!(matches!(err, HttpError::Disconnected), "{err:?}");
+    }
+
+    #[test]
+    fn pipelined_requests_parse_in_order_from_one_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .write_all(
+                b"POST /classify HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}\
+                  GET /stats HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        let mut pending = Vec::new();
+        let (first, reuse) = read_request(&mut server_side, &mut pending, &limits()).unwrap();
+        assert_eq!(
+            (first.method.as_str(), first.path.as_str()),
+            ("POST", "/classify")
+        );
+        assert_eq!(first.body, b"{\"a\":1}");
+        assert!(reuse);
+        // The second request was read with the first and waits in `pending`.
+        assert!(pending.starts_with(b"GET /stats"));
+        let (second, _) = read_request(&mut server_side, &mut pending, &limits()).unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/stats")
+        );
+        assert!(second.body.is_empty());
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn reuse_follows_the_version_and_connection_header() {
+        assert!(reusable(b"GET / HTTP/1.1\r\n\r\n"));
+        assert!(reusable(
+            b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n"
+        ));
+        assert!(!reusable(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n"));
+        assert!(!reusable(
+            b"GET / HTTP/1.1\r\nconnection: Upgrade, CLOSE\r\n\r\n"
+        ));
+        assert!(!reusable(b"GET / HTTP/1.0\r\n\r\n"));
+        assert!(reusable(
+            b"GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        ));
     }
 
     #[test]
@@ -460,5 +560,17 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("\"error\":\"overloaded\""));
+    }
+
+    #[test]
+    fn keep_alive_wire_format_differs_only_in_the_connection_header() {
+        let r = Response::ok(Json::Obj(vec![("ok".into(), Json::Bool(true))]));
+        let kept = String::from_utf8(r.encode(true)).unwrap();
+        assert!(kept.contains("Connection: keep-alive\r\n"));
+        assert_eq!(
+            kept.replace("Connection: keep-alive", "Connection: close")
+                .into_bytes(),
+            r.to_bytes()
+        );
     }
 }

@@ -5,22 +5,40 @@
 //! accept thread ──► bounded queue ──► N workers ──► ServeState::handle
 //!      │  (full: shed 503+Retry-After,  │  (read with absolute deadline,
 //!      │   one nonblocking write)       │   catch_unwind per request)
+//!      │                                ├─► next request on the same socket
+//!      │                                │   while the reuse rule holds;
+//!      │                                │   idle: yield to the queue
 //!      └── stop flag ◄───────────────────┴── Server::shutdown()
 //! ```
 //!
 //! The lifecycle contract:
 //!
+//! * **Connection reuse** (HTTP/1.1 keep-alive). A worker answers request
+//!   after request on one socket. After each response it keeps the
+//!   connection only if the response is `2xx`, the peer allows reuse (see
+//!   [`crate::http`]), shutdown has not begun, and the accept queue is empty;
+//!   otherwise the response says `Connection: close` and the socket closes.
+//!   Closing on every non-`2xx` keeps hostile peers from holding workers.
+//! * **Idle yield.** Between requests the worker waits in [`POLL`] slices and
+//!   closes the connection without a response as soon as shutdown begins, a
+//!   connection waits in the queue, or `read_timeout` passes idle. A busy
+//!   connection therefore gives up its worker as soon as another connection
+//!   waits — no per-connection request cap. The queue holds only fresh
+//!   connections, so shedding is unchanged. Once the first byte of the next
+//!   request arrives, the usual absolute read deadline applies (`408`).
 //! * **Boot** loads the configured snapshot if present — quarantining a
 //!   damaged file (renamed to `<path>.corrupt`, campaign starts fresh) and
 //!   refusing to start only when the file is something else entirely
 //!   (wrong magic/version: overwriting it on the next flush would destroy
 //!   data the user pointed at by mistake).
 //! * **Steady state** memory is bounded by construction: ≤ `queue_capacity`
-//!   queued connections, ≤ `workers` in-flight requests, each request capped
-//!   in header/body size and read/compute/write time.
+//!   queued connections, ≤ `workers` open connections with one request in
+//!   flight each, each request capped in header/body size and
+//!   read/compute/write time.
 //! * **Shutdown** ([`Server::shutdown`] + [`Server::join`], the SIGTERM path)
 //!   stops accepting, lets workers drain the queue and their in-flight
-//!   requests (each bounded by the timeouts above, so the drain is too), then
+//!   requests (each bounded by the timeouts above, so the drain is too) and
+//!   close kept-alive connections within one [`POLL`], then
 //!   flushes the engine memo atomically. A SIGKILL instead loses at most the
 //!   memo delta since the last flush — the snapshot file itself can't tear.
 
@@ -35,7 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http::{read_request, HttpError, ReadLimits, Response};
+use crate::http::{read_more, read_request, HttpError, ReadLimits, Request, Response};
 use crate::state::{ServeConfig, ServeState};
 use lcl_core::{load_or_quarantine, ClassificationEngine, LoadOutcome, SnapshotError};
 
@@ -108,6 +126,14 @@ impl Queue {
         drop(q);
         self.ready.notify_one();
         Ok(())
+    }
+
+    /// Whether no connection is waiting for a worker.
+    fn is_empty(&self) -> bool {
+        self.conns
+            .lock()
+            .expect("connection queue poisoned")
+            .is_empty()
     }
 
     /// Pops a connection, waiting up to `wait`; `None` on timeout.
@@ -238,10 +264,12 @@ impl Server {
     }
 }
 
-/// How long an idle worker pop (or an accept loop backing off a transient
-/// error) waits before re-checking the stop flag: the upper bound on
-/// shutdown-notice latency. The hot paths never sleep this — accept blocks
-/// in the kernel and is woken by [`Server::shutdown`]'s connection.
+/// How long an idle worker pop, one slice of a kept-alive connection's idle
+/// wait, or an accept loop backing off a transient error waits before
+/// re-checking the stop flag (and, when idle, the queue): the upper bound on
+/// shutdown-notice and yield latency. The hot paths never sleep this —
+/// accept blocks in the kernel and is woken by [`Server::shutdown`]'s
+/// connection, and a waiting request's first byte ends an idle slice.
 const POLL: Duration = Duration::from_millis(25);
 
 fn accept_loop(listener: TcpListener, queue: &Queue, state: &ServeState, stop: &AtomicBool) {
@@ -301,42 +329,97 @@ fn worker_loop(queue: &Queue, state: &ServeState, stop: &AtomicBool) {
             }
             continue;
         };
-        serve_connection(conn, state);
+        serve_connection(conn, queue, state, stop);
     }
 }
 
-fn serve_connection(mut conn: TcpStream, state: &ServeState) {
-    state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+/// Answers request after request on one connection until the reuse rule
+/// (module docs) closes it.
+fn serve_connection(mut conn: TcpStream, queue: &Queue, state: &ServeState, stop: &AtomicBool) {
+    state.metrics.connections.fetch_add(1, Ordering::Relaxed);
+    let _ = conn.set_nodelay(true);
     let config = &state.config;
-    let limits = ReadLimits {
-        max_header_bytes: config.max_header_bytes,
-        max_body_bytes: config.max_body_bytes,
-        deadline: Instant::now() + config.read_timeout,
-    };
-    let response = match read_request(&mut conn, &limits) {
-        Ok(req) => {
-            let deadline = Instant::now() + config.deadline;
-            match catch_unwind(AssertUnwindSafe(|| state.handle(&req, deadline))) {
-                Ok(response) => response,
-                Err(_panic) => {
-                    state.metrics.panics.fetch_add(1, Ordering::Relaxed);
-                    Response::error(
-                        500,
-                        "internal",
-                        "the request handler panicked; the daemon is still serving",
-                    )
-                }
+    // Bytes read past the current request: the start of the next one.
+    let mut pending = Vec::new();
+    loop {
+        state.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        let limits = ReadLimits {
+            max_header_bytes: config.max_header_bytes,
+            max_body_bytes: config.max_body_bytes,
+            deadline: Instant::now() + config.read_timeout,
+        };
+        let (response, peer_reuses) = match read_request(&mut conn, &mut pending, &limits) {
+            Ok((req, peer_reuses)) => (handle(state, &req), peer_reuses),
+            // Nobody is on the other end to answer.
+            Err(HttpError::Disconnected) => {
+                state.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
+                return;
             }
-        }
-        // Nobody is on the other end to answer.
-        Err(HttpError::Disconnected) => {
-            state.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
+            Err(e) => (
+                Response::error(e.status(), error_kind(&e), e.detail()),
+                false,
+            ),
+        };
+        state.metrics.record_response(response.status);
+        let keep = (200..300).contains(&response.status)
+            && peer_reuses
+            && !stop.load(Ordering::SeqCst)
+            && queue.is_empty();
+        let written = response
+            .write(&mut conn, config.write_timeout, keep)
+            .is_ok();
+        if !(written
+            && keep
+            && await_next_request(&mut conn, &mut pending, queue, config.read_timeout, stop))
+        {
             return;
         }
-        Err(e) => Response::error(e.status(), error_kind(&e), e.detail()),
-    };
-    state.metrics.record_response(response.status);
-    let _ = response.write(&mut conn, config.write_timeout);
+    }
+}
+
+/// Runs the handler under `catch_unwind`: a panic answers `500`.
+fn handle(state: &ServeState, req: &Request) -> Response {
+    let deadline = Instant::now() + state.config.deadline;
+    match catch_unwind(AssertUnwindSafe(|| state.handle(req, deadline))) {
+        Ok(response) => response,
+        Err(_panic) => {
+            state.metrics.panics.fetch_add(1, Ordering::Relaxed);
+            Response::error(
+                500,
+                "internal",
+                "the request handler panicked; the daemon is still serving",
+            )
+        }
+    }
+}
+
+/// The idle wait of a kept-alive connection: waits in [`POLL`] slices for the
+/// first byte of its next request. `false` means close without a response —
+/// the peer closed, shutdown began, a connection is waiting in the queue, or
+/// `idle_timeout` passed with nothing read.
+fn await_next_request(
+    conn: &mut TcpStream,
+    pending: &mut Vec<u8>,
+    queue: &Queue,
+    idle_timeout: Duration,
+    stop: &AtomicBool,
+) -> bool {
+    // A pipelined request already arrived with the previous one.
+    if !pending.is_empty() {
+        return true;
+    }
+    let idle_until = Instant::now() + idle_timeout;
+    loop {
+        let now = Instant::now();
+        if stop.load(Ordering::SeqCst) || !queue.is_empty() || now >= idle_until {
+            return false;
+        }
+        match read_more(conn, pending, (now + POLL).min(idle_until)) {
+            Ok(()) => return true,
+            Err(HttpError::Timeout) => {}
+            Err(_) => return false,
+        }
+    }
 }
 
 fn error_kind(e: &HttpError) -> &'static str {
@@ -345,5 +428,38 @@ fn error_kind(e: &HttpError) -> &'static str {
         HttpError::HeadersTooLarge | HttpError::BodyTooLarge => "too_large",
         HttpError::LengthRequired | HttpError::Bad(_) => "bad_request",
         HttpError::Disconnected | HttpError::Io(_) => "bad_request",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn requests_and_connections_are_counted_separately() {
+        let server = Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // Three pipelined requests on one socket; the last asks to close.
+        conn.write_all(
+            b"GET /healthz HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n\
+              GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        )
+        .unwrap();
+        let mut out = String::new();
+        conn.read_to_string(&mut out).unwrap();
+        assert_eq!(out.matches("HTTP/1.1 200 OK").count(), 3);
+        assert_eq!(out.matches("Connection: keep-alive").count(), 2);
+        let m = &server.state().metrics;
+        assert_eq!(m.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(m.connections.load(Ordering::Relaxed), 1);
+        assert_eq!(m.ok.load(Ordering::Relaxed), 3);
+        server.join();
     }
 }

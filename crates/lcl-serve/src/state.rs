@@ -94,8 +94,13 @@ impl Default for ServeConfig {
 /// operational telemetry, not synchronization.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Requests a worker started processing.
+    /// Requests a worker started processing: a connection's first request
+    /// counts when a worker picks the connection up, each later one when its
+    /// first byte arrives.
     pub requests: AtomicU64,
+    /// Connections a worker picked up from the queue; `requests /
+    /// connections` is the mean number of requests per connection.
+    pub connections: AtomicU64,
     /// `2xx` responses.
     pub ok: AtomicU64,
     /// `4xx` responses (malformed input, unknown routes, oversized requests).
@@ -258,6 +263,7 @@ impl ServeState {
             ("cache_misses".into(), Json::int(stats.cache_misses)),
             ("memo_entries".into(), Json::int(self.engine.memo_len())),
             ("requests".into(), counter(&m.requests)),
+            ("connections".into(), counter(&m.connections)),
             ("responses_ok".into(), counter(&m.ok)),
             ("responses_client_error".into(), counter(&m.client_errors)),
             ("responses_server_error".into(), counter(&m.server_errors)),

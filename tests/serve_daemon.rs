@@ -408,3 +408,227 @@ fn sweep_campaign_interrupted_by_restart_converges_via_the_flushed_memo() {
     server.join();
     let _ = std::fs::remove_file(&snapshot);
 }
+
+/// Reads one `Content-Length`-framed response off a kept-alive socket and
+/// returns its head and parsed body. Bytes past the response stay in `buf`
+/// for the next call.
+fn read_framed(conn: &mut TcpStream, buf: &mut Vec<u8>) -> (String, Json) {
+    let head_end = loop {
+        if let Some(at) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break at;
+        }
+        let mut chunk = [0u8; 1024];
+        let n = conn.read(&mut chunk).expect("read response head");
+        assert!(n > 0, "connection closed before a response head");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8(buf[..head_end].to_vec()).expect("UTF-8 head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Content-Length");
+    buf.drain(..head_end + 4);
+    while buf.len() < length {
+        let mut chunk = [0u8; 1024];
+        let n = conn.read(&mut chunk).expect("read response body");
+        assert!(n > 0, "connection closed mid-body");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let body: Vec<u8> = buf.drain(..length).collect();
+    let body = rooted_tree_lcl::serve::json::parse(std::str::from_utf8(&body).unwrap())
+        .expect("JSON body");
+    (head, body)
+}
+
+/// Asserts the daemon closed `conn`: the next read sees EOF (or a reset).
+fn assert_closed(conn: &mut TcpStream) {
+    let mut byte = [0u8; 1];
+    match conn.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("expected the daemon to close the connection, got {other:?}"),
+    }
+}
+
+fn connect(addr: std::net::SocketAddr) -> TcpStream {
+    let conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(TIMEOUT)).unwrap();
+    conn
+}
+
+#[test]
+fn keep_alive_answers_many_requests_on_one_socket_in_order() {
+    let server = Server::start(config()).expect("daemon starts");
+    let addr = server.addr();
+    let before = client::get(addr, "/stats", TIMEOUT).expect("stats").body;
+    let connections = |stats: &Json| stats.get("connections").and_then(Json::as_u64).unwrap();
+
+    let mut conn = connect(addr);
+    let mut buf = Vec::new();
+    for (problem, short) in [
+        ("3-coloring", "log*"),
+        ("mis", "O(1)"),
+        ("3-coloring", "log*"),
+    ] {
+        let body = classify_body(problem).to_compact();
+        let wire = format!(
+            "POST /classify HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        conn.write_all(wire.as_bytes()).expect("write request");
+        let (head, body) = read_framed(&mut conn, &mut buf);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(head.contains("Connection: keep-alive"), "{head}");
+        assert_eq!(
+            body.get("complexity_short").and_then(Json::as_str),
+            Some(short),
+            "{problem}"
+        );
+    }
+    // /stats on the same socket: exactly one connection more than before.
+    conn.write_all(b"GET /stats HTTP/1.1\r\n\r\n").unwrap();
+    let (_, after) = read_framed(&mut conn, &mut buf);
+    assert_eq!(connections(&after), connections(&before) + 1);
+    assert_eq!(
+        after.get("requests").and_then(Json::as_u64),
+        before.get("requests").and_then(Json::as_u64).map(|r| r + 4)
+    );
+    drop(conn);
+    server.join();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_are_answered_in_order() {
+    let server = Server::start(config()).expect("daemon starts");
+    let mut conn = connect(server.addr());
+    let body = classify_body("3-coloring").to_compact();
+    let wire = format!(
+        "GET /healthz HTTP/1.1\r\n\r\nPOST /classify HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    conn.write_all(wire.as_bytes())
+        .expect("write both requests");
+    let mut buf = Vec::new();
+    let (head, first) = read_framed(&mut conn, &mut buf);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(first.get("ok").and_then(Json::as_bool), Some(true));
+    let (head, second) = read_framed(&mut conn, &mut buf);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert_eq!(
+        second.get("complexity_short").and_then(Json::as_str),
+        Some("log*")
+    );
+    drop(conn);
+    server.join();
+}
+
+#[test]
+fn http10_connection_close_and_non_2xx_each_close_the_connection() {
+    let server = Server::start(config()).expect("daemon starts");
+    let addr = server.addr();
+    for (wire, status) in [
+        (b"GET /healthz HTTP/1.0\r\n\r\n".as_slice(), "200"),
+        (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", "200"),
+        (b"GET /no/such/route HTTP/1.1\r\n\r\n", "404"),
+        (
+            b"POST /classify HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+            "400",
+        ),
+    ] {
+        let mut conn = connect(addr);
+        conn.write_all(wire).expect("write request");
+        let mut buf = Vec::new();
+        let (head, _) = read_framed(&mut conn, &mut buf);
+        let what = String::from_utf8_lossy(wire);
+        assert!(
+            head.starts_with(&format!("HTTP/1.1 {status}")),
+            "{what}: {head}"
+        );
+        assert!(head.contains("Connection: close"), "{what}: {head}");
+        assert_closed(&mut conn);
+    }
+    // HTTP/1.0 may still opt in.
+    let mut conn = connect(addr);
+    conn.write_all(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let (head, _) = read_framed(&mut conn, &mut Vec::new());
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+    drop(conn);
+    server.join();
+}
+
+#[test]
+fn idle_kept_alive_connection_yields_to_a_queued_client() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        read_timeout: Duration::from_secs(5),
+        ..config()
+    })
+    .expect("daemon starts");
+    let addr = server.addr();
+    let mut idle = connect(addr);
+    idle.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let (head, _) = read_framed(&mut idle, &mut Vec::new());
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+
+    // The single worker now idles on `idle`; a second client must not wait
+    // out the 5 s read timeout.
+    let start = std::time::Instant::now();
+    let resp = client::get(addr, "/healthz", TIMEOUT).expect("queued client answered");
+    assert_eq!(resp.status, 200);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "the queued client waited {:?}",
+        start.elapsed()
+    );
+    assert_closed(&mut idle);
+    server.join();
+}
+
+#[test]
+fn join_returns_promptly_while_a_client_holds_an_idle_connection() {
+    let server = Server::start(config()).expect("daemon starts");
+    let mut idle = connect(server.addr());
+    idle.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let (head, _) = read_framed(&mut idle, &mut Vec::new());
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+
+    let start = std::time::Instant::now();
+    server.join();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "join waited {:?} on an idle connection (read timeout is 5 s)",
+        start.elapsed()
+    );
+    assert_closed(&mut idle);
+}
+
+#[test]
+fn stalled_second_request_on_a_kept_alive_connection_answers_408() {
+    let server = Server::start(ServeConfig {
+        read_timeout: Duration::from_millis(250),
+        ..config()
+    })
+    .expect("daemon starts");
+    let addr = server.addr();
+    let mut conn = connect(addr);
+    conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let mut buf = Vec::new();
+    let (head, _) = read_framed(&mut conn, &mut buf);
+    assert!(head.contains("Connection: keep-alive"), "{head}");
+
+    // Half of the next request, then silence.
+    conn.write_all(b"GET /hea").unwrap();
+    let mut out = buf;
+    conn.read_to_end(&mut out).expect("read response");
+    let text = String::from_utf8_lossy(&out);
+    assert!(
+        text.starts_with("HTTP/1.1 408"),
+        "a stalled second request must answer 408, got: {text}"
+    );
+    assert!(text.contains("Connection: close"), "{text}");
+    let stats = client::get(addr, "/stats", TIMEOUT).expect("stats").body;
+    assert_eq!(stats.get("read_timeouts").and_then(Json::as_u64), Some(1));
+    server.join();
+}
