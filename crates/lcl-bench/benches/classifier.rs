@@ -3,14 +3,17 @@
 //! scaling sweep over random problems and the Π_k family, plus the
 //! exact-exponent overhead guard: the trim/flexible-SCC exponent decision must
 //! add less than 20% to a batch sweep over a poly-heavy family (asserted; the
-//! measured ratio is committed in `BENCH_classifier.json`).
+//! measured ratio is committed in `BENCH_classifier.json`), and the report-path
+//! guard: a full `mis-ternary` report must cost under 3x its decision
+//! (asserted; ratio `mis_ternary_report_over_decision`).
 
 use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::constant::decide_constant_subset;
 use lcl_core::log_star::decide_log_star_subset;
 use lcl_core::scratch::prune_fixpoint_masked;
 use lcl_core::{
-    classify, classify_complexity_with, solvable_labels, ClassifyScratch, Complexity, LclProblem,
+    classify, classify_complexity, classify_complexity_with, solvable_labels, ClassifyScratch,
+    Complexity, LclProblem,
 };
 use lcl_problems::random::{random_problem, RandomProblemSpec};
 use lcl_problems::{catalog, pi_k};
@@ -140,6 +143,43 @@ fn main() {
          (lower-bound-only {lower_min:?}, exact {exact_min:?})"
     );
     report.add_group(bench);
+
+    // Report-path guard: a full report is the decision plus certificate
+    // extraction from the same Algorithm 3 runs (plus Algorithm 2's pruning
+    // trace and the explicit restrictions), never a second subset search.
+    // Asserted on `mis-ternary`, whose δ = 3 constant search dominated the
+    // report before extraction; minima again, as for the exponent guard.
+    let mut bench = Bench::new("report_vs_decision");
+    for name in ["mis-ternary", "3-coloring-ternary", "mis"] {
+        let problem = catalog::by_name(name).expect("catalog problem").problem;
+        bench.case(&format!("{name}: classify"), || {
+            classify(black_box(&problem))
+        });
+        bench.case(&format!("{name}: classify_complexity"), || {
+            classify_complexity(black_box(&problem))
+        });
+    }
+    report.add_group(bench);
+    let problem = catalog::by_name("mis-ternary")
+        .expect("catalog problem")
+        .problem;
+    let mut report_min = std::time::Duration::MAX;
+    let mut decision_min = std::time::Duration::MAX;
+    for _ in 0..4 {
+        report_min = report_min.min(min_of(&mut || {
+            black_box(classify(&problem));
+        }));
+        decision_min = decision_min.min(min_of(&mut || {
+            black_box(classify_complexity(&problem));
+        }));
+    }
+    let ratio = report.add_ratio("mis_ternary_report_over_decision", report_min, decision_min);
+    println!("mis-ternary report / decision (minima): {ratio:.3}x\n");
+    assert!(
+        ratio < 3.0,
+        "a mis-ternary report must cost under 3x its decision \
+         (report {report_min:?}, decision {decision_min:?})"
+    );
 
     report.write().expect("bench report written");
 }

@@ -13,11 +13,16 @@
 //! carrying the special label down to the deepest level by grafting a decorated
 //! closed walk — and the result is always re-checked against Definition 6.1 by the
 //! caller's tests.
+//!
+//! The search itself is the masked kernel [`crate::scratch::exists_builder_masked`];
+//! [`crate::scratch::extract_builder`] reads its recorded derivations back as a
+//! [`CertificateBuilder`], whose entries end at the success entry. Materialization
+//! only follows derivations reachable from that entry.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::certificate::{CertificateTree, LogStarCertificate};
-use crate::configuration::{assign_children_to_slots, children_match_slots};
+use crate::configuration::assign_children_to_slots;
 use crate::label::Label;
 use crate::label_set::LabelSet;
 use crate::problem::LclProblem;
@@ -48,11 +53,13 @@ pub struct CertificateBuilder {
     pub delta: usize,
     /// The special label `a`, if one was requested.
     pub target: Option<Label>,
-    /// All entries of `R`, in insertion order (the first `|Σ|` are the singletons).
+    /// The entries of `R` in insertion order, up to and including the success
+    /// entry (the search stops there). The singletons come first; a success
+    /// entry that is itself a singleton ends the list early.
     pub entries: Vec<RootSetEntry>,
     /// For each entry, how it was derived (`None` for the initial singletons).
     pub derivations: Vec<Option<Derivation>>,
-    /// Index of the successful entry `(Σ(Π'), a ≠ ε)`.
+    /// Index of the successful entry `(Σ(Π'), a ≠ ε)`: the last entry.
     pub success_index: usize,
 }
 
@@ -69,95 +76,138 @@ impl CertificateBuilder {
 /// `problem` is usually a restriction of the original problem to a candidate label
 /// set Σ' (Algorithms 4 and 5 drive the search over subsets). Returns `None` when no
 /// builder exists.
+///
+/// This is the masked kernel [`crate::scratch::exists_builder_masked`] over
+/// `problem.labels()` followed by [`crate::scratch::extract_builder`], on the
+/// calling thread's scratch. The search stops at the success entry, so
+/// [`CertificateBuilder::entries`] ends there: `success_index` is always the
+/// last index.
 pub fn find_unrestricted_certificate(
     problem: &LclProblem,
     target: Option<Label>,
 ) -> Option<CertificateBuilder> {
-    if problem.configurations().is_empty() || problem.labels().is_empty() {
-        return None;
-    }
-    if let Some(t) = target {
-        if !problem.labels().contains(t) {
+    crate::scratch::with_thread_scratch(|scratch| {
+        crate::scratch::exists_builder_masked(problem, problem.labels(), target, scratch);
+        crate::scratch::extract_builder(problem, scratch)
+    })
+}
+
+/// The naive reference Algorithm 3, kept as a test oracle for the masked
+/// kernel: it runs the fixed point to the end over a `BTreeSet`, then looks
+/// for the success entry. Its entries up to `success_index` equal the
+/// kernel's builder.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use std::collections::BTreeSet;
+
+    use super::{CertificateBuilder, Derivation, RootSetEntry};
+    use crate::configuration::children_match_slots;
+    use crate::label::Label;
+    use crate::label_set::LabelSet;
+    use crate::problem::LclProblem;
+
+    /// Algorithm 3 run to its full fixed point; `entries` and `derivations`
+    /// hold every producible entry, not only those up to the success entry.
+    pub fn find_unrestricted_certificate_full(
+        problem: &LclProblem,
+        target: Option<Label>,
+    ) -> Option<CertificateBuilder> {
+        if problem.configurations().is_empty() || problem.labels().is_empty() {
             return None;
         }
-    }
-    let delta = problem.delta();
-    let mut entries: Vec<RootSetEntry> = Vec::new();
-    let mut derivations: Vec<Option<Derivation>> = Vec::new();
-    let mut seen: BTreeSet<(LabelSet, bool)> = BTreeSet::new();
-
-    for label in problem.labels() {
-        let entry = RootSetEntry {
-            labels: LabelSet::singleton(label),
-            has_special_leaf: Some(label) == target,
-        };
-        seen.insert((entry.labels, entry.has_special_leaf));
-        entries.push(entry);
-        derivations.push(None);
-    }
-
-    // Fixed-point loop: repeatedly try every δ-tuple of existing entries.
-    loop {
-        let mut added = false;
-        let snapshot_len = entries.len();
-        let mut tuple = vec![0usize; delta];
-        'tuples: loop {
-            // Evaluate the current tuple.
-            let slot_sets: Vec<LabelSet> = tuple.iter().map(|&i| entries[i].labels).collect();
-            let mut produced = LabelSet::EMPTY;
-            for config in problem.configurations() {
-                if produced.contains(config.parent()) {
-                    continue;
-                }
-                if children_match_slots(config.children(), &slot_sets) {
-                    produced.insert(config.parent());
-                }
-            }
-            if !produced.is_empty() {
-                let flag = tuple.iter().any(|&i| entries[i].has_special_leaf);
-                let key = (produced, flag);
-                if !seen.contains(&key) {
-                    seen.insert(key);
-                    entries.push(RootSetEntry {
-                        labels: produced,
-                        has_special_leaf: flag,
-                    });
-                    derivations.push(Some(Derivation {
-                        child_indices: tuple.clone(),
-                    }));
-                    added = true;
-                }
-            }
-            // Advance the tuple (odometer over `snapshot_len` symbols).
-            let mut pos = 0;
-            loop {
-                if pos == delta {
-                    break 'tuples;
-                }
-                tuple[pos] += 1;
-                if tuple[pos] < snapshot_len {
-                    break;
-                }
-                tuple[pos] = 0;
-                pos += 1;
+        if let Some(t) = target {
+            if !problem.labels().contains(t) {
+                return None;
             }
         }
-        if !added {
-            break;
+        let delta = problem.delta();
+        let mut entries: Vec<RootSetEntry> = Vec::new();
+        let mut derivations: Vec<Option<Derivation>> = Vec::new();
+        let mut seen: BTreeSet<(LabelSet, bool)> = BTreeSet::new();
+
+        for label in problem.labels() {
+            let entry = RootSetEntry {
+                labels: LabelSet::singleton(label),
+                has_special_leaf: Some(label) == target,
+            };
+            seen.insert((entry.labels, entry.has_special_leaf));
+            entries.push(entry);
+            derivations.push(None);
         }
+
+        // Fixed-point loop: repeatedly try every δ-tuple of existing entries.
+        loop {
+            let mut added = false;
+            let snapshot_len = entries.len();
+            let mut tuple = vec![0usize; delta];
+            'tuples: loop {
+                let slot_sets: Vec<LabelSet> = tuple.iter().map(|&i| entries[i].labels).collect();
+                let mut produced = LabelSet::EMPTY;
+                for config in problem.configurations() {
+                    if produced.contains(config.parent()) {
+                        continue;
+                    }
+                    if children_match_slots(config.children(), &slot_sets) {
+                        produced.insert(config.parent());
+                    }
+                }
+                if !produced.is_empty() {
+                    let flag = tuple.iter().any(|&i| entries[i].has_special_leaf);
+                    if seen.insert((produced, flag)) {
+                        entries.push(RootSetEntry {
+                            labels: produced,
+                            has_special_leaf: flag,
+                        });
+                        derivations.push(Some(Derivation {
+                            child_indices: tuple.clone(),
+                        }));
+                        added = true;
+                    }
+                }
+                // Advance the tuple (odometer over `snapshot_len` symbols).
+                let mut pos = 0;
+                loop {
+                    if pos == delta {
+                        break 'tuples;
+                    }
+                    tuple[pos] += 1;
+                    if tuple[pos] < snapshot_len {
+                        break;
+                    }
+                    tuple[pos] = 0;
+                    pos += 1;
+                }
+            }
+            if !added {
+                break;
+            }
+        }
+
+        let wanted_flag = target.is_some();
+        let success_index = entries
+            .iter()
+            .position(|e| e.labels == problem.labels() && e.has_special_leaf == wanted_flag)?;
+        Some(CertificateBuilder {
+            delta,
+            target,
+            entries,
+            derivations,
+            success_index,
+        })
     }
 
-    let wanted_flag = target.is_some();
-    let success_index = entries
-        .iter()
-        .position(|e| e.labels == problem.labels() && e.has_special_leaf == wanted_flag)?;
-    Some(CertificateBuilder {
-        delta,
-        target,
-        entries,
-        derivations,
-        success_index,
-    })
+    /// [`find_unrestricted_certificate_full`] cut at its success entry: what
+    /// the masked kernel records.
+    pub fn find_unrestricted_certificate_cut(
+        problem: &LclProblem,
+        target: Option<Label>,
+    ) -> Option<CertificateBuilder> {
+        let mut builder = find_unrestricted_certificate_full(problem, target)?;
+        builder.entries.truncate(builder.success_index + 1);
+        builder.derivations.truncate(builder.success_index + 1);
+        Some(builder)
+    }
 }
 
 /// Errors while materializing a certificate builder into explicit trees.
@@ -599,6 +649,27 @@ mod tests {
         // The initial singletons come first and have no derivation.
         assert!(builder.derivations[..3].iter().all(|d| d.is_none()));
         assert!(builder.derivations[builder.success_index].is_some());
+    }
+
+    #[test]
+    fn kernel_builder_is_the_reference_cut_at_its_success_entry() {
+        let b = mis().label_by_name("b");
+        for (p, target) in [(three_coloring(), None), (mis(), None), (mis(), b)] {
+            let kernel = find_unrestricted_certificate(&p, target).unwrap();
+            assert_eq!(kernel.success_index, kernel.entries.len() - 1);
+            assert_eq!(
+                Some(&kernel),
+                reference::find_unrestricted_certificate_cut(&p, target).as_ref()
+            );
+            // Materialization only reads entries reachable from the success
+            // entry, so the full fixed point yields the same certificate.
+            let full = reference::find_unrestricted_certificate_full(&p, target).unwrap();
+            assert!(full.entries.len() >= kernel.entries.len());
+            assert_eq!(
+                build_log_star_certificate(&restricted(&p), &kernel, 1_000_000),
+                build_log_star_certificate(&restricted(&p), &full, 1_000_000)
+            );
+        }
     }
 
     #[test]

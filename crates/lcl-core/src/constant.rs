@@ -8,16 +8,14 @@
 //! each restriction, invoking Algorithm 3 with the special label as the required
 //! leaf.
 
-use crate::builder::{
-    build_log_star_certificate, find_unrestricted_certificate, CertificateBuildError,
-    CertificateBuilder,
-};
+use crate::builder::{build_log_star_certificate, CertificateBuildError, CertificateBuilder};
 use crate::certificate::ConstantCertificate;
 use crate::configuration::Configuration;
 use crate::label::Label;
 use crate::label_set::LabelSet;
 use crate::log_star::{is_self_sustaining, subsets_by_size, MAX_SEARCH_LABELS};
 use crate::problem::LclProblem;
+use crate::scratch::extract_builder;
 use crate::solvability::solvable_labels;
 
 /// The outcome of a successful Algorithm 5 search.
@@ -37,11 +35,6 @@ impl ConstantSearchResult {
     /// The special label `a`.
     pub fn special_label(&self) -> Label {
         self.special.parent()
-    }
-
-    /// The certificate labels as an ordered set (conversion shim).
-    pub fn certificate_labels_btree(&self) -> std::collections::BTreeSet<Label> {
-        self.certificate_labels.to_btree()
     }
 
     /// Materializes the explicit certificate for O(1) solvability.
@@ -71,30 +64,23 @@ pub fn find_constant_certificate_within(
     problem: &LclProblem,
     sustaining: LabelSet,
 ) -> Option<ConstantSearchResult> {
-    let subset = crate::scratch::with_thread_scratch(|scratch| {
-        decide_constant_subset(problem, sustaining, scratch)
+    // The decision stops on the first special parent (in configuration order)
+    // whose builder exists in the winning subset, so its last Algorithm 3 run
+    // is that builder; the special configuration is the first one with that
+    // parent.
+    let (subset, builder) = crate::scratch::with_thread_scratch(|scratch| {
+        let subset = decide_constant_subset(problem, sustaining, scratch)?;
+        let builder = extract_builder(problem, scratch)
+            .expect("the decision stopped on a builder for this subset");
+        Some((subset, builder))
     })?;
-    // Only the winning subset is materialized; the candidate subsets and their
-    // special configurations were searched by masking. Re-running the special
-    // loop on this one subset reproduces the historical choice of special
-    // configuration (first in sorted configuration order whose parent admits a
-    // builder).
     let restricted = problem.restrict_to(subset);
-    let specials: Vec<Configuration> = restricted
+    let special = restricted
         .configurations()
         .iter()
-        .filter(|c| c.parent_repeats_in_children())
-        .cloned()
-        .collect();
-    let mut found = None;
-    for special in specials {
-        if let Some(builder) = find_unrestricted_certificate(&restricted, Some(special.parent())) {
-            found = Some((special, builder));
-            break;
-        }
-    }
-    let (special, builder) =
-        found.expect("the masked decision found a special configuration with a builder");
+        .find(|c| c.parent_repeats_in_children() && Some(c.parent()) == builder.target)
+        .expect("the decision's special label heads a special configuration")
+        .clone();
     Some(ConstantSearchResult {
         certificate_labels: subset,
         restricted,
@@ -105,9 +91,11 @@ pub fn find_constant_certificate_within(
 
 /// Decision core of Algorithm 5: the first subset of `sustaining` (smallest,
 /// then lexicographic) that is self-sustaining and admits a builder with some
-/// special configuration's parent on a leaf — found purely by masking.
-/// Public so external harnesses (the classifier bench's stage-by-stage
-/// decision twin) can replicate the hot path exactly.
+/// special configuration's parent on a leaf — found purely by masking. On
+/// `Some`, the scratch holds the Algorithm 3 run of the first such parent in
+/// configuration order for [`extract_builder`]. Public so external harnesses
+/// (the classifier bench's stage-by-stage decision twin) can replicate the
+/// hot path exactly.
 pub fn decide_constant_subset(
     problem: &LclProblem,
     sustaining: LabelSet,

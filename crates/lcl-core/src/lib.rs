@@ -30,8 +30,8 @@
 //! representation. Problems intern their configurations once at construction
 //! into a dense, parent-indexed table with precomputed per-configuration label
 //! sets ([`LclProblem`]), making "has a continuation within S" a few subset
-//! tests. Conversion shims (`*_btree` methods) are kept wherever external code
-//! wants ordered `BTreeSet`s.
+//! tests. Code that wants an ordered `BTreeSet` converts with
+//! [`LabelSet::to_btree`].
 //!
 //! # Zero-allocation decisions: [`scratch`]
 //!
@@ -41,7 +41,9 @@
 //! [`LabelSet`] mask, with all mutable state in a reusable
 //! [`scratch::ClassifyScratch`]. A cache-miss classification clones no problem
 //! and materializes no restriction; see the [`scratch`] module docs for the
-//! buffer contract.
+//! buffer contract. The report path ([`classify`]) runs the same decision and
+//! extracts its certificate builders from the scratch, so Algorithm 3 runs
+//! once per search either way.
 //!
 //! # Batch classification and sweeps: [`engine`]
 //!

@@ -10,7 +10,6 @@
 //! (Theorem 5.2).
 
 use crate::automaton::Automaton;
-use crate::label::Label;
 use crate::label_set::LabelSet;
 use crate::problem::LclProblem;
 
@@ -111,11 +110,6 @@ impl LogCertificateAnalysis {
     /// `true` if a certificate for O(log n) solvability exists.
     pub fn has_certificate(&self) -> bool {
         self.certificate.is_some()
-    }
-
-    /// The pruning trace as ordered sets (conversion shim for report output).
-    pub fn pruned_sets_btree(&self) -> Vec<std::collections::BTreeSet<Label>> {
-        self.pruned_sets.iter().map(|s| s.to_btree()).collect()
     }
 }
 

@@ -9,14 +9,12 @@
 //! exponential search fast on all problems of practical interest. Subsets are
 //! enumerated directly as sub-masks of the [`LabelSet`] bitset.
 
-use crate::builder::{
-    build_log_star_certificate, find_unrestricted_certificate, CertificateBuildError,
-    CertificateBuilder,
-};
+use crate::builder::{build_log_star_certificate, CertificateBuildError, CertificateBuilder};
 use crate::certificate::LogStarCertificate;
 use crate::label::Label;
 use crate::label_set::LabelSet;
 use crate::problem::LclProblem;
+use crate::scratch::extract_builder;
 use crate::solvability::solvable_labels;
 
 /// The outcome of a successful Algorithm 4 search.
@@ -38,11 +36,6 @@ impl LogStarSearchResult {
         max_nodes: usize,
     ) -> Result<LogStarCertificate, CertificateBuildError> {
         build_log_star_certificate(&self.restricted, &self.builder, max_nodes)
-    }
-
-    /// The certificate labels as an ordered set (conversion shim).
-    pub fn certificate_labels_btree(&self) -> std::collections::BTreeSet<Label> {
-        self.certificate_labels.to_btree()
     }
 }
 
@@ -160,26 +153,27 @@ pub fn find_log_star_certificate_within(
     problem: &LclProblem,
     sustaining: LabelSet,
 ) -> Option<LogStarSearchResult> {
-    let subset = crate::scratch::with_thread_scratch(|scratch| {
-        decide_log_star_subset(problem, sustaining, scratch)
+    // The decision's last Algorithm 3 run is the winning subset's: extract its
+    // builder from the scratch instead of searching again.
+    let (subset, builder) = crate::scratch::with_thread_scratch(|scratch| {
+        let subset = decide_log_star_subset(problem, sustaining, scratch)?;
+        let builder = extract_builder(problem, scratch)
+            .expect("the decision stopped on a builder for this subset");
+        Some((subset, builder))
     })?;
-    // Only the winning subset is ever materialized: one restriction, one
-    // builder construction — the candidate subsets were searched by masking.
-    let restricted = problem.restrict_to(subset);
-    let builder = find_unrestricted_certificate(&restricted, None)
-        .expect("the masked decision found a builder for this subset");
     Some(LogStarSearchResult {
         certificate_labels: subset,
-        restricted,
+        restricted: problem.restrict_to(subset),
         builder,
     })
 }
 
 /// Decision core of Algorithm 4: the first (smallest, then lexicographic)
 /// subset of `sustaining` that is self-sustaining and admits a certificate
-/// builder, found purely by masking — no restricted problems are built.
-/// Public so external harnesses (the classifier bench's stage-by-stage
-/// decision twin) can replicate the hot path exactly.
+/// builder, found purely by masking — no restricted problems are built. On
+/// `Some`, the scratch holds that subset's Algorithm 3 run for
+/// [`extract_builder`]. Public so external harnesses (the classifier bench's
+/// stage-by-stage decision twin) can replicate the hot path exactly.
 pub fn decide_log_star_subset(
     problem: &LclProblem,
     sustaining: LabelSet,
@@ -268,7 +262,10 @@ mod tests {
         let result = find_log_star_certificate(&p).unwrap();
         let z = p.label_by_name("z").unwrap();
         assert_eq!(result.certificate_labels, LabelSet::singleton(z));
-        assert_eq!(result.certificate_labels_btree(), [z].into_iter().collect());
+        assert_eq!(
+            result.certificate_labels.to_btree(),
+            [z].into_iter().collect()
+        );
     }
 
     #[test]

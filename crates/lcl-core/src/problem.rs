@@ -155,11 +155,6 @@ impl LclProblem {
         self.labels
     }
 
-    /// The active label set as an ordered `BTreeSet` (conversion shim).
-    pub fn labels_btree(&self) -> std::collections::BTreeSet<Label> {
-        self.labels.to_btree()
-    }
-
     /// The allowed configurations C(Π), sorted with equal parents contiguous.
     #[inline]
     pub fn configurations(&self) -> &[Configuration] {
@@ -592,9 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn labels_btree_shim_is_ordered() {
+    fn labels_iterate_in_btree_order() {
         let p = three_coloring();
-        let btree = p.labels_btree();
+        let btree = p.labels().to_btree();
         let via_iter: Vec<Label> = p.labels().iter().collect();
         assert_eq!(btree.into_iter().collect::<Vec<_>>(), via_iter);
     }

@@ -10,9 +10,9 @@
 //! *parent* problem's dense configuration tables, restricted by **masking** with a
 //! [`LabelSet`] instead of materializing a restricted [`LclProblem`]. The only
 //! mutable state the kernels need — dense successor/predecessor tables for the
-//! masked path-form automaton, BFS queues, and the entry list of Algorithm 3's
-//! fixed point — lives in a [`ClassifyScratch`] that callers thread through the
-//! stages.
+//! masked path-form automaton, BFS queues, and the entry and derivation lists
+//! of Algorithm 3's fixed point — lives in a [`ClassifyScratch`] that callers
+//! thread through the stages.
 //!
 //! The contract is *amortized* zero allocation: the buffers grow to a
 //! high-water mark on the first classifications and are then reused (`clear()`
@@ -42,10 +42,13 @@
 //!   [`LabelSet`] iteration; agrees with
 //!   [`crate::log_certificate::find_log_certificate`] on the fixpoint labels and
 //!   the iteration count `k` (asserted by differential tests below);
-//! * [`exists_builder_masked`] — the decision form of Algorithm 3: does the
-//!   restriction to `subset` admit a certificate builder (optionally producing
-//!   the special label on a leaf)? No entries are kept beyond the producible
-//!   root-set list, and no derivations are recorded.
+//! * [`exists_builder_masked`] — Algorithm 3, the one implementation: does
+//!   the restriction to `subset` admit a certificate builder (optionally
+//!   producing the special label on a leaf)? It stops at the first success
+//!   entry and records each derived entry's δ child indices in the scratch,
+//!   so [`extract_builder`] can hand the report path the winning
+//!   [`CertificateBuilder`] without a second search. The recording buffer
+//!   obeys the same high-water reuse as the others.
 //! * [`trim_masked`] — Lemma 5.28's `trim`: the greatest subset of `allowed`
 //!   in which every label heads a configuration lying fully inside the subset
 //!   (equals `solvable_labels(problem.restrict_to(allowed))` without the
@@ -61,6 +64,7 @@ use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 
+use crate::builder::{CertificateBuilder, Derivation, RootSetEntry};
 use crate::configuration::children_match_slots;
 use crate::label::Label;
 use crate::label_set::LabelSet;
@@ -79,8 +83,17 @@ pub struct ClassifyScratch {
     /// BFS queue for the period computation.
     queue: VecDeque<Label>,
     /// Algorithm 3's entry list: producible root-label sets plus the
-    /// special-leaf flag.
+    /// special-leaf flag. After a successful run its last entry is the
+    /// success entry.
     entries: Vec<(LabelSet, bool)>,
+    /// The δ child-entry indices of every derived entry, in entry order
+    /// (the singletons at the front of `entries` have none).
+    derivations: Vec<usize>,
+    /// The special label of the last [`exists_builder_masked`] run.
+    builder_target: Option<Label>,
+    /// Whether the last [`exists_builder_masked`] run found a builder, i.e.
+    /// whether [`extract_builder`] has one to read.
+    builder_found: bool,
     /// Dedup set over `entries` (bitmask + flag).
     seen: HashSet<(u128, bool)>,
     /// Odometer over entry indices (one digit per child slot).
@@ -401,19 +414,25 @@ pub fn prune_fixpoint_masked(
     }
 }
 
-/// The decision form of Algorithm 3, masked: `true` iff the restriction of
-/// `problem` to `subset` admits a certificate builder — with the special label
-/// `target` producible on a certificate leaf when one is given. Mirrors
-/// [`crate::builder::find_unrestricted_certificate`] on
-/// `problem.restrict_to(subset)` exactly (same entry insertion order, hence the
-/// same answer), but iterates the parent problem's configurations under a
-/// subset mask and records no derivations.
+/// Algorithm 3, masked: `true` iff the restriction of `problem` to `subset`
+/// admits a certificate builder — with the special label `target` producible
+/// on a certificate leaf when one is given. Iterates the parent problem's
+/// configurations under a subset mask instead of building
+/// `problem.restrict_to(subset)`, and returns at the first success entry.
+///
+/// Every derived entry's δ child indices are recorded in the scratch, so
+/// after a `true` answer [`extract_builder`] turns the run into the
+/// [`CertificateBuilder`] of Lemma 6.9 without a second search.
 pub fn exists_builder_masked(
     problem: &LclProblem,
     subset: LabelSet,
     target: Option<Label>,
     scratch: &mut ClassifyScratch,
 ) -> bool {
+    scratch.builder_target = target;
+    scratch.builder_found = false;
+    scratch.entries.clear();
+    scratch.derivations.clear();
     // `restrict_to` intersects with the active label set; mirror that here so
     // the equivalence holds for any subset, not just subsets of Σ(Π).
     let subset = subset & problem.labels();
@@ -440,20 +459,22 @@ pub fn exists_builder_masked(
     let wanted = (subset, target.is_some());
     let ClassifyScratch {
         entries,
+        derivations,
+        builder_found,
         seen,
         tuple,
         slot_sets,
         ..
     } = scratch;
-    entries.clear();
     seen.clear();
     for label in subset {
         let entry = (LabelSet::singleton(label), Some(label) == target);
-        if entry == wanted {
-            return true;
-        }
         seen.insert((entry.0.bits(), entry.1));
         entries.push(entry);
+        if entry == wanted {
+            *builder_found = true;
+            return true;
+        }
     }
 
     // Fixed-point loop: repeatedly try every δ-tuple of existing entries.
@@ -482,10 +503,12 @@ pub fn exists_builder_masked(
             if !produced.is_empty() {
                 let flag = tuple.iter().any(|&i| entries[i].1);
                 if seen.insert((produced.bits(), flag)) {
+                    entries.push((produced, flag));
+                    derivations.extend_from_slice(tuple);
                     if (produced, flag) == wanted {
+                        *builder_found = true;
                         return true;
                     }
-                    entries.push((produced, flag));
                     added = true;
                 }
             }
@@ -509,11 +532,48 @@ pub fn exists_builder_masked(
     }
 }
 
+/// Lemma 6.9's input, read off the scratch: the [`CertificateBuilder`] of the
+/// last [`exists_builder_masked`] run on `problem`, or `None` when that run
+/// found no builder. Its entries end at the success entry.
+pub fn extract_builder(
+    problem: &LclProblem,
+    scratch: &ClassifyScratch,
+) -> Option<CertificateBuilder> {
+    if !scratch.builder_found {
+        return None;
+    }
+    let delta = problem.delta();
+    let singletons = scratch.entries.len() - scratch.derivations.len() / delta;
+    let entries = scratch
+        .entries
+        .iter()
+        .map(|&(labels, has_special_leaf)| RootSetEntry {
+            labels,
+            has_special_leaf,
+        })
+        .collect();
+    let derivations = (0..scratch.entries.len())
+        .map(|i| {
+            let first = i.checked_sub(singletons)? * delta;
+            Some(Derivation {
+                child_indices: scratch.derivations[first..first + delta].to_vec(),
+            })
+        })
+        .collect();
+    Some(CertificateBuilder {
+        delta,
+        target: scratch.builder_target,
+        entries,
+        derivations,
+        success_index: scratch.entries.len() - 1,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::automaton::Automaton;
-    use crate::builder::find_unrestricted_certificate;
+    use crate::builder::reference::find_unrestricted_certificate_cut;
     use crate::classifier::{classify, classify_complexity_with};
     use crate::log_certificate::find_log_certificate;
     use crate::problem::ProblemBuilder;
@@ -580,40 +640,50 @@ mod tests {
         }
     }
 
+    /// Runs the masked kernel on `(subset, target)` and checks both its answer
+    /// and the extracted builder against the reference Algorithm 3 on the
+    /// restriction, cut at its success entry.
+    fn assert_kernel_matches_reference(
+        p: &LclProblem,
+        subset: LabelSet,
+        target: Option<Label>,
+        scratch: &mut ClassifyScratch,
+    ) {
+        let expected = find_unrestricted_certificate_cut(&p.restrict_to(subset), target);
+        let found = exists_builder_masked(p, subset, target, scratch);
+        let context = format!(
+            "problem {:?}, subset {subset}, target {target:?}",
+            p.to_text()
+        );
+        assert_eq!(found, expected.is_some(), "{context}");
+        assert_eq!(extract_builder(p, scratch), expected, "{context}");
+    }
+
     #[test]
-    fn masked_builder_decision_matches_restricted_search() {
+    fn masked_builder_decision_and_extraction_match_restricted_search() {
         let mut scratch = ClassifyScratch::new();
-        for p in full_two_label_family() {
+        let mut all = full_two_label_family();
+        all.extend(
+            [
+                "1:22\n1:23\n1:33\n2:11\n2:13\n2:33\n3:11\n3:12\n3:22\n",
+                "1 : a a\n1 : a b\n1 : b b\na : b b\nb : b 1\nb : 1 1\n",
+                "1 : b b b\n1 : b b a\n1 : b a a\n1 : a a a\nb : 1 1 1\nb : 1 1 b\nb : 1 b b\na : b b b\n",
+                crate::test_fixtures::SECTION_8_DEPTH_TWO,
+            ]
+            .iter()
+            .map(|t| problem(t)),
+        );
+        for p in all {
             for subset in p.labels().subsets() {
-                let restricted = p.restrict_to(subset);
-                // Without a target.
-                let expected = find_unrestricted_certificate(&restricted, None).is_some();
-                assert_eq!(
-                    exists_builder_masked(&p, subset, None, &mut scratch),
-                    expected,
-                    "problem {:?}, subset {subset}",
-                    p.to_text()
-                );
-                // With every possible target.
+                assert_kernel_matches_reference(&p, subset, None, &mut scratch);
                 for t in subset {
-                    let expected = find_unrestricted_certificate(&restricted, Some(t)).is_some();
-                    assert_eq!(
-                        exists_builder_masked(&p, subset, Some(t), &mut scratch),
-                        expected,
-                        "problem {:?}, subset {subset}, target {t}",
-                        p.to_text()
-                    );
+                    assert_kernel_matches_reference(&p, subset, Some(t), &mut scratch);
                 }
             }
             // Subsets reaching outside Σ(Π) behave like their intersection
             // with Σ(Π), mirroring `restrict_to`.
             let widened = p.labels() | LabelSet::singleton(Label(100));
-            assert_eq!(
-                exists_builder_masked(&p, widened, None, &mut scratch),
-                find_unrestricted_certificate(&p.restrict_to(widened), None).is_some(),
-                "problem {:?}, widened subset",
-                p.to_text()
-            );
+            assert_kernel_matches_reference(&p, widened, None, &mut scratch);
         }
     }
 

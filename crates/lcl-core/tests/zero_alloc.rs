@@ -2,7 +2,9 @@
 //! module docs): once a `ClassifyScratch`'s buffers are warm, a cache-miss
 //! decision-only classification performs **zero** heap allocations — hence in
 //! particular zero `LclProblem` clones and zero per-subset problem
-//! reconstructions.
+//! reconstructions. Algorithm 3 records every derivation on this path (the
+//! report path extracts its builders from that record), so the pin covers the
+//! derivation buffer's reuse too.
 //!
 //! The file contains exactly one test so no sibling test thread can allocate
 //! concurrently and pollute the global counter.
@@ -52,6 +54,14 @@ fn warm_scratch_classification_performs_zero_allocations() {
         "1 : a a\n1 : a b\n1 : b b\na : b b\nb : b 1\nb : 1 1\n",
         // Θ(log* n): 3-coloring (Section 1.2).
         "1:22\n1:23\n1:33\n2:11\n2:13\n2:33\n3:11\n3:12\n3:22\n",
+        // O(1) at δ = 3: MIS on ternary trees. Its Algorithm 3 runs record the
+        // most derivations (three child indices per entry) of this set.
+        "1 : b b b\n1 : b b a\n1 : b a a\n1 : a a a\n\
+         b : 1 1 1\nb : 1 1 b\nb : 1 b b\na : b b b\n",
+        // Θ(log* n) at δ = 3: 3-coloring on ternary trees.
+        "1 : 2 2 2\n1 : 2 2 3\n1 : 2 3 3\n1 : 3 3 3\n\
+         2 : 1 1 1\n2 : 1 1 3\n2 : 1 3 3\n2 : 3 3 3\n\
+         3 : 1 1 1\n3 : 1 1 2\n3 : 1 2 2\n3 : 2 2 2\n",
         // Θ(log n): branch 2-coloring (Section 1.4).
         "1 : 1 2\n2 : 1 1\n",
         // Θ(log n) after one pruning iteration: Figure 2's Π₀.

@@ -186,7 +186,7 @@ fn restriction_agrees_with_btreeset_model() {
             .collect();
         let subset = LabelSet::from_btree(&subset_model);
         let restricted = problem.restrict_to(subset);
-        assert_eq!(restricted.labels_btree(), subset_model);
+        assert_eq!(restricted.labels().to_btree(), subset_model);
         // Reference: a configuration survives iff all its labels are in the model.
         let expected: Vec<_> = problem
             .configurations()
