@@ -29,7 +29,13 @@
 //! checkpoint file). Also recorded as metrics: the batched canonical filter's
 //! full-universe scan rate (`canonical_filter_masks_per_sec`) and the
 //! bit-sliced sweep's classification rate (`bitsliced_orbits_per_sec`).
+//!
+//! Checkpoint cost: the same bit-sliced sweep writing a checkpoint file every
+//! 500 orbits, against it in memory. Their median time ratio is recorded as
+//! `checkpointed_vs_in_memory` (cost, so lower is better; each case carries
+//! its min/max/samples), and CI fails when the committed ratio reaches 2.0.
 
+use std::path::Path;
 use std::time::Instant;
 
 use lcl_bench::harness::{black_box, Bench, BenchReport};
@@ -54,14 +60,14 @@ fn baseline_histogram(delta: usize, labels: usize) -> ComplexityHistogram {
 
 fn sweep_histogram(delta: usize, labels: usize, shards: usize) -> ComplexityHistogram {
     let family = CanonicalFamily::new(delta, labels);
-    campaign(&family, EngineKind::Scalar, shards, Vec::new())
+    campaign(&family, EngineKind::Scalar, shards, Vec::new(), None)
         .outcome
         .problems
 }
 
 fn bitsliced_outcome(delta: usize, labels: usize, shards: usize) -> SweepOutcome {
     let family = CanonicalFamily::new(delta, labels);
-    campaign(&family, EngineKind::Bitsliced, shards, Vec::new()).outcome
+    campaign(&family, EngineKind::Bitsliced, shards, Vec::new(), None).outcome
 }
 
 /// Full-universe scan rate of the batched canonical filter: how fast
@@ -83,14 +89,19 @@ fn canonical_filter_masks_per_sec(delta: usize, labels: usize) -> f64 {
     family.family_size() as f64 / best.max(1e-12)
 }
 
-/// One full in-memory campaign over the family on the given engine, booted
-/// from the given memo (empty = cold boot, a completed campaign's memo = warm
-/// boot). No checkpoint file is attached.
+/// Orbits between two writes of a checkpointed bench campaign.
+const CHECKPOINT_EVERY: u64 = 500;
+
+/// One full campaign over the family on the given engine, booted from the
+/// given memo (empty = cold boot, a completed campaign's memo = warm boot).
+/// With `checkpoint`, it writes a checkpoint there every
+/// [`CHECKPOINT_EVERY`] orbits and at the end; without, it stays in memory.
 fn campaign(
     family: &CanonicalFamily,
     kind: EngineKind,
     shards: usize,
     memo: Vec<(CanonicalKey, Complexity)>,
+    checkpoint: Option<&Path>,
 ) -> SweepSnapshot {
     let engine = ClassificationEngine::new();
     let mut state = SweepSnapshot::fresh(
@@ -100,7 +111,11 @@ fn campaign(
         family.ranges(shards),
     );
     state.memo = memo;
-    let ckpt = SweepCheckpoint::default();
+    let ckpt = SweepCheckpoint {
+        path: checkpoint,
+        every_orbits: CHECKPOINT_EVERY,
+        orbit_limit: None,
+    };
     let (snap, completed) = match kind {
         EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
         EngineKind::Bitsliced => {
@@ -117,7 +132,7 @@ fn campaign(
             )
         }
     }
-    .expect("in-memory campaign cannot hit snapshot I/O errors");
+    .expect("campaign checkpoint written");
     assert!(completed, "an unlimited campaign runs to completion");
     snap
 }
@@ -133,8 +148,14 @@ fn run_warm_boot(report: &mut BenchReport, delta: usize, labels: usize, samples:
         .unwrap_or(1);
     let family = CanonicalFamily::new(delta, labels);
 
-    let cold_snap = campaign(&family, EngineKind::Scalar, shards, Vec::new());
-    let warm_snap = campaign(&family, EngineKind::Scalar, shards, cold_snap.memo.clone());
+    let cold_snap = campaign(&family, EngineKind::Scalar, shards, Vec::new(), None);
+    let warm_snap = campaign(
+        &family,
+        EngineKind::Scalar,
+        shards,
+        cold_snap.memo.clone(),
+        None,
+    );
     assert_eq!(
         warm_snap.outcome.problems, cold_snap.outcome.problems,
         "warm-booted re-sweep must reproduce the cold histogram exactly"
@@ -147,10 +168,10 @@ fn run_warm_boot(report: &mut BenchReport, delta: usize, labels: usize, samples:
     let cold_label = "cold boot (empty memo)";
     let warm_label = "warm boot (completed campaign's memo)";
     bench.case_samples(cold_label, samples, || {
-        black_box(campaign(&family, EngineKind::Scalar, shards, Vec::new()).outcome)
+        black_box(campaign(&family, EngineKind::Scalar, shards, Vec::new(), None).outcome)
     });
     bench.case_samples(warm_label, samples, || {
-        black_box(campaign(&family, EngineKind::Scalar, shards, memo.clone()).outcome)
+        black_box(campaign(&family, EngineKind::Scalar, shards, memo.clone(), None).outcome)
     });
     let cold = bench.median_of(cold_label).expect("case ran");
     let warm = bench.median_of(warm_label).expect("case ran");
@@ -163,6 +184,61 @@ fn run_warm_boot(report: &mut BenchReport, delta: usize, labels: usize, samples:
     );
     println!();
     report.add_group(bench);
+}
+
+/// Checkpoint cost: the bit-sliced sweep of the whole universe writing a
+/// checkpoint file every [`CHECKPOINT_EVERY`] orbits, against the same sweep
+/// in memory. The file must load to the sweep's outcome.
+fn run_checkpoint_cost(report: &mut BenchReport, delta: usize, labels: usize, samples: usize) {
+    let shards = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let family = CanonicalFamily::new(delta, labels);
+    let dir = std::env::temp_dir().join(format!("rtlcl-bench-checkpoint-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    let path = dir.join("sweep.ckpt");
+
+    let in_memory = campaign(&family, EngineKind::Bitsliced, shards, Vec::new(), None);
+    let checkpointed = campaign(
+        &family,
+        EngineKind::Bitsliced,
+        shards,
+        Vec::new(),
+        Some(&path),
+    );
+    assert_eq!(checkpointed.outcome.problems, in_memory.outcome.problems);
+    let on_disk = SweepSnapshot::load(&path).expect("the checkpoint loads");
+    assert_eq!(on_disk.outcome, checkpointed.outcome);
+    assert_eq!(on_disk.memo.len(), checkpointed.memo.len());
+
+    let mut bench = Bench::new(&format!(
+        "bit-sliced (δ={delta}, {labels}-label) sweep, checkpoint cost"
+    ));
+    let memory_label = "in memory";
+    let file_label = &format!("checkpoint every {CHECKPOINT_EVERY} orbits");
+    bench.case_samples(memory_label, samples, || {
+        black_box(campaign(&family, EngineKind::Bitsliced, shards, Vec::new(), None).outcome)
+    });
+    bench.case_samples(file_label, samples, || {
+        black_box(
+            campaign(
+                &family,
+                EngineKind::Bitsliced,
+                shards,
+                Vec::new(),
+                Some(&path),
+            )
+            .outcome,
+        )
+    });
+    let memory = bench.median_of(memory_label).expect("case ran");
+    let file = bench.median_of(file_label).expect("case ran");
+    // Time with checkpoints over time without: the cost factor.
+    let ratio = report.add_ratio("checkpointed_vs_in_memory", file, memory);
+    println!("checkpointed sweep / in-memory sweep: {ratio:.2}x");
+    println!();
+    report.add_group(bench);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn run_universe(
@@ -254,5 +330,7 @@ fn main() {
     run_universe(&mut report, 2, 3, 3, true);
     // Warm boot: the persistent-memo payoff on the same acceptance workload.
     run_warm_boot(&mut report, 2, 3, 3);
+    // What periodic checkpoints add to the bit-sliced sweep.
+    run_checkpoint_cost(&mut report, 2, 3, 11);
     report.write().expect("bench report written");
 }

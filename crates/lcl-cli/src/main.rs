@@ -96,8 +96,9 @@
 //! ```
 //!
 //! `rtlcl snapshot info <file> [--json]` prints a checkpoint's header and
-//! progress (format version, family, engine, watermarks, histograms so far,
-//! memo size) without touching the classifier.
+//! progress (format version, checkpoint segments and torn tail bytes, family,
+//! engine, watermarks, histograms so far, memo size) without touching the
+//! classifier.
 //!
 //! `serve` options (the daemon itself — endpoints, JSON shapes, and the
 //! overload/timeout/shutdown contract — is documented in the `lcl-serve`
@@ -120,7 +121,7 @@ use std::time::Instant;
 use lcl_algorithms::solve;
 use lcl_core::{
     classify, ClassificationEngine, EngineKind, LaneWidth, LclProblem, LoadOutcome, MaskRange,
-    SweepCheckpoint, SweepSnapshot,
+    SnapshotLayout, SweepCheckpoint, SweepSnapshot,
 };
 use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::catalog;
@@ -1524,18 +1525,23 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
         return usage();
     };
     // The version comes from the file, which may predate the current format.
-    let read = || -> Result<(u32, SweepSnapshot), lcl_core::SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        let snap = SweepSnapshot::from_bytes(&bytes)?;
-        Ok((lcl_core::snapshot::format_version(&bytes)?, snap))
+    let read = || -> Result<(SweepSnapshot, SnapshotLayout), lcl_core::SnapshotError> {
+        SweepSnapshot::from_bytes_with_layout(&std::fs::read(path)?)
     };
-    let (version, snap) = match read() {
+    let (snap, layout) = match read() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("cannot read snapshot `{path}`: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let version = layout.version;
+    let segments = format!(
+        "file: {} checkpoint segment{}, {} torn tail bytes",
+        layout.segments,
+        if layout.segments == 1 { "" } else { "s" },
+        layout.torn_tail_bytes
+    );
     let delta = snap.cursor.delta as usize;
     let labels = snap.cursor.num_labels as usize;
     // Family size recomputed from the header, not stored: the universe size is
@@ -1549,6 +1555,8 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
     if json {
         let out = Json::Obj(vec![
             ("format_version".into(), Json::uint(version as u64)),
+            ("segments".into(), Json::int(layout.segments)),
+            ("torn_tail_bytes".into(), Json::int(layout.torn_tail_bytes)),
             ("delta".into(), Json::int(delta)),
             ("labels".into(), Json::int(labels)),
             ("engine".into(), Json::str(snap.cursor.engine.name())),
@@ -1577,11 +1585,13 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             "memo snapshot v{version}: {} canonical forms, no sweep campaign state",
             snap.memo.len()
         );
+        println!("{segments}");
     } else {
         println!(
             "sweep snapshot v{version}: (δ={delta}, {labels}-label) universe, {} engine",
             snap.cursor.engine.name()
         );
+        println!("{segments}");
         println!(
             "progress: {done}/{family_size} masks across {} shards{}",
             snap.cursor.ranges.len(),

@@ -478,9 +478,9 @@ impl ClassificationEngine {
 
     /// The engine's memo as a memo-only [`SweepSnapshot`]: an empty, complete
     /// cursor (no sweep campaign attached) carrying every cached verdict.
-    /// This is the daemon's persistence format — the same file format, digest,
-    /// and atomic-write path as sweep checkpoints, readable by
-    /// `rtlcl snapshot info` and [`Self::warm_boot`].
+    /// This is the daemon's persistence format — the same file format and
+    /// digest as sweep checkpoints, readable by `rtlcl snapshot info` and
+    /// [`Self::warm_boot`].
     pub fn memo_snapshot(&self) -> SweepSnapshot {
         SweepSnapshot {
             cursor: SweepCursor {
@@ -495,8 +495,8 @@ impl ClassificationEngine {
     }
 
     /// Atomically writes [`Self::memo_snapshot`] to `path` (temp file +
-    /// rename, like every snapshot write). Returns the number of memo entries
-    /// flushed.
+    /// rename, like every snapshot write but a sweep's later checkpoints).
+    /// Returns the number of memo entries flushed.
     pub fn save_memo(&self, path: &Path) -> Result<usize, SnapshotError> {
         let snapshot = self.memo_snapshot();
         snapshot.save(path)?;
@@ -534,9 +534,11 @@ impl ClassificationEngine {
     /// histograms, new memo entries, and the range's watermark advance
     /// together, so every intermediate checkpoint is a consistent prefix of
     /// the sweep. With [`SweepCheckpoint::path`] set, the state is written
-    /// atomically (temp file + rename) every [`SweepCheckpoint::every_orbits`]
-    /// processed orbits and once more at the end — killing the process at
-    /// any instant loses at most the uncommitted tail, and
+    /// every [`SweepCheckpoint::every_orbits`] processed orbits and once more
+    /// at the end: the first write replaces the file atomically (temp file +
+    /// rename), each later one appends a segment with the new entries (see
+    /// [`crate::snapshot`]) — killing the process at any instant loses at
+    /// most the uncommitted tail, and
     /// `state = SweepSnapshot::load(path)?` continues to histograms identical
     /// to an uninterrupted run. [`SweepCheckpoint::default`] keeps the whole
     /// campaign in memory.
@@ -818,8 +820,9 @@ impl ClassificationEngine {
 /// [`ClassificationEngine::sweep_resumable_bitsliced`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepCheckpoint<'a> {
-    /// Snapshot file, written atomically (temp file + rename) during the sweep
-    /// and once at the end. `None` keeps the campaign in memory only.
+    /// Snapshot file, replaced atomically (temp file + rename) by the sweep's
+    /// first write and appended to by the later ones during the sweep and at
+    /// the end. `None` keeps the campaign in memory only.
     pub path: Option<&'a Path>,
     /// Processed orbits between two checkpoint writes (clamped to ≥ 1).
     pub every_orbits: u64,
@@ -841,19 +844,28 @@ impl Default for SweepCheckpoint<'_> {
 }
 
 impl ResumeCommitted {
-    /// Writes the committed state to `path`: the baseline is encoded once, on
-    /// the first write, and each write appends only the entries committed
-    /// since the previous one. The file holds the memo in the order of the
+    /// Writes the committed state to `path`. The call's first write replaces
+    /// the file with one segment holding the baseline and everything
+    /// committed so far (temp file + rename, which also drops any torn tail);
+    /// each later write appends one segment with only the entries committed
+    /// since the previous write. The file holds the memo in the order of the
     /// returned snapshot (baseline, then new entries in commit order).
     fn checkpoint(&mut self, path: &Path) -> std::io::Result<()> {
-        let writer = self.writer.get_or_insert_with(|| {
-            let mut writer = SnapshotWriter::new(&self.cursor);
-            writer.extend(&self.baseline);
-            writer
-        });
-        writer.extend(&self.new_memo[self.logged..]);
+        let new = &self.new_memo[self.logged..];
+        match &mut self.writer {
+            Some(writer) => writer.append(new, &self.cursor, &self.outcome)?,
+            None => {
+                let entries = self.baseline.iter().chain(new);
+                self.writer = Some(SnapshotWriter::create(
+                    path,
+                    entries,
+                    &self.cursor,
+                    &self.outcome,
+                )?);
+            }
+        }
         self.logged = self.new_memo.len();
-        writer.save(path, &self.cursor, &self.outcome)
+        Ok(())
     }
 }
 
@@ -875,7 +887,8 @@ struct ResumeCommitted {
     baseline: Vec<(CanonicalKey, Complexity)>,
     /// Entries classified by this call, in commit order.
     new_memo: Vec<(CanonicalKey, Complexity)>,
-    /// Checkpoint writer, created with `baseline` on the first write.
+    /// Checkpoint file writer, created with `baseline` on the first write
+    /// and appended to by every later one.
     writer: Option<SnapshotWriter>,
     /// Entries of `new_memo` already appended to `writer`.
     logged: usize,

@@ -125,8 +125,8 @@ pub use poly::{find_poly_certificate, PolyCertificate, PolyLevel};
 pub use problem::LclProblem;
 pub use scratch::ClassifyScratch;
 pub use snapshot::{
-    load_or_quarantine, EngineKind, LoadOutcome, MaskRange, SnapshotError, SnapshotWriter,
-    SweepCursor, SweepSnapshot,
+    load_or_quarantine, EngineKind, LoadOutcome, MaskRange, SegmentEncoder, SnapshotError,
+    SnapshotLayout, SnapshotWriter, SweepCursor, SweepSnapshot,
 };
 pub use solvability::solvable_labels;
 

@@ -6,53 +6,76 @@
 //! learned — every `canonical key → Complexity` verdict, the orbit and
 //! whole-universe histograms, the bit-sliced lane statistics, and a per-shard
 //! *watermark* (the next configuration mask each shard has yet to visit) — in
-//! one dense little-endian byte stream (format version 2):
+//! one dense little-endian byte stream (format version 3): an immutable
+//! prefix, then an append-only log of checkpoint *segments*.
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "RTLCLSNP"                 ┐
-//! 8       4     format version (u32, 2)           │ immutable prefix:
+//! 8       4     format version (u32, 3)           │ immutable prefix:
 //! 12      2     δ                                 │ fixed for the whole
 //! 14      2     |Σ|                               │ campaign
 //! 16      1     engine kind (0 scalar,            │
 //!               1 bit-sliced)                     ┘
-//! 17      …     per entry: key length (u16),      ┐ canonical-form memo,
-//!               key words (u16 each), tag (u8),   │ append-only, in
-//!               and for Polynomial the exponent   │ commit order
+//! 17      …     segment 1, segment 2, …
+//!
+//! per segment:
+//! 0       8     segment length in bytes, header   ┐ header
+//!               and digest included (u64)         │
+//! 8       4     shard-range count r (u32)         │
+//! 12      8     FNV-1a 64 of the twelve bytes     ┘
+//!               above: the header check
+//! 20      …     per entry: key length (u16),      ┐ the memo entries
+//!               key words (u16 each), tag (u8),   │ committed since the
+//!               and for Polynomial the exponent   │ previous segment
 //!               (u32)                             ┘
 //! …       16·r  per range: next, hi (u64 each;    ┐
 //!               next == hi ⇒ done)                │
-//! …       8·13  orbit histogram                   │ footer: every field a
-//! …       8·13  universe histogram                │ checkpoint rewrites
+//! …       8·13  orbit histogram                   │ footer: the whole
+//! …       8·13  universe histogram                │ cursor and outcome
 //! …       8·4   lane statistics                   │ (13 = 5 classes + 8
 //! …       4     shard-range count r (u32)         │ poly-exponent buckets)
-//! …       8     memo entry count (u64)            ┘
-//! last    8     FNV-1a 64 digest of every preceding byte
+//! …       8     memo entry count of the file      ┘ so far (u64)
+//! last    8     FNV-1a 64 digest of every preceding byte of the file
 //! ```
 //!
-//! The order is what makes a checkpoint cheap. During a sweep the prefix never
-//! changes and the memo only grows, so a [`SnapshotWriter`] keeps the encoded
-//! prefix and entries together with the running FNV-1a state over them:
-//! a checkpoint encodes and hashes only the entries committed since the last
-//! one, then the small footer, and streams the file out. Both counts sit at
-//! the very end, so a reader finds the footer from the end of the file.
+//! A segment's state is the whole snapshot at that point: its footer, and
+//! every entry of it and of the segments before it. A reader scans forward
+//! and returns the state at the last complete segment.
 //!
-//! Version 1 files (written before the append-only layout) are still read:
-//! the same prefix, then range count, ranges, both histograms, lane
-//! statistics, memo entry count, and the entries, with the same digest
-//! trailer. Every write produces version 2.
+//! The log is what makes a checkpoint cheap. A [`SnapshotWriter`] writes the
+//! first checkpoint of a sweep as the whole file — one segment, streamed to
+//! `<path>.tmp` and renamed over `path` — and keeps the file open. Every later
+//! checkpoint appends one segment: the entries committed since the previous
+//! one, the small footer, and a digest that continues the running FNV-1a
+//! state, so no earlier byte is written, encoded, or hashed again.
 //!
-//! The digest makes truncated or bit-flipped files a clean
-//! [`SnapshotError`], never a silently wrong histogram; writes go through a
-//! temp file plus `rename` ([`SnapshotWriter::save`]), so a reader — or a
-//! resumed sweep — observes either the previous checkpoint or the new one,
-//! never a torn mix, even if the writer is SIGKILLed mid-write. Everything is
-//! hand-rolled over `std::fs`/`std::io`, mirroring the CLI's hand-rolled JSON:
-//! the workspace stays dependency-free.
+//! **Torn tail versus damage.** A checkpoint killed mid-append leaves a file
+//! that ends inside its last segment's header or body. That is a *torn
+//! tail*: the reader loads the previous segment, so a crash loses at most the
+//! uncommitted tail, as with temp file plus rename. A complete header whose
+//! check fails, or a complete segment whose digest fails, is *damage*:
+//! [`SnapshotError::ChecksumMismatch`], which [`load_or_quarantine`] moves
+//! aside. A file that ends inside its first segment has no state to fall
+//! back on and is [`SnapshotError::Truncated`].
+//!
+//! Versions 1 and 2 are still read, never written; both end with one FNV-1a
+//! 64 digest of every preceding byte. Version 2 is the prefix, then the memo
+//! entries, then the footer above. Version 1 is the prefix, then range
+//! count, ranges, both histograms, lane statistics, memo entry count, and
+//! the entries.
+//!
+//! Every snapshot write other than a sweep's later checkpoints —
+//! [`SweepSnapshot::save`], the engine's memo flush, a sweep call's first
+//! checkpoint — goes through temp file plus `rename`, so a reader observes
+//! either the previous file or the new one, never a torn mix. Everything is
+//! hand-rolled over `std::fs`/`std::io`, mirroring the CLI's hand-rolled
+//! JSON: the workspace stays dependency-free.
 
 use std::fmt;
-use std::io::{self, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 use crate::classifier::Complexity;
 use crate::engine::{
@@ -63,16 +86,22 @@ use crate::engine::{
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RTLCLSNP";
 
 /// On-disk format version every write produces. Readers also accept the
-/// earlier version 1 layout and reject anything else.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// earlier versions 1 and 2 and reject anything else.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Length of the immutable prefix shared by every version: magic, version,
 /// δ, |Σ|, and engine kind.
 const PREFIX_LEN: usize = SNAPSHOT_MAGIC.len() + 4 + 2 + 2 + 1;
 
-/// Bytes of a version-2 footer besides its ranges: both histograms, the lane
+/// Bytes of a footer besides its ranges: both histograms, the lane
 /// statistics, the range count, and the memo entry count.
 const FOOTER_FIXED_LEN: usize = 8 * (2 * (5 + POLY_EXPONENT_BUCKETS) + 4) + 4 + 8;
+
+/// Bytes of a version-3 segment header: length, range count, and check.
+const SEGMENT_HEADER_LEN: usize = 8 + 4 + 8;
+
+/// Encoded bytes a segment writer buffers before hashing and writing them.
+const WRITE_CHUNK: usize = 1 << 16;
 
 /// Which sweep engine produced (and should resume) a snapshot. Stored in the
 /// cursor so `--resume` never mixes block-boundary watermarks of one engine
@@ -173,6 +202,20 @@ pub struct SweepSnapshot {
     pub memo: Vec<(CanonicalKey, Complexity)>,
 }
 
+/// How a snapshot file's bytes were laid out, as
+/// [`SweepSnapshot::from_bytes_with_layout`] found them. What
+/// `rtlcl snapshot info` reports besides the state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotLayout {
+    /// The file's format version.
+    pub version: u32,
+    /// Complete segments read; a version 1 or 2 file counts as one.
+    pub segments: usize,
+    /// Bytes after the last complete segment: a checkpoint append cut
+    /// short. Always 0 for versions 1 and 2.
+    pub torn_tail_bytes: usize,
+}
+
 /// Why a snapshot could not be read or written.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -180,12 +223,13 @@ pub enum SnapshotError {
     Io(io::Error),
     /// The file does not start with [`SNAPSHOT_MAGIC`].
     BadMagic,
-    /// The file's format version is neither 1 nor [`SNAPSHOT_VERSION`].
+    /// The file's format version is neither 1, 2, nor [`SNAPSHOT_VERSION`].
     UnsupportedVersion(u32),
-    /// The file ends before a complete record (no digest to check against).
+    /// The file ends before a complete record: before its digest (versions 1
+    /// and 2) or inside its first segment (version 3).
     Truncated,
-    /// The trailing digest does not match the content — truncation or
-    /// corruption after the header.
+    /// A digest or segment-header check does not match the content —
+    /// corruption, or truncation of a version 1 or 2 file.
     ChecksumMismatch,
     /// The digest matches but a field is out of range (a writer bug).
     Malformed(&'static str),
@@ -244,7 +288,7 @@ fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 
 /// The format version of a snapshot file's bytes, read from its header
 /// without validating the rest (load it with [`SweepSnapshot::from_bytes`]
-/// for that). What `rtlcl snapshot info` reports.
+/// for that).
 pub fn format_version(bytes: &[u8]) -> Result<u32, SnapshotError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 4 {
         return Err(SnapshotError::Truncated);
@@ -269,6 +313,15 @@ fn complexity_tag(c: Complexity) -> u8 {
     }
 }
 
+/// Encoded length of one memo entry.
+fn entry_len(key: &CanonicalKey, complexity: Complexity) -> usize {
+    let tail = match complexity {
+        Complexity::Polynomial { .. } => 5,
+        _ => 1,
+    };
+    2 + 2 * key.as_words().len() + tail
+}
+
 fn push_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -290,6 +343,44 @@ fn push_histogram(out: &mut Vec<u8>, h: &ComplexityHistogram) {
         push_u64(out, k);
     }
     push_u64(out, h.unsolvable);
+}
+
+fn push_entry(out: &mut Vec<u8>, key: &CanonicalKey, complexity: Complexity) {
+    let words = key.as_words();
+    push_u16(out, words.len() as u16);
+    for &w in words {
+        push_u16(out, w);
+    }
+    out.push(complexity_tag(complexity));
+    if let Complexity::Polynomial { exponent } = complexity {
+        push_u32(out, exponent as u32);
+    }
+}
+
+/// The footer of a snapshot whose memo holds `entries` entries.
+fn push_footer(out: &mut Vec<u8>, cursor: &SweepCursor, outcome: &SweepOutcome, entries: u64) {
+    for range in &cursor.ranges {
+        push_u64(out, range.next);
+        push_u64(out, range.hi);
+    }
+    push_histogram(out, &outcome.orbits);
+    push_histogram(out, &outcome.problems);
+    push_u64(out, outcome.lanes.blocks);
+    push_u64(out, outcome.lanes.fixpoint_rounds);
+    push_u64(out, outcome.lanes.live_lane_rounds);
+    push_u64(out, outcome.lanes.scalar_fallbacks);
+    push_u32(out, cursor.ranges.len() as u32);
+    push_u64(out, entries);
+}
+
+/// The header of a segment of `len` bytes over `ranges` shard ranges.
+fn segment_header(len: u64, ranges: u32) -> [u8; SEGMENT_HEADER_LEN] {
+    let mut out = [0u8; SEGMENT_HEADER_LEN];
+    out[..8].copy_from_slice(&len.to_le_bytes());
+    out[8..12].copy_from_slice(&ranges.to_le_bytes());
+    let check = fnv1a64(&out[..12]);
+    out[12..].copy_from_slice(&check.to_le_bytes());
+    out
 }
 
 /// Little-endian reader over a byte slice; every read checks bounds so a
@@ -374,20 +465,26 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// `count` memo entries, which must use up the rest of the reader.
-    fn memo(&mut self, count: u64) -> Result<Vec<(CanonicalKey, Complexity)>, SnapshotError> {
+    /// Appends `count` memo entries to `memo`; they must use up the rest of
+    /// the reader.
+    fn memo(
+        &mut self,
+        count: u64,
+        memo: &mut Vec<(CanonicalKey, Complexity)>,
+    ) -> Result<(), SnapshotError> {
         // Each entry is at least 3 bytes (empty key + tag); a count beyond
         // that bound cannot be real even with a valid digest.
         if count > (self.remaining() / 3) as u64 {
             return Err(SnapshotError::Malformed("memo count"));
         }
-        let mut memo = Vec::with_capacity(count as usize);
+        memo.reserve(count as usize);
         for _ in 0..count {
             let key_len = self.u16()? as usize;
-            let mut words = Vec::with_capacity(key_len);
-            for _ in 0..key_len {
-                words.push(self.u16()?);
-            }
+            let words = self
+                .take(2 * key_len)?
+                .chunks_exact(2)
+                .map(|w| u16::from_le_bytes([w[0], w[1]]))
+                .collect();
             let complexity = match self.u8()? {
                 0 => Complexity::Unsolvable,
                 1 => Complexity::Constant,
@@ -403,8 +500,33 @@ impl<'a> Reader<'a> {
         if self.remaining() != 0 {
             return Err(SnapshotError::Malformed("trailing bytes"));
         }
-        Ok(memo)
+        Ok(())
     }
+
+    /// A footer of `range_count` ranges that uses up the rest of the reader:
+    /// ranges, outcome, and the memo entry count it records.
+    fn footer(
+        &mut self,
+        range_count: usize,
+    ) -> Result<(Vec<MaskRange>, SweepOutcome, u64), SnapshotError> {
+        let ranges = self.ranges(range_count)?;
+        let outcome = self.outcome()?;
+        if self.u32()? as usize != range_count {
+            return Err(SnapshotError::Malformed("range count"));
+        }
+        let entries = self.u64()?;
+        if self.remaining() != 0 {
+            return Err(SnapshotError::Malformed("trailing bytes"));
+        }
+        Ok((ranges, outcome, entries))
+    }
+}
+
+/// Bytes of a footer over `range_count` ranges, if that fits a `usize`.
+fn footer_len(range_count: usize) -> Option<usize> {
+    range_count
+        .checked_mul(16)
+        .and_then(|n| n.checked_add(FOOTER_FIXED_LEN))
 }
 
 /// Cursor ranges, outcome, and memo: the parts of a snapshot after the
@@ -422,12 +544,13 @@ fn parse_v1(mut r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
     let ranges = r.ranges(range_count)?;
     let outcome = r.outcome()?;
     let memo_count = r.u64()?;
-    let memo = r.memo(memo_count)?;
+    let mut memo = Vec::new();
+    r.memo(memo_count, &mut memo)?;
     Ok((ranges, outcome, memo))
 }
 
-/// Version 2 after the prefix: entries, then the footer, whose last twelve
-/// bytes are the range and entry counts.
+/// Version 2 after the prefix (read-only): entries, then the footer, whose
+/// last twelve bytes are the range and entry counts.
 fn parse_v2(r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
     let body = r.bytes;
     let counts_at = body
@@ -435,30 +558,86 @@ fn parse_v2(r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
         .checked_sub(12)
         .filter(|&at| at >= r.at)
         .ok_or(SnapshotError::Truncated)?;
-    let mut counts = Reader {
+    let range_count = Reader {
         bytes: body,
         at: counts_at,
-    };
-    let range_count = counts.u32()? as usize;
-    let memo_count = counts.u64()?;
-    let footer_at = range_count
-        .checked_mul(16)
-        .and_then(|n| n.checked_add(FOOTER_FIXED_LEN))
+    }
+    .u32()? as usize;
+    let footer_at = footer_len(range_count)
         .and_then(|len| body.len().checked_sub(len))
         .filter(|&at| at >= r.at)
         .ok_or(SnapshotError::Malformed("range count"))?;
-    let mut footer = Reader {
-        bytes: &body[..counts_at],
+    let (ranges, outcome, memo_count) = Reader {
+        bytes: body,
         at: footer_at,
-    };
-    let ranges = footer.ranges(range_count)?;
-    let outcome = footer.outcome()?;
-    let mut entries = Reader {
+    }
+    .footer(range_count)?;
+    let mut memo = Vec::new();
+    Reader {
         bytes: &body[..footer_at],
         at: r.at,
-    };
-    let memo = entries.memo(memo_count)?;
+    }
+    .memo(memo_count, &mut memo)?;
     Ok((ranges, outcome, memo))
+}
+
+/// Version 3: the segments after the prefix, each checked and folded in,
+/// up to the end of the file or a torn tail. `bytes` is the whole file.
+fn parse_v3(bytes: &[u8]) -> Result<(SnapshotBody, SnapshotLayout), SnapshotError> {
+    let mut at = PREFIX_LEN;
+    let mut hash = fnv1a64(&bytes[..PREFIX_LEN]);
+    let mut memo = Vec::new();
+    let mut state = None;
+    let mut segments = 0;
+    while let Some(header) = bytes.get(at..at + SEGMENT_HEADER_LEN) {
+        let mut fields = Reader {
+            bytes: header,
+            at: 0,
+        };
+        let (len, range_count, check) = (fields.u64()?, fields.u32()? as usize, fields.u64()?);
+        if fnv1a64(&header[..12]) != check {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        let footer_len = footer_len(range_count).ok_or(SnapshotError::Malformed("range count"))?;
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        if len < SEGMENT_HEADER_LEN + footer_len + 8 {
+            return Err(SnapshotError::Malformed("segment length"));
+        }
+        // The file ends inside this segment: a torn tail.
+        let Some(segment) = bytes.get(at..).and_then(|rest| rest.get(..len)) else {
+            break;
+        };
+        let (content, digest) = segment.split_at(len - 8);
+        hash = fnv1a64_extend(hash, content);
+        if hash.to_le_bytes() != digest {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
+        hash = fnv1a64_extend(hash, digest);
+        let footer_at = content.len() - footer_len;
+        let (ranges, outcome, entries) = Reader {
+            bytes: content,
+            at: footer_at,
+        }
+        .footer(range_count)?;
+        let new = entries
+            .checked_sub(memo.len() as u64)
+            .ok_or(SnapshotError::Malformed("memo count"))?;
+        Reader {
+            bytes: &content[..footer_at],
+            at: SEGMENT_HEADER_LEN,
+        }
+        .memo(new, &mut memo)?;
+        state = Some((ranges, outcome));
+        segments += 1;
+        at += len;
+    }
+    let (ranges, outcome) = state.ok_or(SnapshotError::Truncated)?;
+    let layout = SnapshotLayout {
+        version: 3,
+        segments,
+        torn_tail_bytes: bytes.len() - at,
+    };
+    Ok(((ranges, outcome, memo), layout))
 }
 
 impl SweepSnapshot {
@@ -477,49 +656,70 @@ impl SweepSnapshot {
         }
     }
 
-    /// A writer holding this snapshot's prefix and memo.
-    fn writer(&self) -> SnapshotWriter {
-        let mut writer = SnapshotWriter::new(&self.cursor);
-        writer.extend(&self.memo);
-        writer
-    }
-
-    /// Serializes to the on-disk byte layout, digest included.
+    /// Serializes to the on-disk byte layout: the prefix and one segment
+    /// holding the whole memo.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.writer().to_bytes(&self.cursor, &self.outcome)
+        let mut out = Vec::new();
+        SegmentEncoder::start(&mut out, &self.cursor)
+            .and_then(|mut encoder| {
+                encoder.write_segment(&mut out, &self.memo, &self.cursor, &self.outcome)
+            })
+            .expect("writing to a Vec cannot fail");
+        out
     }
 
-    /// Parses and validates a snapshot of either version: magic, digest,
-    /// version, then fields.
+    /// Parses and validates a snapshot of any readable version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        Ok(Self::from_bytes_with_layout(bytes)?.0)
+    }
+
+    /// [`Self::from_bytes`], also reporting how the file was laid out.
+    /// Checks the magic, then every digest (all of a version 3 file's
+    /// segment checks, or the one trailing digest of any other version),
+    /// then the version, then the fields.
+    pub fn from_bytes_with_layout(bytes: &[u8]) -> Result<(Self, SnapshotLayout), SnapshotError> {
         if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
             return Err(SnapshotError::Truncated);
         }
-        if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-        if fnv1a64(body) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mut r = Reader {
-            bytes: body,
-            at: SNAPSHOT_MAGIC.len(),
+        let version = format_version(bytes)?;
+        let ((ranges, outcome, memo), layout) = if version == 3 {
+            if bytes.len() < PREFIX_LEN {
+                return Err(SnapshotError::Truncated);
+            }
+            parse_v3(bytes)?
+        } else {
+            let body = &bytes[..bytes.len() - 8];
+            let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+            if fnv1a64(body) != stored {
+                return Err(SnapshotError::ChecksumMismatch);
+            }
+            if body.len() < PREFIX_LEN {
+                return Err(SnapshotError::Truncated);
+            }
+            let r = Reader {
+                bytes: body,
+                at: PREFIX_LEN,
+            };
+            let parsed = match version {
+                1 => parse_v1(r)?,
+                2 => parse_v2(r)?,
+                _ => return Err(SnapshotError::UnsupportedVersion(version)),
+            };
+            let layout = SnapshotLayout {
+                version,
+                segments: 1,
+                torn_tail_bytes: 0,
+            };
+            (parsed, layout)
         };
-        let version = r.u32()?;
-        if version != 1 && version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
+        let mut r = Reader {
+            bytes,
+            at: SNAPSHOT_MAGIC.len() + 4,
+        };
         let delta = r.u16()?;
         let num_labels = r.u16()?;
         let engine = EngineKind::from_u8(r.u8()?).ok_or(SnapshotError::Malformed("engine kind"))?;
-        let (ranges, outcome, memo) = if version == 1 {
-            parse_v1(r)?
-        } else {
-            parse_v2(r)?
-        };
-        Ok(SweepSnapshot {
+        let snapshot = SweepSnapshot {
             cursor: SweepCursor {
                 delta,
                 num_labels,
@@ -528,14 +728,15 @@ impl SweepSnapshot {
             },
             outcome,
             memo,
-        })
+        };
+        Ok((snapshot, layout))
     }
 
     /// Writes the snapshot atomically: serialize to `<path>.tmp` in the same
     /// directory, then `rename` over `path`. A reader never observes a
     /// partial file.
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        self.writer().save(path, &self.cursor, &self.outcome)?;
+        SnapshotWriter::create(path, &self.memo, &self.cursor, &self.outcome)?;
         Ok(())
     }
 
@@ -546,142 +747,154 @@ impl SweepSnapshot {
     }
 }
 
-/// The one snapshot writer: every snapshot file — [`SweepSnapshot::save`],
-/// the engine's memo flush, and a sweep's periodic and final checkpoints —
-/// is written through it.
-///
-/// It keeps the encoded prefix and memo entries, plus the running FNV-1a
-/// state over them. [`Self::extend`] encodes and hashes only the entries it
-/// is given, and [`Self::save`] hashes only the footer, so a sweep that
-/// checkpoints repeatedly pays for each entry once instead of once per write.
-#[derive(Debug, Clone)]
-pub struct SnapshotWriter {
-    /// The prefix followed by every entry appended so far, in chunks that
-    /// are filled but never reallocated, so a growing memo is never copied.
-    chunks: Vec<Vec<u8>>,
-    /// Total length of `chunks`.
-    len: usize,
-    /// FNV-1a 64 state after `chunks`.
+/// Encodes a version 3 file: the prefix, then one segment per
+/// [`Self::write_segment`]. It carries what the next segment depends on
+/// besides its own entries and footer — the file length, the running FNV-1a
+/// 64 state over every byte so far, and the entry count — so a segment costs
+/// only its own bytes, however long the file already is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentEncoder {
+    len: u64,
     hash: u64,
-    /// Entries appended so far.
     entries: u64,
 }
 
-impl SnapshotWriter {
-    /// A writer with no entries for the campaign of `cursor`, whose δ, |Σ|,
-    /// and engine make the prefix. The prefix is fixed: every later
-    /// [`Self::save`] must pass a cursor of the same campaign.
-    pub fn new(cursor: &SweepCursor) -> Self {
-        let prefix = prefix(cursor);
-        SnapshotWriter {
+impl SegmentEncoder {
+    /// Writes the prefix of `cursor`'s campaign — its δ, |Σ|, and engine,
+    /// fixed for every later segment — and returns the encoder after it.
+    pub fn start<W: Write>(out: &mut W, cursor: &SweepCursor) -> io::Result<Self> {
+        let mut prefix = [0u8; PREFIX_LEN];
+        prefix[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+        prefix[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        prefix[12..14].copy_from_slice(&cursor.delta.to_le_bytes());
+        prefix[14..16].copy_from_slice(&cursor.num_labels.to_le_bytes());
+        prefix[16] = cursor.engine.to_u8();
+        out.write_all(&prefix)?;
+        Ok(SegmentEncoder {
+            len: PREFIX_LEN as u64,
             hash: fnv1a64(&prefix),
-            chunks: vec![prefix.to_vec()],
-            len: PREFIX_LEN,
             entries: 0,
-        }
+        })
     }
 
-    /// Appends memo entries: encodes and hashes only these.
-    pub fn extend(&mut self, entries: &[(CanonicalKey, Complexity)]) {
-        let needed: usize = entries
-            .iter()
-            .map(|(k, c)| 2 + 2 * k.as_words().len() + if complexity_tag(*c) == 4 { 5 } else { 1 })
-            .sum();
-        let last = self.chunks.last().expect("the prefix chunk");
-        if last.capacity() - last.len() < needed {
-            // At least a quarter of the bytes so far: the chunk count stays
-            // logarithmic in the file size.
-            self.chunks
-                .push(Vec::with_capacity(needed.max(self.len / 4)));
-        }
-        let chunk = self.chunks.last_mut().expect("the prefix chunk");
-        let start = chunk.len();
-        for (key, complexity) in entries {
-            let words = key.as_words();
-            push_u16(chunk, words.len() as u16);
-            for &w in words {
-                push_u16(chunk, w);
-            }
-            chunk.push(complexity_tag(*complexity));
-            if let Complexity::Polynomial { exponent } = *complexity {
-                push_u32(chunk, exponent as u32);
-            }
-        }
-        debug_assert_eq!(chunk.len() - start, needed);
-        self.hash = fnv1a64_extend(self.hash, &chunk[start..]);
-        self.len += needed;
-        self.entries += entries.len() as u64;
+    /// Bytes of the file encoded so far.
+    pub fn file_len(&self) -> u64 {
+        self.len
     }
 
-    /// Footer for `cursor` and `outcome`, digest included.
-    fn footer(&self, cursor: &SweepCursor, outcome: &SweepOutcome) -> Vec<u8> {
-        debug_assert_eq!(
-            prefix(cursor),
-            self.chunks[0][..PREFIX_LEN],
-            "a writer's cursor must keep its campaign"
-        );
-        let mut out = Vec::with_capacity(16 * cursor.ranges.len() + FOOTER_FIXED_LEN + 8);
-        for range in &cursor.ranges {
-            push_u64(&mut out, range.next);
-            push_u64(&mut out, range.hi);
-        }
-        push_histogram(&mut out, &outcome.orbits);
-        push_histogram(&mut out, &outcome.problems);
-        push_u64(&mut out, outcome.lanes.blocks);
-        push_u64(&mut out, outcome.lanes.fixpoint_rounds);
-        push_u64(&mut out, outcome.lanes.live_lane_rounds);
-        push_u64(&mut out, outcome.lanes.scalar_fallbacks);
-        push_u32(&mut out, cursor.ranges.len() as u32);
-        push_u64(&mut out, self.entries);
-        let digest = fnv1a64_extend(self.hash, &out);
-        push_u64(&mut out, digest);
-        out
-    }
-
-    /// The complete file for `cursor` and `outcome`, as [`Self::save`]
-    /// writes it.
-    pub fn to_bytes(&self, cursor: &SweepCursor, outcome: &SweepOutcome) -> Vec<u8> {
-        let footer = self.footer(cursor, outcome);
-        let mut out = Vec::with_capacity(self.len + footer.len());
-        for chunk in &self.chunks {
-            out.extend_from_slice(chunk);
-        }
-        out.extend_from_slice(&footer);
-        out
-    }
-
-    /// Writes the file for `cursor` and `outcome` atomically: stream it to
-    /// `<path>.tmp` in the same directory, then `rename` over `path`. A
-    /// reader never observes a partial file.
-    pub fn save(
-        &self,
-        path: &Path,
+    /// Writes one segment: `entries` (the memo entries committed since the
+    /// previous segment), then the footer of `cursor` and `outcome`, then
+    /// the chained digest. The cursor must keep the campaign of
+    /// [`Self::start`]. On error the encoder is unchanged and `out` may hold
+    /// part of the segment.
+    pub fn write_segment<'a, W, I>(
+        &mut self,
+        out: &mut W,
+        entries: I,
         cursor: &SweepCursor,
         outcome: &SweepOutcome,
-    ) -> io::Result<()> {
-        let footer = self.footer(cursor, outcome);
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let mut file = std::fs::File::create(&tmp)?;
-        for chunk in &self.chunks {
-            file.write_all(chunk)?;
+    ) -> io::Result<()>
+    where
+        W: Write,
+        I: IntoIterator<Item = &'a (CanonicalKey, Complexity)>,
+        I::IntoIter: Clone,
+    {
+        let entries = entries.into_iter();
+        let (count, entry_bytes) = entries.clone().fold((0u64, 0usize), |(n, len), (k, c)| {
+            (n + 1, len + entry_len(k, *c))
+        });
+        let footer_len = footer_len(cursor.ranges.len()).expect("a footer fits in memory");
+        let len = SEGMENT_HEADER_LEN + entry_bytes + footer_len + 8;
+        let mut buf = Vec::with_capacity(len.min(2 * WRITE_CHUNK));
+        buf.extend_from_slice(&segment_header(len as u64, cursor.ranges.len() as u32));
+        let mut hash = self.hash;
+        let mut flush = |buf: &mut Vec<u8>, hash: &mut u64| {
+            *hash = fnv1a64_extend(*hash, buf);
+            let written = out.write_all(buf);
+            buf.clear();
+            written
+        };
+        for (key, complexity) in entries {
+            push_entry(&mut buf, key, *complexity);
+            if buf.len() >= WRITE_CHUNK {
+                flush(&mut buf, &mut hash)?;
+            }
         }
-        file.write_all(&footer)?;
-        drop(file);
-        std::fs::rename(&tmp, path)
+        push_footer(&mut buf, cursor, outcome, self.entries + count);
+        flush(&mut buf, &mut hash)?;
+        buf.extend_from_slice(&hash.to_le_bytes());
+        flush(&mut buf, &mut hash)?;
+        self.len += len as u64;
+        self.hash = hash;
+        self.entries += count;
+        Ok(())
     }
 }
 
-/// The immutable prefix of `cursor`'s campaign.
-fn prefix(cursor: &SweepCursor) -> [u8; PREFIX_LEN] {
-    let mut out = [0u8; PREFIX_LEN];
-    out[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-    out[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out[12..14].copy_from_slice(&cursor.delta.to_le_bytes());
-    out[14..16].copy_from_slice(&cursor.num_labels.to_le_bytes());
-    out[16] = cursor.engine.to_u8();
-    out
+/// The one snapshot file writer: every snapshot file — [`SweepSnapshot::save`],
+/// the engine's memo flush, and a sweep's checkpoints — is written through
+/// it.
+///
+/// [`Self::create`] writes the whole file as one segment through a temp file
+/// and `rename`, and keeps the file open; [`Self::append`] adds one segment
+/// through that handle. The writer holds only the handle and the
+/// [`SegmentEncoder`] state, never the encoded memo.
+#[derive(Debug)]
+pub struct SnapshotWriter {
+    file: File,
+    encoder: SegmentEncoder,
+}
+
+impl SnapshotWriter {
+    /// Writes the file for `entries` (the whole memo), `cursor`, and
+    /// `outcome` atomically: stream it to `<path>.tmp` in the same
+    /// directory, then `rename` over `path`. A reader never observes a
+    /// partial file, and whatever the path held before — a torn tail
+    /// included — is replaced.
+    pub fn create<'a, I>(
+        path: &Path,
+        entries: I,
+        cursor: &SweepCursor,
+        outcome: &SweepOutcome,
+    ) -> io::Result<Self>
+    where
+        I: IntoIterator<Item = &'a (CanonicalKey, Complexity)>,
+        I::IntoIter: Clone,
+    {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut file = File::create(&tmp)?;
+        let mut encoder = SegmentEncoder::start(&mut file, cursor)?;
+        encoder.write_segment(&mut file, entries, cursor, outcome)?;
+        std::fs::rename(&tmp, path)?;
+        Ok(SnapshotWriter { file, encoder })
+    }
+
+    /// Appends one segment: `entries` (the memo entries committed since the
+    /// previous write), then the footer of `cursor` and `outcome`. Nothing
+    /// written earlier is touched. A crash mid-append leaves a torn tail,
+    /// which readers skip; a failed append is cut off the file (best effort)
+    /// so the next one starts at the last complete segment.
+    pub fn append<'a, I>(
+        &mut self,
+        entries: I,
+        cursor: &SweepCursor,
+        outcome: &SweepOutcome,
+    ) -> io::Result<()>
+    where
+        I: IntoIterator<Item = &'a (CanonicalKey, Complexity)>,
+        I::IntoIter: Clone,
+    {
+        let written = self
+            .encoder
+            .write_segment(&mut self.file, entries, cursor, outcome);
+        if written.is_err() {
+            let _ = self.file.set_len(self.encoder.len);
+            let _ = self.file.seek(SeekFrom::Start(self.encoder.len));
+        }
+        written
+    }
 }
 
 /// What [`load_or_quarantine`] found at a checkpoint path.
@@ -703,7 +916,9 @@ pub enum LoadOutcome {
 ///
 /// Damage — [`SnapshotError::ChecksumMismatch`] or [`SnapshotError::Truncated`]
 /// — means the bytes *were* a snapshot but didn't survive intact (a torn disk,
-/// a partial copy); the file is renamed to `<path>.corrupt` (clobbering any
+/// a partial copy). A version 3 file whose last checkpoint append was cut
+/// short is not damaged: it loads the previous segment. A damaged file is
+/// renamed to `<path>.corrupt` (clobbering any
 /// previous quarantine of the same path) and reported as
 /// [`LoadOutcome::Quarantined`] so the caller can continue with a fresh
 /// campaign. Everything else stays a hard error: [`SnapshotError::BadMagic`]
@@ -837,17 +1052,109 @@ mod tests {
             SweepSnapshot::from_bytes(&bytes[..10]),
             Err(SnapshotError::Truncated)
         ));
-        // Any strict prefix long enough to parse headers still fails the
-        // digest (the trailing 8 bytes are now content, not the digest).
-        for cut in [bytes.len() - 1, bytes.len() - 9, bytes.len() / 2] {
+        // A file cut anywhere inside its only segment (or right after the
+        // prefix) has no complete state to fall back on.
+        for cut in [
+            bytes.len() - 1,
+            bytes.len() - 9,
+            bytes.len() / 2,
+            PREFIX_LEN,
+            PREFIX_LEN + SEGMENT_HEADER_LEN - 1,
+            PREFIX_LEN + SEGMENT_HEADER_LEN,
+        ] {
             assert!(
                 matches!(
                     SweepSnapshot::from_bytes(&bytes[..cut]),
-                    Err(SnapshotError::ChecksumMismatch)
+                    Err(SnapshotError::Truncated)
                 ),
                 "cut at {cut}"
             );
         }
+    }
+
+    /// `sample()` after its first memo entry: one orbit, one range advanced.
+    fn sample_after_one_entry() -> SweepSnapshot {
+        let mut snap = sample();
+        snap.memo.truncate(1);
+        snap.cursor.ranges[0].next = 7;
+        snap.outcome = SweepOutcome::default();
+        snap.outcome.orbits.add(Complexity::Constant, 1);
+        snap.outcome.problems.add(Complexity::Constant, 6);
+        snap
+    }
+
+    /// `sample()` written as two segments: the state after its first entry,
+    /// then the rest. Returns the file and the first segment's end.
+    fn two_segments() -> (Vec<u8>, usize) {
+        let (early, last) = (sample_after_one_entry(), sample());
+        let mut bytes = Vec::new();
+        let mut encoder = SegmentEncoder::start(&mut bytes, &early.cursor).unwrap();
+        encoder
+            .write_segment(&mut bytes, &early.memo, &early.cursor, &early.outcome)
+            .unwrap();
+        let boundary = bytes.len();
+        assert_eq!(encoder.file_len(), boundary as u64);
+        encoder
+            .write_segment(&mut bytes, &last.memo[1..], &last.cursor, &last.outcome)
+            .unwrap();
+        assert_eq!(encoder.file_len(), bytes.len() as u64);
+        (bytes, boundary)
+    }
+
+    #[test]
+    fn appended_segments_load_to_the_last_complete_one() {
+        let (bytes, boundary) = two_segments();
+        let (early, last) = (sample_after_one_entry(), sample());
+        // The first segment is the one-shot file of its state.
+        assert_eq!(bytes[..boundary], early.to_bytes()[..]);
+        let (back, layout) = SweepSnapshot::from_bytes_with_layout(&bytes).unwrap();
+        assert_eq!(back.cursor, last.cursor);
+        assert_eq!(back.outcome, last.outcome);
+        assert_eq!(back.memo, last.memo);
+        assert_eq!(
+            layout,
+            SnapshotLayout {
+                version: 3,
+                segments: 2,
+                torn_tail_bytes: 0
+            }
+        );
+        // A file cut inside the second segment, header or body, loads the
+        // first: a torn tail.
+        for cut in boundary..bytes.len() {
+            let (back, layout) = SweepSnapshot::from_bytes_with_layout(&bytes[..cut]).unwrap();
+            assert_eq!(back.cursor, early.cursor, "cut at {cut}");
+            assert_eq!(back.outcome, early.outcome, "cut at {cut}");
+            assert_eq!(back.memo, early.memo, "cut at {cut}");
+            assert_eq!(
+                (layout.segments, layout.torn_tail_bytes),
+                (1, cut - boundary)
+            );
+        }
+    }
+
+    #[test]
+    fn damage_in_any_complete_segment_is_a_checksum_mismatch() {
+        let (bytes, boundary) = two_segments();
+        for at in PREFIX_LEN..bytes.len() {
+            let mut damaged = bytes.clone();
+            damaged[at] ^= 0x10;
+            assert!(
+                matches!(
+                    SweepSnapshot::from_bytes(&damaged),
+                    Err(SnapshotError::ChecksumMismatch)
+                ),
+                "flip at {at}"
+            );
+        }
+        // A complete second header with a bad check is damage, even though
+        // the segment behind it is cut short.
+        let mut torn = bytes[..boundary + SEGMENT_HEADER_LEN + 1].to_vec();
+        torn[boundary + 3] ^= 1;
+        assert!(matches!(
+            SweepSnapshot::from_bytes(&torn),
+            Err(SnapshotError::ChecksumMismatch)
+        ));
     }
 
     #[test]

@@ -16,14 +16,17 @@
 //! * **Connection reuse** (HTTP/1.1 keep-alive). A worker answers request
 //!   after request on one socket. After each response it keeps the
 //!   connection only if the response is `2xx`, the peer allows reuse (see
-//!   [`crate::http`]), shutdown has not begun, and the accept queue is empty;
-//!   otherwise the response says `Connection: close` and the socket closes.
+//!   [`crate::http`]), shutdown has not begun, and no connection is
+//!   *waiting*: the accept queue holds no more connections than there are
+//!   idle workers blocked on it, which take them at once. Otherwise the
+//!   response says `Connection: close` and the socket closes.
 //!   Closing on every non-`2xx` keeps hostile peers from holding workers.
 //! * **Idle yield.** Between requests the worker waits in [`POLL`] slices and
 //!   closes the connection without a response as soon as shutdown begins, a
-//!   connection waits in the queue, or `read_timeout` passes idle. A busy
+//!   connection is waiting (as above), or `read_timeout` passes idle. A busy
 //!   connection therefore gives up its worker as soon as another connection
-//!   waits — no per-connection request cap. The queue holds only fresh
+//!   waits — no per-connection request cap — but not for a connection an
+//!   idle worker is about to take. The queue holds only fresh
 //!   connections, so shedding is unchanged. Once the first byte of the next
 //!   request arrives, the usual absolute read deadline applies (`408`).
 //! * **Boot** loads the configured snapshot if present — quarantining a
@@ -110,43 +113,66 @@ pub struct ShutdownReport {
 
 /// Shared connection queue: bounded, condvar-signaled.
 struct Queue {
-    conns: Mutex<VecDeque<TcpStream>>,
+    inner: Mutex<QueueInner>,
     ready: Condvar,
     capacity: usize,
 }
 
+/// The queued connections and how many workers are blocked in
+/// [`Queue::pop`] for one.
+#[derive(Default)]
+struct QueueInner {
+    conns: VecDeque<TcpStream>,
+    idle_workers: usize,
+}
+
 impl Queue {
+    fn new(capacity: usize) -> Self {
+        Queue {
+            inner: Mutex::new(QueueInner::default()),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
+        self.inner.lock().expect("connection queue poisoned")
+    }
+
     /// Enqueues if there is room; the connection is handed back on overflow.
     fn push(&self, conn: TcpStream) -> Result<(), TcpStream> {
-        let mut q = self.conns.lock().expect("connection queue poisoned");
-        if q.len() >= self.capacity {
+        let mut q = self.lock();
+        if q.conns.len() >= self.capacity {
             return Err(conn);
         }
-        q.push_back(conn);
+        q.conns.push_back(conn);
         drop(q);
         self.ready.notify_one();
         Ok(())
     }
 
-    /// Whether no connection is waiting for a worker.
-    fn is_empty(&self) -> bool {
-        self.conns
-            .lock()
-            .expect("connection queue poisoned")
-            .is_empty()
+    /// Whether a queued connection waits for a worker that is not already
+    /// free to take it: more connections are queued than workers are
+    /// blocked in [`Self::pop`].
+    fn has_waiting(&self) -> bool {
+        let q = self.lock();
+        q.conns.len() > q.idle_workers
     }
 
-    /// Pops a connection, waiting up to `wait`; `None` on timeout.
+    /// Pops a connection, waiting up to `wait`; `None` on timeout. While it
+    /// waits, the worker counts as idle.
     fn pop(&self, wait: Duration) -> Option<TcpStream> {
-        let mut q = self.conns.lock().expect("connection queue poisoned");
-        if let Some(conn) = q.pop_front() {
+        let mut q = self.lock();
+        if let Some(conn) = q.conns.pop_front() {
             return Some(conn);
         }
+        q.idle_workers += 1;
         let (mut q, _) = self
             .ready
             .wait_timeout(q, wait)
             .expect("connection queue poisoned");
-        q.pop_front()
+        q.idle_workers -= 1;
+        q.conns.pop_front()
     }
 }
 
@@ -187,11 +213,7 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let queue = Arc::new(Queue {
-            conns: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            capacity: config.queue_capacity.max(1),
-        });
+        let queue = Arc::new(Queue::new(config.queue_capacity.max(1)));
         let state = Arc::new(ServeState::new(config, engine));
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -364,7 +386,7 @@ fn serve_connection(mut conn: TcpStream, queue: &Queue, state: &ServeState, stop
         let keep = (200..300).contains(&response.status)
             && peer_reuses
             && !stop.load(Ordering::SeqCst)
-            && queue.is_empty();
+            && !queue.has_waiting();
         let written = response
             .write(&mut conn, config.write_timeout, keep)
             .is_ok();
@@ -395,8 +417,8 @@ fn handle(state: &ServeState, req: &Request) -> Response {
 
 /// The idle wait of a kept-alive connection: waits in [`POLL`] slices for the
 /// first byte of its next request. `false` means close without a response —
-/// the peer closed, shutdown began, a connection is waiting in the queue, or
-/// `idle_timeout` passed with nothing read.
+/// the peer closed, shutdown began, a queued connection waits with no idle
+/// worker to take it, or `idle_timeout` passed with nothing read.
 fn await_next_request(
     conn: &mut TcpStream,
     pending: &mut Vec<u8>,
@@ -411,7 +433,7 @@ fn await_next_request(
     let idle_until = Instant::now() + idle_timeout;
     loop {
         let now = Instant::now();
-        if stop.load(Ordering::SeqCst) || !queue.is_empty() || now >= idle_until {
+        if stop.load(Ordering::SeqCst) || queue.has_waiting() || now >= idle_until {
             return false;
         }
         match read_more(conn, pending, (now + POLL).min(idle_until)) {
@@ -434,6 +456,34 @@ fn error_kind(e: &HttpError) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_connection_an_idle_worker_takes_is_never_waiting() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let queue = Arc::new(Queue::new(4));
+        let worker = {
+            let queue = queue.clone();
+            std::thread::spawn(move || queue.pop(Duration::from_secs(30)))
+        };
+        while queue.lock().idle_workers == 0 {
+            std::thread::yield_now();
+        }
+        let _client = TcpStream::connect(addr).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        queue.push(conn).unwrap();
+        // From the push until the worker has taken the connection, the queue
+        // never reports it as waiting.
+        while !worker.is_finished() {
+            assert!(!queue.has_waiting());
+        }
+        assert!(worker.join().unwrap().is_some());
+        assert!(!queue.has_waiting());
+        // With no idle worker, a queued connection waits.
+        let _client = TcpStream::connect(addr).unwrap();
+        queue.push(listener.accept().unwrap().0).unwrap();
+        assert!(queue.has_waiting());
+    }
 
     #[test]
     fn requests_and_connections_are_counted_separately() {
