@@ -34,6 +34,12 @@
 //! 500 orbits, against it in memory. Their median time ratio is recorded as
 //! `checkpointed_vs_in_memory` (cost, so lower is better; each case carries
 //! its min/max/samples), and CI fails when the committed ratio reaches 2.0.
+//!
+//! Resume cost: the last quarter of the orbits as one campaign leg, loaded
+//! and resumed from the checkpoint of everything before it, against the same
+//! leg from an empty memo. Their median time ratio is recorded as
+//! `resumed_leg_vs_fresh_leg` (cost, lower is better), and CI fails when the
+//! committed ratio reaches 2.0.
 
 use std::path::Path;
 use std::time::Instant;
@@ -41,8 +47,8 @@ use std::time::Instant;
 use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::engine::ComplexityHistogram;
 use lcl_core::{
-    CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth, SweepCheckpoint,
-    SweepOutcome, SweepSnapshot,
+    CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth, MaskRange,
+    SlicedUniverse, SweepCheckpoint, SweepOutcome, SweepSnapshot,
 };
 use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::random::enumerate_problems;
@@ -241,6 +247,133 @@ fn run_checkpoint_cost(report: &mut BenchReport, delta: usize, labels: usize, sa
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Share of the universe's orbits in the final slice of the resumed-leg
+/// bench: `1 / RESUMED_SLICE_DIVISOR`.
+const RESUMED_SLICE_DIVISOR: usize = 4;
+
+/// Sweeps the cursor of `state` on a fresh engine with the bit-sliced
+/// engine, writing a checkpoint to `checkpoint` every [`CHECKPOINT_EVERY`]
+/// orbits and at the end.
+fn sweep_leg(
+    family: &CanonicalFamily,
+    universe: &SlicedUniverse,
+    state: SweepSnapshot,
+    checkpoint: &Path,
+) -> SweepSnapshot {
+    let width = LaneWidth::default();
+    let ckpt = SweepCheckpoint {
+        path: Some(checkpoint),
+        every_orbits: CHECKPOINT_EVERY,
+        orbit_limit: None,
+    };
+    let (snap, completed) = ClassificationEngine::new()
+        .sweep_resumable_bitsliced(
+            universe,
+            width,
+            state,
+            |r| family.blocks_in(r, width.lanes()),
+            |mask| family.problem_at(mask),
+            |mask| family.canonical_key_of(mask),
+            &ckpt,
+        )
+        .expect("campaign checkpoint written");
+    assert!(completed, "an unlimited leg runs to completion");
+    snap
+}
+
+/// Resumed-leg cost: a campaign leg over the final slice of the universe
+/// (the masks from the representative of the orbit at three quarters of the
+/// canonical stream on), resumed from the checkpoint of everything below it
+/// (load, then a checkpointed bit-sliced sweep of the slice), against the
+/// same leg started from an empty memo. The slice is a quarter of the
+/// orbits because the load alone — the file digest and one key per carried
+/// entry — costs about 0.2 µs per carried entry against about 1.2 µs per
+/// classified orbit: for a slice of an eighth, with seven entries carried
+/// per orbit classified, the load would cost more than the leg. Both legs
+/// run on one worker, and each iteration first puts the near-complete
+/// checkpoint back at the leg's path, so the two differ only in what
+/// resuming costs: the load and whatever the sweep pays for the memo it
+/// carries. Their median time ratio is recorded as
+/// `resumed_leg_vs_fresh_leg` (cost, so lower is better); CI fails when the
+/// committed ratio reaches 2.0.
+fn run_resumed_leg(report: &mut BenchReport, delta: usize, labels: usize, samples: usize) {
+    let family = CanonicalFamily::new(delta, labels);
+    let universe = family.sliced_universe();
+    let whole = family.ranges(1)[0];
+    let representatives: Vec<u64> = family
+        .blocks_in(whole, LaneWidth::default().lanes())
+        .flat_map(|block| block.masks)
+        .collect();
+    let slice = MaskRange {
+        next: representatives
+            [representatives.len() - representatives.len() / RESUMED_SLICE_DIVISOR],
+        hi: whole.hi,
+    };
+    let state_over = |range| {
+        SweepSnapshot::fresh(
+            delta as u16,
+            labels as u16,
+            EngineKind::Bitsliced,
+            vec![range],
+        )
+    };
+    let dir = std::env::temp_dir().join(format!("rtlcl-bench-resumed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    let path = dir.join("campaign.ckpt");
+
+    // The near-complete checkpoint: every mask below the slice swept, the
+    // slice pending.
+    let below = MaskRange {
+        next: whole.next,
+        hi: slice.next,
+    };
+    let mut near_complete = sweep_leg(&family, &universe, state_over(below), &path);
+    near_complete.cursor.ranges = vec![slice];
+    let pristine = near_complete.to_bytes();
+
+    let resumed_leg = || {
+        std::fs::write(&path, &pristine).expect("checkpoint restored");
+        let state = SweepSnapshot::load(&path).expect("the checkpoint loads");
+        sweep_leg(&family, &universe, state, &path)
+    };
+    let fresh_leg = || {
+        std::fs::write(&path, &pristine).expect("checkpoint restored");
+        sweep_leg(&family, &universe, state_over(slice), &path)
+    };
+    let fresh = fresh_leg();
+    let resumed = resumed_leg();
+    let on_disk = SweepSnapshot::load(&path).expect("the resumed leg's checkpoint loads");
+    assert_eq!(on_disk.outcome, resumed.outcome);
+    assert_eq!(on_disk.memo.len(), resumed.memo.len());
+    let slice_orbits = fresh.outcome.orbits.total();
+    assert_eq!(
+        resumed.outcome.orbits.total(),
+        near_complete.outcome.orbits.total() + slice_orbits
+    );
+    assert_eq!(
+        resumed.memo.len(),
+        near_complete.memo.len() + fresh.memo.len()
+    );
+
+    let mut bench = Bench::new(&format!(
+        "(δ={delta}, {labels}-label) campaign leg over the final 1/{RESUMED_SLICE_DIVISOR} of \
+         the orbits ({slice_orbits} orbits, {} carried)",
+        near_complete.memo.len()
+    ));
+    let resumed_label = "resumed from the near-complete checkpoint";
+    let fresh_label = "fresh (empty memo)";
+    bench.case_samples(resumed_label, samples, || black_box(resumed_leg().outcome));
+    bench.case_samples(fresh_label, samples, || black_box(fresh_leg().outcome));
+    let resumed = bench.median_of(resumed_label).expect("case ran");
+    let fresh = bench.median_of(fresh_label).expect("case ran");
+    // Time of the resumed leg over time of the fresh one: the resume cost.
+    let ratio = report.add_ratio("resumed_leg_vs_fresh_leg", resumed, fresh);
+    println!("resumed leg / fresh leg: {ratio:.2}x");
+    println!();
+    report.add_group(bench);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn run_universe(
     report: &mut BenchReport,
     delta: usize,
@@ -332,5 +465,7 @@ fn main() {
     run_warm_boot(&mut report, 2, 3, 3);
     // What periodic checkpoints add to the bit-sliced sweep.
     run_checkpoint_cost(&mut report, 2, 3, 11);
+    // What resuming a near-complete campaign adds to its last leg.
+    run_resumed_leg(&mut report, 2, 3, 11);
     report.write().expect("bench report written");
 }

@@ -11,7 +11,8 @@
 //! Besides the human-readable table, every bench binary funnels its groups into
 //! a [`BenchReport`], which writes a machine-readable `BENCH_<name>.json` at
 //! the workspace root (median, min and max nanoseconds, sample and iteration
-//! counts per case, plus any named ratios the bench asserts on). CI runs the
+//! counts per case, plus any named ratios the bench asserts on), headed by
+//! the machine's core count and the git revision measured. CI runs the
 //! benches on every push, so the sequence of those files tracks the
 //! performance trajectory across PRs.
 
@@ -146,6 +147,8 @@ impl Bench {
 /// writes them as `BENCH_<name>.json` at the workspace root.
 pub struct BenchReport {
     bench: String,
+    nproc: usize,
+    revision: String,
     groups: Vec<Bench>,
     ratios: Vec<(String, f64)>,
     metrics: Vec<(String, f64)>,
@@ -156,6 +159,8 @@ impl BenchReport {
     pub fn new(bench: &str) -> Self {
         BenchReport {
             bench: bench.to_string(),
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            revision: git_revision(),
             groups: Vec::new(),
             ratios: Vec::new(),
             metrics: Vec::new(),
@@ -200,6 +205,11 @@ impl BenchReport {
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", escape(&self.bench)));
+        out.push_str(&format!("  \"nproc\": {},\n", self.nproc));
+        out.push_str(&format!(
+            "  \"git_revision\": \"{}\",\n",
+            escape(&self.revision)
+        ));
         out.push_str("  \"groups\": [\n");
         for (gi, group) in self.groups.iter().enumerate() {
             out.push_str(&format!(
@@ -247,6 +257,35 @@ impl BenchReport {
         }
         out.push_str("}\n}\n");
         out
+    }
+}
+
+/// The workspace's git revision: the commit's 12-digit abbreviation, with
+/// `-dirty` when tracked files differ from it, or `"unknown"` when `git` or
+/// the repository is not there.
+fn git_revision() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(&root)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+    };
+    let Some(head) = git(&["rev-parse", "--short=12", "HEAD"]).filter(|o| o.status.success())
+    else {
+        return "unknown".into();
+    };
+    let head = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    if head.is_empty() {
+        return "unknown".into();
+    }
+    let dirty = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.code() == Some(1));
+    if dirty {
+        format!("{head}-dirty")
+    } else {
+        head
     }
 }
 
@@ -335,6 +374,9 @@ mod tests {
         report.add_metric("p99_us", 123.456);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"selftest\""));
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(json.contains(&format!("\"nproc\": {nproc},")));
+        assert!(json.contains("\"git_revision\": \""));
         assert!(json.contains(&format!(
             "\"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"samples\": 3, \"iters\": {}",
             case.median.as_nanos(),

@@ -33,7 +33,10 @@ use crate::classifier::{
 };
 use crate::problem::LclProblem;
 use crate::scratch::ClassifyScratch;
-use crate::snapshot::{MaskRange, SnapshotError, SnapshotWriter, SweepCursor, SweepSnapshot};
+use crate::snapshot::{
+    MaskRange, MemoFingerprint, SnapshotError, SnapshotOrigin, SnapshotWriter, SweepCursor,
+    SweepSnapshot,
+};
 
 /// A label-permutation-invariant fingerprint of a problem.
 ///
@@ -279,6 +282,10 @@ impl ShardedMemo {
     }
 }
 
+/// A sweep's index over its starting memo, borrowing the keys. It keeps the
+/// default hasher: the memo may come from a snapshot file.
+type BaselineIndex<'m> = HashMap<&'m CanonicalKey, Complexity>;
+
 /// Statistics of an engine's lifetime, taken with [`ClassificationEngine::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStats {
@@ -491,6 +498,7 @@ impl ClassificationEngine {
             },
             outcome: SweepOutcome::default(),
             memo: self.export_memo(),
+            origin: None,
         }
     }
 
@@ -535,22 +543,33 @@ impl ClassificationEngine {
     /// together, so every intermediate checkpoint is a consistent prefix of
     /// the sweep. With [`SweepCheckpoint::path`] set, the state is written
     /// every [`SweepCheckpoint::every_orbits`] processed orbits and once more
-    /// at the end: the first write replaces the file atomically (temp file +
-    /// rename), each later one appends a segment with the new entries (see
-    /// [`crate::snapshot`]) — killing the process at any instant loses at
-    /// most the uncommitted tail, and
+    /// at the end, each later write appending a segment with the new entries
+    /// (see [`crate::snapshot`]). The first write appends too when `state`
+    /// was loaded ([`SweepSnapshot::load`]) from that same path and neither
+    /// the file nor `state.memo` has changed since, cutting off any torn
+    /// tail first; otherwise it replaces the file atomically (temp file +
+    /// rename). Either way a leg writes only its own entries and, at most
+    /// once, the memo it started from. Killing the process at any instant
+    /// loses at most the uncommitted tail, and
     /// `state = SweepSnapshot::load(path)?` continues to histograms identical
     /// to an uninterrupted run. [`SweepCheckpoint::default`] keeps the whole
     /// campaign in memory.
     ///
     /// Orbits whose canonical key is already in `state.memo` are answered
     /// from it without running the decision procedure (the warm-boot
-    /// re-sweep path; they count as engine cache hits). Returns the final
-    /// snapshot and whether the cursor completed —
+    /// re-sweep path; they count as engine cache hits). The lookups borrow
+    /// the memo; it is neither copied nor imported. Returns the final
+    /// snapshot — `state.memo` followed by the entries this call classified,
+    /// in commit order — and whether the cursor completed;
     /// [`SweepCheckpoint::orbit_limit`] stops early with a valid, resumable
-    /// snapshot. The engine cache is warm for everything in the returned
-    /// snapshot's memo afterwards: after a complete sweep, any later
-    /// [`Self::classify`] of any member of the family is a hit.
+    /// snapshot.
+    ///
+    /// Afterwards the engine cache is warm for the entries this call
+    /// classified. Entries that arrived in `state.memo` belong to the
+    /// caller: a caller that wants [`Self::classify`] to answer them as hits
+    /// warms the engine with [`Self::import_memo`] (the daemon seeds its
+    /// campaigns from [`Self::export_memo`], so its cache already holds
+    /// them).
     pub fn sweep_resumable<I, F>(
         &self,
         state: SweepSnapshot,
@@ -612,7 +631,8 @@ impl ClassificationEngine {
     /// computes it mask-directly); it is only called when memoization is on.
     /// Blocks whose lanes are all covered by `state.memo` are answered from
     /// it without classification (such blocks add nothing to the lane
-    /// statistics).
+    /// statistics). Like there, the engine cache is warmed with only the
+    /// entries this call classified.
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_resumable_bitsliced<I, F, P, K>(
         &self,
@@ -707,22 +727,43 @@ impl ClassificationEngine {
     /// stands and the rest of the range stays pending. Otherwise the driver
     /// commits the uncommitted tail with the range's end as the watermark,
     /// which also accounts the trailing non-canonical masks.
+    ///
+    /// The starting memo is taken out of `state` and looked up through an
+    /// index that borrows it; the same pass fingerprints it when `state`
+    /// was loaded from the checkpoint path, so the first checkpoint can
+    /// append. It goes back in front of the new entries at the end.
     fn sweep_ranges<S, R>(
         &self,
-        state: SweepSnapshot,
+        mut state: SweepSnapshot,
         ckpt: &SweepCheckpoint<'_>,
         sweep_range: R,
     ) -> Result<(SweepSnapshot, bool), SnapshotError>
     where
         S: Default,
-        R: Fn(&mut S, &mut SweepWorker<'_>, MaskRange) -> bool + Sync,
+        R: Fn(&mut S, &mut SweepWorker<'_, '_>, MaskRange) -> bool + Sync,
     {
-        let baseline: HashMap<CanonicalKey, Complexity> = if self.canonicalize {
-            state.memo.iter().cloned().collect()
-        } else {
-            HashMap::new()
-        };
-        let (shared, ranges) = ResumeShared::start(state);
+        let mut memo = std::mem::take(&mut state.memo);
+        let origin = state
+            .origin
+            .take()
+            .filter(|origin| ckpt.path == Some(origin.path()));
+        let mut fingerprint = origin.as_ref().map(|_| MemoFingerprint::default());
+        let mut baseline = BaselineIndex::default();
+        if self.canonicalize {
+            baseline.reserve(memo.len());
+        }
+        for (key, complexity) in &memo {
+            if let Some(fingerprint) = &mut fingerprint {
+                fingerprint.push(key, *complexity);
+            }
+            if self.canonicalize {
+                baseline.insert(key, *complexity);
+            }
+        }
+        let origin = origin.filter(|origin| {
+            fingerprint.is_some_and(|fingerprint| origin.holds(memo.len(), fingerprint))
+        });
+        let (shared, ranges) = ResumeShared::start(state, &memo, origin);
         let pending = ranges.iter().filter(|r| !r.is_done()).count();
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -765,15 +806,20 @@ impl ClassificationEngine {
                 }
             });
         }
-        self.finish_resumable(shared, ckpt)
+        drop(baseline);
+        let (mut snapshot, completed) = self.finish_resumable(shared, ckpt)?;
+        memo.append(&mut snapshot.memo);
+        snapshot.memo = memo;
+        Ok((snapshot, completed))
     }
 
     /// Drains the shared state of a resumable sweep: surfaces deferred write
     /// errors, writes the final checkpoint, and warms the engine cache with
-    /// everything the snapshot knows.
+    /// the entries this call classified. Returns the final snapshot with
+    /// only those entries as its memo, and whether the cursor completed.
     fn finish_resumable(
         &self,
-        shared: ResumeShared,
+        shared: ResumeShared<'_>,
         ckpt: &SweepCheckpoint<'_>,
     ) -> Result<(SweepSnapshot, bool), SnapshotError> {
         let mut committed = shared
@@ -785,31 +831,17 @@ impl ClassificationEngine {
         }
         if let Some(path) = ckpt.path {
             committed.checkpoint(path)?;
-            committed.writer = None;
         }
         if self.canonicalize {
-            self.cache.extend(
-                committed
-                    .baseline
-                    .iter()
-                    .chain(committed.new_memo.iter())
-                    .cloned(),
-            );
+            self.cache.extend(committed.new_memo.iter().cloned());
         }
-        let ResumeCommitted {
-            cursor,
-            outcome,
-            baseline: mut memo,
-            mut new_memo,
-            ..
-        } = committed;
-        memo.append(&mut new_memo);
-        let completed = cursor.is_complete();
+        let completed = committed.cursor.is_complete();
         Ok((
             SweepSnapshot {
-                cursor,
-                outcome,
-                memo,
+                cursor: committed.cursor,
+                outcome: committed.outcome,
+                memo: committed.new_memo,
+                origin: None,
             },
             completed,
         ))
@@ -820,9 +852,11 @@ impl ClassificationEngine {
 /// [`ClassificationEngine::sweep_resumable_bitsliced`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SweepCheckpoint<'a> {
-    /// Snapshot file, replaced atomically (temp file + rename) by the sweep's
-    /// first write and appended to by the later ones during the sweep and at
-    /// the end. `None` keeps the campaign in memory only.
+    /// Snapshot file. The sweep's first write appends to it when the
+    /// starting snapshot was loaded from this path and neither the file nor
+    /// the memo changed since; otherwise it replaces the file atomically
+    /// (temp file + rename). The later writes, during the sweep and at the
+    /// end, append to it. `None` keeps the campaign in memory only.
     pub path: Option<&'a Path>,
     /// Processed orbits between two checkpoint writes (clamped to ≥ 1).
     pub every_orbits: u64,
@@ -843,14 +877,24 @@ impl Default for SweepCheckpoint<'_> {
     }
 }
 
-impl ResumeCommitted {
-    /// Writes the committed state to `path`. The call's first write replaces
-    /// the file with one segment holding the baseline and everything
-    /// committed so far (temp file + rename, which also drops any torn tail);
-    /// each later write appends one segment with only the entries committed
-    /// since the previous write. The file holds the memo in the order of the
-    /// returned snapshot (baseline, then new entries in commit order).
+impl ResumeCommitted<'_> {
+    /// Writes the committed state to `path`. The call's first write either
+    /// appends one segment with everything committed so far to the file the
+    /// starting snapshot was loaded from (`origin`, already checked against
+    /// the path and the memo; the writer checks the file and cuts off any
+    /// torn tail), or replaces the file with one segment holding the
+    /// baseline and everything committed so far (temp file + rename, which
+    /// also drops any torn tail). Each later write appends one segment with
+    /// only the entries committed since the previous write. Either way the
+    /// file holds the memo in the order of the returned snapshot (baseline,
+    /// then new entries in commit order).
     fn checkpoint(&mut self, path: &Path) -> std::io::Result<()> {
+        if self.writer.is_none() {
+            self.writer = self
+                .origin
+                .take()
+                .and_then(|origin| SnapshotWriter::reopen(&origin, &self.cursor));
+        }
         let new = &self.new_memo[self.logged..];
         match &mut self.writer {
             Some(writer) => writer.append(new, &self.cursor, &self.outcome)?,
@@ -870,8 +914,8 @@ impl ResumeCommitted {
 }
 
 /// Shared state of one resumable sweep call.
-struct ResumeShared {
-    committed: Mutex<ResumeCommitted>,
+struct ResumeShared<'a> {
+    committed: Mutex<ResumeCommitted<'a>>,
     stop: AtomicBool,
     next_range: AtomicUsize,
 }
@@ -879,18 +923,21 @@ struct ResumeShared {
 /// Everything committed so far, guarded by one lock so histograms, memo, and
 /// watermarks only ever advance together (each checkpoint is a consistent
 /// prefix of the sweep).
-struct ResumeCommitted {
+struct ResumeCommitted<'a> {
     cursor: SweepCursor,
     outcome: SweepOutcome,
-    /// Memo loaded with the starting snapshot; immutable during the sweep
-    /// (lookups go through a hash map built before the workers start).
-    baseline: Vec<(CanonicalKey, Complexity)>,
+    /// Memo the starting snapshot carried; immutable during the sweep
+    /// (lookups go through an index built before the workers start).
+    baseline: &'a [(CanonicalKey, Complexity)],
     /// Entries classified by this call, in commit order.
     new_memo: Vec<(CanonicalKey, Complexity)>,
-    /// Checkpoint file writer, created with `baseline` on the first write
-    /// and appended to by every later one.
+    /// The file the starting snapshot was loaded from, while the first
+    /// checkpoint may still append to it.
+    origin: Option<SnapshotOrigin>,
+    /// Checkpoint file writer, opened by the first write and appended to by
+    /// every later one.
     writer: Option<SnapshotWriter>,
-    /// Entries of `new_memo` already appended to `writer`.
+    /// Entries of `new_memo` already written to `writer`.
     logged: usize,
     /// Orbits processed by this call (classified or answered from the memo).
     processed: u64,
@@ -901,16 +948,21 @@ struct ResumeCommitted {
     write_error: Option<std::io::Error>,
 }
 
-impl ResumeShared {
-    fn start(state: SweepSnapshot) -> (Self, Vec<MaskRange>) {
+impl<'a> ResumeShared<'a> {
+    fn start(
+        state: SweepSnapshot,
+        baseline: &'a [(CanonicalKey, Complexity)],
+        origin: Option<SnapshotOrigin>,
+    ) -> (Self, Vec<MaskRange>) {
         let ranges = state.cursor.ranges.clone();
         (
             ResumeShared {
                 committed: Mutex::new(ResumeCommitted {
                     cursor: state.cursor,
                     outcome: state.outcome,
-                    baseline: state.memo,
+                    baseline,
                     new_memo: Vec::new(),
+                    origin,
                     writer: None,
                     logged: 0,
                     processed: 0,
@@ -965,11 +1017,11 @@ impl ResumeShared {
 
 /// One worker of the sweep driver: the chunk it is filling for the range it
 /// holds, and its memo hit and miss counts.
-struct SweepWorker<'a> {
-    shared: &'a ResumeShared,
+struct SweepWorker<'a, 'm> {
+    shared: &'a ResumeShared<'m>,
     ckpt: &'a SweepCheckpoint<'a>,
     /// The starting snapshot's memo, keyed for lookups.
-    baseline: &'a HashMap<CanonicalKey, Complexity>,
+    baseline: &'a BaselineIndex<'m>,
     /// Index of the held range in the cursor.
     range: usize,
     /// Histograms and lane statistics since the last commit.
@@ -982,7 +1034,7 @@ struct SweepWorker<'a> {
     misses: usize,
 }
 
-impl SweepWorker<'_> {
+impl SweepWorker<'_, '_> {
     /// Counts one orbit of the given class into the chunk.
     fn record(&mut self, complexity: Complexity, orbit_size: u64) {
         self.chunk.orbits.add(complexity, 1);
@@ -1322,6 +1374,51 @@ mod tests {
         assert_eq!(fresh.stats().cache_hits, 1);
         assert_eq!(fresh.stats().cache_misses, 0);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_baseline_seeded_sweep_warms_the_engine_with_only_its_new_entries() {
+        let texts = [
+            "1:22\n2:11\n",
+            "1:aa\n1:ab\n1:bb\na:bb\nb:b1\nb:11\n",
+            "x : x x\n",
+        ];
+        let problems: Vec<LclProblem> = texts.iter().map(|t| problem(t)).collect();
+        let orbits_in = |range: MaskRange| {
+            (range.next..range.hi).map(|mask| OrbitProblem {
+                mask,
+                problem: problems[mask as usize].clone(),
+                orbit_size: 1,
+            })
+        };
+        // The first problem's verdict arrives in the starting memo.
+        let baseline = (
+            canonical_form(&problems[0]),
+            classify(&problems[0]).complexity,
+        );
+        let mut state = SweepSnapshot::fresh(
+            2,
+            3,
+            crate::snapshot::EngineKind::Scalar,
+            vec![MaskRange { next: 0, hi: 3 }],
+        );
+        state.memo = vec![baseline.clone()];
+
+        let engine = ClassificationEngine::new();
+        let (snap, completed) = engine
+            .sweep_resumable(state, orbits_in, &SweepCheckpoint::default())
+            .unwrap();
+        assert!(completed);
+        assert_eq!(snap.memo.len(), 3);
+        assert_eq!(snap.memo[0], baseline);
+        assert_eq!(engine.stats().cache_hits, 1);
+        assert_eq!(engine.stats().cache_misses, 2);
+        // Only the two entries the sweep classified warm the cache.
+        assert_eq!(engine.memo_len(), 2);
+        assert!(snap.memo[1..]
+            .iter()
+            .all(|(key, c)| engine.cache.get(key) == Some(*c)));
+        assert_eq!(engine.cache.get(&baseline.0), None);
     }
 
     #[test]

@@ -65,16 +65,23 @@
 //! count, ranges, both histograms, lane statistics, memo entry count, and
 //! the entries.
 //!
-//! Every snapshot write other than a sweep's later checkpoints —
-//! [`SweepSnapshot::save`], the engine's memo flush, a sweep call's first
-//! checkpoint — goes through temp file plus `rename`, so a reader observes
-//! either the previous file or the new one, never a torn mix. Everything is
-//! hand-rolled over `std::fs`/`std::io`, mirroring the CLI's hand-rolled
-//! JSON: the workspace stays dependency-free.
+//! **Which writes replace the file.** [`SweepSnapshot::save`], the engine's
+//! memo flush, and a sweep call's first checkpoint go through temp file plus
+//! `rename`, so a reader observes either the previous file or the new one,
+//! never a torn mix. The one exception is a sweep resumed from the file it
+//! checkpoints to: [`SweepSnapshot::load`] of a version 3 file records where
+//! the file's last complete segment ends, and when the sweep's first
+//! checkpoint finds the file and the memo still as loaded, it cuts any torn
+//! tail off with `set_len` and appends, like every later checkpoint. Anything
+//! else — a snapshot from [`SweepSnapshot::from_bytes`], a version 1 or 2
+//! file, a memo or file changed since the load, another path — takes the
+//! temp file plus `rename` route. Everything is hand-rolled over
+//! `std::fs`/`std::io`, mirroring the CLI's hand-rolled JSON: the workspace
+//! stays dependency-free.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::classifier::Complexity;
@@ -200,6 +207,78 @@ pub struct SweepSnapshot {
     pub outcome: SweepOutcome,
     /// `canonical key → Complexity` for every orbit accounted so far.
     pub memo: Vec<(CanonicalKey, Complexity)>,
+    /// The version 3 file this snapshot was loaded from, which a sweep
+    /// checkpointing to the same path may append to. Set only by
+    /// [`Self::load`]; build snapshots with [`Self::fresh`] or
+    /// [`Self::from_bytes`].
+    pub(crate) origin: Option<SnapshotOrigin>,
+}
+
+/// Where a loaded snapshot came from: the file, the encoder state at its last
+/// complete segment, that segment's digest, and the memo as loaded (its
+/// length and [`MemoFingerprint`]). A sweep appends to the file only while
+/// all of these still hold.
+#[derive(Debug, Clone)]
+pub(crate) struct SnapshotOrigin {
+    path: PathBuf,
+    encoder: SegmentEncoder,
+    digest: [u8; 8],
+    memo_len: usize,
+    fingerprint: MemoFingerprint,
+}
+
+impl SnapshotOrigin {
+    /// The file the snapshot was loaded from.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// `true` when `memo` still has the length and `fingerprint` the value
+    /// they had at the load.
+    pub(crate) fn holds(&self, memo_len: usize, fingerprint: MemoFingerprint) -> bool {
+        self.memo_len == memo_len && self.fingerprint == fingerprint
+    }
+}
+
+/// A running 64-bit fingerprint of memo entries, in order. Each entry's key
+/// length, verdict and key words (four per step) are folded into one word
+/// with a rotate and xor per step, and that word into the fingerprint with a
+/// rotate, xor and multiply, which is one-to-one in the word: a change to
+/// any one entry always changes the fingerprint. It tells whether a loaded
+/// memo was changed before a sweep appends to the file it came from; it is
+/// not stored on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoFingerprint(u64);
+
+impl Default for MemoFingerprint {
+    fn default() -> Self {
+        MemoFingerprint(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl MemoFingerprint {
+    /// Folds in one entry.
+    pub(crate) fn push(&mut self, key: &CanonicalKey, complexity: Complexity) {
+        let exponent = match complexity {
+            Complexity::Polynomial { exponent } => exponent as u64,
+            _ => 0,
+        };
+        let words = key.as_words();
+        let mut entry =
+            words.len() as u64 | u64::from(complexity_tag(complexity)) << 16 | exponent << 24;
+        let mut chunks = words.chunks_exact(4);
+        for c in &mut chunks {
+            let x = u64::from(c[0])
+                | u64::from(c[1]) << 16
+                | u64::from(c[2]) << 32
+                | u64::from(c[3]) << 48;
+            entry = entry.rotate_left(23) ^ x;
+        }
+        for &w in chunks.remainder() {
+            entry = entry.rotate_left(23) ^ u64::from(w);
+        }
+        self.0 = (self.0.rotate_left(5) ^ entry).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 /// How a snapshot file's bytes were laid out, as
@@ -471,6 +550,7 @@ impl<'a> Reader<'a> {
         &mut self,
         count: u64,
         memo: &mut Vec<(CanonicalKey, Complexity)>,
+        fingerprint: &mut MemoFingerprint,
     ) -> Result<(), SnapshotError> {
         // Each entry is at least 3 bytes (empty key + tag); a count beyond
         // that bound cannot be real even with a valid digest.
@@ -495,7 +575,9 @@ impl<'a> Reader<'a> {
                 },
                 _ => return Err(SnapshotError::Malformed("complexity tag")),
             };
-            memo.push((CanonicalKey::from_words(words), complexity));
+            let key = CanonicalKey::from_words(words);
+            fingerprint.push(&key, complexity);
+            memo.push((key, complexity));
         }
         if self.remaining() != 0 {
             return Err(SnapshotError::Malformed("trailing bytes"));
@@ -545,7 +627,7 @@ fn parse_v1(mut r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
     let outcome = r.outcome()?;
     let memo_count = r.u64()?;
     let mut memo = Vec::new();
-    r.memo(memo_count, &mut memo)?;
+    r.memo(memo_count, &mut memo, &mut MemoFingerprint::default())?;
     Ok((ranges, outcome, memo))
 }
 
@@ -577,18 +659,28 @@ fn parse_v2(r: Reader<'_>) -> Result<SnapshotBody, SnapshotError> {
         bytes: &body[..footer_at],
         at: r.at,
     }
-    .memo(memo_count, &mut memo)?;
+    .memo(memo_count, &mut memo, &mut MemoFingerprint::default())?;
     Ok((ranges, outcome, memo))
+}
+
+/// Where a version 3 file's last complete segment ends: the encoder state
+/// after it, its digest, and the fingerprint of the memo up to it.
+struct LogEnd {
+    encoder: SegmentEncoder,
+    digest: [u8; 8],
+    fingerprint: MemoFingerprint,
 }
 
 /// Version 3: the segments after the prefix, each checked and folded in,
 /// up to the end of the file or a torn tail. `bytes` is the whole file.
-fn parse_v3(bytes: &[u8]) -> Result<(SnapshotBody, SnapshotLayout), SnapshotError> {
+fn parse_v3(bytes: &[u8]) -> Result<(SnapshotBody, SnapshotLayout, LogEnd), SnapshotError> {
     let mut at = PREFIX_LEN;
     let mut hash = fnv1a64(&bytes[..PREFIX_LEN]);
     let mut memo = Vec::new();
+    let mut fingerprint = MemoFingerprint::default();
     let mut state = None;
     let mut segments = 0;
+    let mut last_digest = [0u8; 8];
     while let Some(header) = bytes.get(at..at + SEGMENT_HEADER_LEN) {
         let mut fields = Reader {
             bytes: header,
@@ -626,8 +718,9 @@ fn parse_v3(bytes: &[u8]) -> Result<(SnapshotBody, SnapshotLayout), SnapshotErro
             bytes: &content[..footer_at],
             at: SEGMENT_HEADER_LEN,
         }
-        .memo(new, &mut memo)?;
+        .memo(new, &mut memo, &mut fingerprint)?;
         state = Some((ranges, outcome));
+        last_digest.copy_from_slice(digest);
         segments += 1;
         at += len;
     }
@@ -637,7 +730,16 @@ fn parse_v3(bytes: &[u8]) -> Result<(SnapshotBody, SnapshotLayout), SnapshotErro
         segments,
         torn_tail_bytes: bytes.len() - at,
     };
-    Ok(((ranges, outcome, memo), layout))
+    let end = LogEnd {
+        encoder: SegmentEncoder {
+            len: at as u64,
+            hash,
+            entries: memo.len() as u64,
+        },
+        digest: last_digest,
+        fingerprint,
+    };
+    Ok(((ranges, outcome, memo), layout, end))
 }
 
 impl SweepSnapshot {
@@ -653,6 +755,7 @@ impl SweepSnapshot {
             },
             outcome: SweepOutcome::default(),
             memo: Vec::new(),
+            origin: None,
         }
     }
 
@@ -678,15 +781,23 @@ impl SweepSnapshot {
     /// segment checks, or the one trailing digest of any other version),
     /// then the version, then the fields.
     pub fn from_bytes_with_layout(bytes: &[u8]) -> Result<(Self, SnapshotLayout), SnapshotError> {
+        let (snapshot, layout, _) = Self::decode(bytes)?;
+        Ok((snapshot, layout))
+    }
+
+    /// [`Self::from_bytes_with_layout`], plus where a version 3 file's last
+    /// complete segment ends.
+    fn decode(bytes: &[u8]) -> Result<(Self, SnapshotLayout, Option<LogEnd>), SnapshotError> {
         if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
             return Err(SnapshotError::Truncated);
         }
         let version = format_version(bytes)?;
-        let ((ranges, outcome, memo), layout) = if version == 3 {
+        let ((ranges, outcome, memo), layout, end) = if version == 3 {
             if bytes.len() < PREFIX_LEN {
                 return Err(SnapshotError::Truncated);
             }
-            parse_v3(bytes)?
+            let (body, layout, end) = parse_v3(bytes)?;
+            (body, layout, Some(end))
         } else {
             let body = &bytes[..bytes.len() - 8];
             let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
@@ -710,7 +821,7 @@ impl SweepSnapshot {
                 segments: 1,
                 torn_tail_bytes: 0,
             };
-            (parsed, layout)
+            (parsed, layout, None)
         };
         let mut r = Reader {
             bytes,
@@ -728,8 +839,9 @@ impl SweepSnapshot {
             },
             outcome,
             memo,
+            origin: None,
         };
-        Ok((snapshot, layout))
+        Ok((snapshot, layout, end))
     }
 
     /// Writes the snapshot atomically: serialize to `<path>.tmp` in the same
@@ -740,11 +852,33 @@ impl SweepSnapshot {
         Ok(())
     }
 
-    /// Reads and validates a snapshot file.
+    /// Reads and validates a snapshot file. A version 3 snapshot remembers
+    /// the file, so that a sweep checkpointing to the same path appends to
+    /// it instead of rewriting it (see [`crate::snapshot`]).
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
+        let (mut snapshot, _, end) = Self::decode(&bytes)?;
+        snapshot.origin = end.map(|end| SnapshotOrigin {
+            path: path.to_path_buf(),
+            encoder: end.encoder,
+            digest: end.digest,
+            memo_len: snapshot.memo.len(),
+            fingerprint: end.fingerprint,
+        });
+        Ok(snapshot)
     }
+}
+
+/// The version 3 prefix of `cursor`'s campaign: magic, version, δ, |Σ|, and
+/// engine kind.
+fn prefix_of(cursor: &SweepCursor) -> [u8; PREFIX_LEN] {
+    let mut prefix = [0u8; PREFIX_LEN];
+    prefix[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    prefix[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    prefix[12..14].copy_from_slice(&cursor.delta.to_le_bytes());
+    prefix[14..16].copy_from_slice(&cursor.num_labels.to_le_bytes());
+    prefix[16] = cursor.engine.to_u8();
+    prefix
 }
 
 /// Encodes a version 3 file: the prefix, then one segment per
@@ -763,12 +897,7 @@ impl SegmentEncoder {
     /// Writes the prefix of `cursor`'s campaign — its δ, |Σ|, and engine,
     /// fixed for every later segment — and returns the encoder after it.
     pub fn start<W: Write>(out: &mut W, cursor: &SweepCursor) -> io::Result<Self> {
-        let mut prefix = [0u8; PREFIX_LEN];
-        prefix[..8].copy_from_slice(&SNAPSHOT_MAGIC);
-        prefix[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        prefix[12..14].copy_from_slice(&cursor.delta.to_le_bytes());
-        prefix[14..16].copy_from_slice(&cursor.num_labels.to_le_bytes());
-        prefix[16] = cursor.engine.to_u8();
+        let prefix = prefix_of(cursor);
         out.write_all(&prefix)?;
         Ok(SegmentEncoder {
             len: PREFIX_LEN as u64,
@@ -836,9 +965,10 @@ impl SegmentEncoder {
 /// it.
 ///
 /// [`Self::create`] writes the whole file as one segment through a temp file
-/// and `rename`, and keeps the file open; [`Self::append`] adds one segment
-/// through that handle. The writer holds only the handle and the
-/// [`SegmentEncoder`] state, never the encoded memo.
+/// and `rename`, and keeps the file open; `reopen` opens the file a snapshot
+/// was loaded from at its last complete segment instead; [`Self::append`]
+/// adds one segment through the handle. The writer holds only the handle and
+/// the [`SegmentEncoder`] state, never the encoded memo.
 #[derive(Debug)]
 pub struct SnapshotWriter {
     file: File,
@@ -869,6 +999,38 @@ impl SnapshotWriter {
         encoder.write_segment(&mut file, entries, cursor, outcome)?;
         std::fs::rename(&tmp, path)?;
         Ok(SnapshotWriter { file, encoder })
+    }
+
+    /// Opens the file `origin` was loaded from for appending after its last
+    /// complete segment, cutting off whatever follows it (a torn tail). Only
+    /// when the file still starts with the prefix of `cursor`'s campaign and
+    /// still holds the loaded segment's digest where that segment ends;
+    /// `None` otherwise, or on any I/O error, and the caller then creates the
+    /// file afresh. The caller checks that the memo is still the loaded one.
+    pub(crate) fn reopen(origin: &SnapshotOrigin, cursor: &SweepCursor) -> Option<Self> {
+        let end = origin.encoder.len;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&origin.path)
+            .ok()?;
+        if file.metadata().ok()?.len() < end {
+            return None;
+        }
+        let mut prefix = [0u8; PREFIX_LEN];
+        file.read_exact(&mut prefix).ok()?;
+        let mut digest = [0u8; 8];
+        file.seek(SeekFrom::Start(end - 8)).ok()?;
+        file.read_exact(&mut digest).ok()?;
+        if prefix != prefix_of(cursor) || digest != origin.digest {
+            return None;
+        }
+        file.set_len(end).ok()?;
+        file.seek(SeekFrom::Start(end)).ok()?;
+        Some(SnapshotWriter {
+            file,
+            encoder: origin.encoder,
+        })
     }
 
     /// Appends one segment: `entries` (the memo entries committed since the
@@ -983,6 +1145,7 @@ mod tests {
                     Complexity::Unsolvable,
                 ),
             ],
+            origin: None,
         }
     }
 
@@ -1302,6 +1465,75 @@ mod tests {
             Err(SnapshotError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn load_records_the_origin_of_version_3_files_only() {
+        let dir = std::env::temp_dir().join(format!("rtlcl-origin-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.rtlcl");
+        let (bytes, boundary) = two_segments();
+        // A torn tail: the origin ends at the last complete segment.
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let snap = SweepSnapshot::load(&path).unwrap();
+        let origin = snap
+            .origin
+            .as_ref()
+            .expect("a version 3 file records its origin");
+        assert_eq!(origin.path(), path);
+        assert_eq!(origin.encoder.file_len(), boundary as u64);
+        assert_eq!(origin.digest[..], bytes[boundary - 8..boundary]);
+        let mut fingerprint = MemoFingerprint::default();
+        for (key, c) in &snap.memo {
+            fingerprint.push(key, *c);
+        }
+        assert!(origin.holds(snap.memo.len(), fingerprint));
+        assert!(!origin.holds(snap.memo.len() + 1, fingerprint));
+        // Bytes alone have no origin; neither has a version 1 or 2 file.
+        assert!(SweepSnapshot::from_bytes(&bytes).unwrap().origin.is_none());
+        let mut v2 = bytes[..PREFIX_LEN].to_vec();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let early = sample_after_one_entry();
+        for (key, c) in &early.memo {
+            push_entry(&mut v2, key, *c);
+        }
+        push_footer(
+            &mut v2,
+            &early.cursor,
+            &early.outcome,
+            early.memo.len() as u64,
+        );
+        let digest = fnv1a64(&v2);
+        v2.extend_from_slice(&digest.to_le_bytes());
+        std::fs::write(&path, &v2).unwrap();
+        let old = SweepSnapshot::load(&path).unwrap();
+        assert_eq!(old.memo, early.memo);
+        assert!(old.origin.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memo_fingerprint_depends_on_every_entry_and_their_order() {
+        let memo = sample().memo;
+        let of = |entries: &[(CanonicalKey, Complexity)]| {
+            let mut fingerprint = MemoFingerprint::default();
+            for (key, c) in entries {
+                fingerprint.push(key, *c);
+            }
+            fingerprint
+        };
+        let whole = of(&memo);
+        let mut swapped = memo.clone();
+        swapped.swap(0, 2);
+        assert_ne!(of(&swapped), whole);
+        let mut exponent = memo.clone();
+        exponent[1].1 = Complexity::Polynomial { exponent: 3 };
+        assert_ne!(of(&exponent), whole);
+        let mut word = memo.clone();
+        word[0].0 = CanonicalKey::from_words(vec![2, 2, 0, 1, 2]);
+        assert_ne!(of(&word), whole);
+        assert_ne!(of(&memo[..2]), whole);
+        assert_eq!(of(&memo), whole);
     }
 
     #[test]

@@ -1192,6 +1192,69 @@ mod tests {
     }
 
     #[test]
+    fn members_of_an_earlier_sweep_leg_stay_memo_hits_after_the_next_leg() {
+        let s = state();
+        let leg = || {
+            let r = s.handle(
+                &post("/sweep", r#"{"delta": 2, "labels": 3, "max_orbits": 64}"#),
+                far_deadline(),
+            );
+            assert_eq!(r.status, 200, "{:?}", r.body);
+            assert_eq!(r.body.get("completed").and_then(Json::as_bool), Some(false));
+        };
+        let campaign = || match s.sweeps.lock().unwrap().get(&(2, 3)) {
+            Some(SweepSlot::Idle(snap)) => snap.as_ref().clone(),
+            _ => panic!("the campaign is idle between legs"),
+        };
+        leg();
+        // A member the first leg classified: the first canonical mask of a
+        // non-empty problem below a watermark that leg 1 advanced.
+        let family = CanonicalFamily::new(2, 3);
+        let shards = campaign().cursor.ranges.len();
+        let (start, done) = family
+            .ranges(shards)
+            .into_iter()
+            .zip(campaign().cursor.ranges)
+            .find(|(start, now)| now.next > start.next)
+            .expect("leg 1 advanced a range");
+        let mask = family
+            .blocks_in(
+                lcl_core::MaskRange {
+                    next: start.next,
+                    hi: done.next,
+                },
+                64,
+            )
+            .flat_map(|block| block.masks)
+            .find(|&mask| mask != 0)
+            .expect("leg 1 classified a non-empty problem");
+        leg();
+        // The engine holds the campaign's memo exactly: leg 2 warmed it with
+        // its own entries and did not import leg 1's again.
+        assert_eq!(s.engine.memo_len(), campaign().memo.len());
+
+        let member = family.problem_at(mask);
+        let mut renamed = LclProblem::builder(2);
+        let rename = |l: Label| format!("r{}", 9 - l.index());
+        for c in member.configurations() {
+            let children: Vec<String> = c.children().iter().map(|&l| rename(l)).collect();
+            let children: Vec<&str> = children.iter().map(String::as_str).collect();
+            renamed.configuration(&rename(c.parent()), &children);
+        }
+        let renamed = renamed.build();
+        assert_ne!(renamed.to_text(), member.to_text());
+        let before = s.engine.stats();
+        for problem in [&member, &renamed] {
+            let body = Json::Obj(vec![("problem".into(), Json::str(problem.to_text()))]);
+            let r = s.handle(&post("/classify", &body.to_string()), far_deadline());
+            assert_eq!(r.status, 200, "{:?}", r.body);
+        }
+        let after = s.engine.stats();
+        assert_eq!(after.cache_hits - before.cache_hits, 2);
+        assert_eq!(after.cache_misses, before.cache_misses);
+    }
+
+    #[test]
     fn sweep_rejects_invalid_families() {
         let s = state();
         for body in [

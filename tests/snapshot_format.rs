@@ -3,9 +3,10 @@
 //! Version 1 and 2 checkpoints, written before the segment log, must still
 //! load and resume; the rewritten file is version 3. A sweep's first
 //! checkpoint writes the same bytes as a one-shot [`SweepSnapshot::to_bytes`]
-//! and every later one appends the segment [`SegmentEncoder`] predicts. A
-//! file cut short inside a later segment loads the previous one; damage to a
-//! complete segment is a [`SnapshotError::ChecksumMismatch`].
+//! and every later one appends the segment [`SegmentEncoder`] predicts; a
+//! leg resumed from the unchanged file it checkpoints to appends from its
+//! first write. A file cut short inside a later segment loads the previous
+//! one; damage to a complete segment is a [`SnapshotError::ChecksumMismatch`].
 
 use std::path::{Path, PathBuf};
 
@@ -13,7 +14,7 @@ use rooted_tree_lcl::core::snapshot::{format_version, SNAPSHOT_VERSION};
 use rooted_tree_lcl::core::{
     load_or_quarantine, CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth,
     LoadOutcome, MaskRange, SegmentEncoder, SnapshotError, SnapshotLayout, SnapshotWriter,
-    SweepCheckpoint, SweepCursor, SweepOutcome, SweepSnapshot,
+    SweepCheckpoint, SweepOutcome, SweepSnapshot,
 };
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 
@@ -336,7 +337,9 @@ fn a_multi_segment_file_cut_short_loads_the_previous_segment() {
         }
     }
 
-    // Resuming a torn file and checkpointing once rewrites it whole.
+    // Resuming a torn file and checkpointing once cuts the torn tail off and
+    // appends: the complete segments stay byte for byte, the leg adds one
+    // segment, and the file loads to the returned snapshot.
     let torn_at = (ends[2] + ends[3]) / 2;
     std::fs::write(&path, &bytes[..torn_at]).expect("torn file written");
     let torn = match load_or_quarantine(&path).expect("torn file loads") {
@@ -346,11 +349,114 @@ fn a_multi_segment_file_cut_short_loads_the_previous_segment() {
     assert_same_state(&torn, &captured[2], "torn file");
     let family = CanonicalFamily::new(2, 3);
     let (resumed, _) = bitsliced_leg(&family, torn, Some(&path), u64::MAX, Some(100));
-    let rewritten = std::fs::read(&path).expect("rewritten checkpoint readable");
-    let (back, layout) = SweepSnapshot::from_bytes_with_layout(&rewritten).expect("loads");
-    assert_eq!((layout.segments, layout.torn_tail_bytes), (1, 0));
-    assert!(rewritten == resumed.to_bytes());
-    assert_same_state(&back, &resumed, "rewritten file");
+    let appended = std::fs::read(&path).expect("appended checkpoint readable");
+    assert!(appended[..ends[2]] == bytes[..ends[2]]);
+    let (back, layout) = SweepSnapshot::from_bytes_with_layout(&appended).expect("loads");
+    assert_eq!((layout.segments, layout.torn_tail_bytes), (4, 0));
+    let mut states = captured[..3].to_vec();
+    states.push(resumed.clone());
+    assert!(appended == predicted_file(&states));
+    assert_same_state(&back, &resumed, "appended file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A 100-orbit leg from `state` on its cursor's engine, checkpointing only
+/// at its end to `path`; returns the leg and the file it leaves.
+fn final_checkpoint_leg(state: SweepSnapshot, path: &Path) -> (SweepSnapshot, Vec<u8>) {
+    let family = CanonicalFamily::new(2, 3);
+    let leg = match state.cursor.engine {
+        EngineKind::Bitsliced => bitsliced_leg(&family, state, Some(path), u64::MAX, Some(100)).0,
+        EngineKind::Scalar => {
+            let ckpt = SweepCheckpoint {
+                path: Some(path),
+                every_orbits: u64::MAX,
+                orbit_limit: Some(100),
+            };
+            ClassificationEngine::new()
+                .sweep_resumable(state, |r| family.orbits_in(r), &ckpt)
+                .expect("scalar leg")
+                .0
+        }
+    };
+    (leg, std::fs::read(path).expect("checkpoint readable"))
+}
+
+#[test]
+fn a_resumed_leg_appends_only_to_the_unchanged_file_it_was_loaded_from() {
+    let dir = temp_dir("fallback");
+    let path = dir.join("ck.bin");
+    let (_, captured) = leg_with_captured_writes(&path);
+    let full = std::fs::read(&path).expect("checkpoint readable");
+    // A mid-campaign file of three segments.
+    let base = full[..segment_ends(&full)[2]].to_vec();
+    let loaded = || {
+        std::fs::write(&path, &base).expect("base file written");
+        SweepSnapshot::load(&path).expect("base file loads")
+    };
+
+    // Loaded from the path it checkpoints to, with the file and the memo as
+    // loaded: the leg appends one segment.
+    let (leg, after) = final_checkpoint_leg(loaded(), &path);
+    assert!(after[..base.len()] == base[..]);
+    let (back, layout) = SweepSnapshot::from_bytes_with_layout(&after).expect("loads");
+    assert_eq!((layout.segments, layout.torn_tail_bytes), (4, 0));
+    assert_same_state(&back, &leg, "appended file");
+
+    // Every other case replaces the file with the one-segment file of the
+    // returned snapshot.
+    let assert_rewritten = |case: &str, state: SweepSnapshot, to: &Path| {
+        let (leg, after) = final_checkpoint_leg(state, to);
+        assert!(
+            after == leg.to_bytes(),
+            "{case}: the file is rewritten whole"
+        );
+    };
+    // Not loaded from a file.
+    let state = SweepSnapshot::from_bytes(&base).expect("base bytes load");
+    assert_rewritten("from bytes", state, &path);
+    // The memo changed since the load: reordered, shortened, one verdict
+    // replaced.
+    let mut state = loaded();
+    state.memo.swap(0, 1);
+    assert_rewritten("memo reordered", state, &path);
+    let mut state = loaded();
+    state.memo.pop();
+    assert_rewritten("memo shortened", state, &path);
+    let mut state = loaded();
+    state.memo[0].1 = match state.memo[0].1 {
+        Complexity::Constant => Complexity::Log,
+        _ => Complexity::Constant,
+    };
+    assert_rewritten("memo verdict replaced", state, &path);
+    // The file changed since the load: replaced by another state, its last
+    // digest damaged, cut short, removed.
+    let state = loaded();
+    captured[1].save(&path).expect("other state saved");
+    assert_rewritten("file replaced", state, &path);
+    let state = loaded();
+    let mut damaged = base.clone();
+    *damaged.last_mut().unwrap() ^= 1;
+    std::fs::write(&path, &damaged).expect("damaged file written");
+    assert_rewritten("digest damaged", state, &path);
+    let state = loaded();
+    std::fs::write(&path, &base[..base.len() - 1]).expect("short file written");
+    assert_rewritten("file cut short", state, &path);
+    let state = loaded();
+    std::fs::remove_file(&path).expect("file removed");
+    assert_rewritten("file removed", state, &path);
+    // Another campaign prefix: the scalar engine resuming the bit-sliced
+    // file.
+    let mut state = loaded();
+    state.cursor.engine = EngineKind::Scalar;
+    assert_rewritten("engine changed", state, &path);
+    // Another path: the loaded file stays as it was.
+    let state = loaded();
+    assert_rewritten("another path", state, &dir.join("other.bin"));
+    assert!(std::fs::read(&path).expect("base file readable") == base);
+    // A version 2 file checkpointing to itself.
+    std::fs::copy(V2_FIXTURE, &path).expect("fixture copied");
+    let state = SweepSnapshot::load(&path).expect("version 2 loads");
+    assert_rewritten("version 2 file", state, &path);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -429,16 +535,9 @@ fn a_version_3_file_with_many_ranges_and_polynomial_entries_round_trips() {
     outcome.lanes.fixpoint_rounds = 90;
     outcome.lanes.live_lane_rounds = 4000;
     outcome.lanes.scalar_fallbacks = 3;
-    let snap = SweepSnapshot {
-        cursor: SweepCursor {
-            delta: 3,
-            num_labels: 4,
-            engine: EngineKind::Bitsliced,
-            ranges,
-        },
-        outcome,
-        memo,
-    };
+    let mut snap = SweepSnapshot::fresh(3, 4, EngineKind::Bitsliced, ranges);
+    snap.outcome = outcome;
+    snap.memo = memo;
 
     let bytes = snap.to_bytes();
     assert_eq!(format_version(&bytes).unwrap(), SNAPSHOT_VERSION);
