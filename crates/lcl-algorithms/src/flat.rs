@@ -1,14 +1,11 @@
-//! The flat solver engine: level-synchronous CSR ports of every solver.
+//! The flat solver engine: level-synchronous CSR implementations of every solver.
 //!
-//! The arena solvers walk [`RootedTree`](lcl_trees::RootedTree)s — one `Vec`
-//! of children per node, one `Option<Label>` per assignment — which is the
-//! right shape for exposition and the wrong shape for the million-node trees
-//! the streaming generators produce. Through the automata-theoretic lens of
-//! Chang–Studený–Suomela 2020, every phase of the certificate-driven solvers
-//! is a per-level table lookup: the label of a node is a pure function of its
-//! parent's (label, certificate-position) state. This module exploits that by
-//! running each solver as a sequence of *level passes* over the
-//! [`LevelIndex`] of a [`FlatTree`]:
+//! Through the automata-theoretic lens of Chang–Studený–Suomela 2020, every
+//! phase of the certificate-driven solvers is a per-level table lookup: the
+//! label of a node is a pure function of its parent's (label,
+//! certificate-position) state. This module exploits that by running each
+//! solver as a sequence of *level passes* over the [`LevelIndex`] of a
+//! [`FlatTree`]:
 //!
 //! * per-node state lives in BFS-position-indexed arrays, so a level is a
 //!   contiguous slice and the children of a contiguous parent range are a
@@ -21,12 +18,13 @@
 //!   level pass performs **zero** heap allocations (pinned by the
 //!   counting-allocator test in `tests/zero_alloc_flat.rs`).
 //!
-//! Every flat solver reports the *same* [`RoundReport`] phases as its arena
-//! counterpart — measured phases are measured the same way (the flat
-//! Cole–Vishkin path reproduces the simulator metrics exactly), charged
-//! phases use the same constants — so round accounting is byte-identical per
-//! seed, while the labeling itself is only required to be valid (both
-//! checkers accept it; the fuzz oracle in `lcl-verify` enforces both).
+//! Measured phases are measured on the input (the flat Cole–Vishkin path
+//! reproduces the `lcl-sim` simulator metrics exactly), charged phases use
+//! the paper's constants, and the per-seed round accounting is pinned by the
+//! golden file of `tests/flat_agreement.rs`. The labeling itself is only
+//! required to be valid: both checkers must accept it, which the fuzz oracle
+//! in `lcl-verify` enforces. [`crate::solve()`] runs [`solve_flat`] on arena
+//! trees.
 
 use std::ops::Range;
 
@@ -40,10 +38,10 @@ use lcl_sim::IdAssignment;
 use lcl_trees::rcp::{rcp_partition_flat, RemovalKind};
 use lcl_trees::{FlatTree, LevelIndex};
 
-use crate::mis_four_rounds::MIS_TABLE;
-use crate::poly_solver::{pi_k_part_labels, poly_rounds, Part, PolyPart, POLY_ALGORITHM};
-use crate::primitives::ceil_nth_root;
-use crate::solve::{RoundReport, SolveError};
+use crate::solve::{
+    ceil_nth_root, pi_k_part_labels, poly_rounds, Part, PolyPart, RoundReport, SolveError,
+    MIS_TABLE, POLY_ALGORITHM,
+};
 
 /// Sentinel for "no label assigned yet" in flat label arrays.
 pub(crate) const NO_LABEL: Label = Label(u16::MAX);
@@ -55,16 +53,16 @@ const MIN_SHARD: usize = 4096;
 /// start the port strings moving plus four propagation rounds; every node
 /// (including the root, which pads with virtual ancestors) completes its
 /// 4-bit code in round 5 regardless of the tree. Asserted equal to the
-/// measured arena run by the flat-vs-arena agreement tests.
+/// measured [`crate::oracle`] run by `tests/flat_agreement.rs`.
 const MIS_SIM_ROUNDS: usize = 5;
 
 /// The result of a flat solve: a complete labeling indexed by node id plus
-/// the same round accounting the arena solver would report.
+/// the round accounting of the algorithm used.
 #[derive(Debug, Clone)]
 pub struct FlatOutcome {
     /// One label per node id.
     pub labels: Vec<Label>,
-    /// The round accounting (phase-identical to the arena solver).
+    /// The round accounting.
     pub rounds: RoundReport,
     /// Which solver produced the outcome.
     pub algorithm: &'static str,
@@ -301,9 +299,10 @@ pub fn certificate_fill_pass(
     scratch.block.iter().all(|s| s.label != NO_LABEL)
 }
 
-/// Completes a partial fill downwards inside the certificate labels, exactly
-/// like `lcl_core::greedy::complete_downwards` — only reachable on irregular
-/// (non-full-δ-ary) trees, so this cold path allocates freely.
+/// Completes a partial fill downwards inside the certificate labels: every
+/// labeled node keeps its label, and unlabeled children of labeled nodes are
+/// filled greedily within the problem's self-sustaining set. Only reachable on
+/// irregular (non-full-δ-ary) trees, so this cold path allocates freely.
 fn complete_downwards_flat(
     problem: &LclProblem,
     cert_labels: LabelSet,
@@ -319,8 +318,7 @@ fn complete_downwards_flat(
         }
         let parent_label = block[pos].label;
         if parent_label == NO_LABEL {
-            // Matches the arena completion, which aborts at the first
-            // unlabeled ancestor (`labeling.get(v)?`).
+            // Stop at the first unlabeled ancestor.
             return;
         }
         if children.clone().all(|q| block[q].label != NO_LABEL) {
@@ -386,10 +384,10 @@ fn fill_and_scatter(
     scatter_labels(idx, |pos| block[pos].label)
 }
 
-/// Flat counterpart of [`crate::log_star_solver::solve_log_star`]: the
-/// certificate-driven O(log* n) algorithm of Theorem 6.3 with a sharded flat
-/// Cole–Vishkin phase and sharded per-level block completion. Phase-identical
-/// round accounting to the arena solver for equal `(tree, ids)`.
+/// The certificate-driven O(log* n) algorithm of Theorem 6.3: a sharded flat
+/// Cole–Vishkin phase (measured; the Θ(log* n) term), the coprime-counter
+/// splitting into blocks of the certificate depth (charged O(d)), and sharded
+/// per-level block completion from the certificate trees.
 pub fn solve_log_star_flat(
     problem: &LclProblem,
     cert: &LogStarCertificate,
@@ -416,9 +414,10 @@ pub fn solve_log_star_flat(
     }
 }
 
-/// Flat counterpart of [`crate::constant_solver::solve_constant`]: the O(1)
-/// algorithm of Theorem 7.2 (same certificate machinery, constant charged
-/// phases, no Cole–Vishkin term).
+/// The O(1) algorithm of Theorem 7.2: the certificate machinery of the
+/// O(log* n) solver with the Cole–Vishkin colouring replaced by a defective
+/// distance-k colouring from port numbers, so every phase is charged a
+/// constant (`k = 20·d + 1`) and no Θ(log* n) term appears.
 pub fn solve_constant_flat(
     problem: &LclProblem,
     cert: &ConstantCertificate,
@@ -472,9 +471,10 @@ pub fn mis_code_pass(idx: &LevelIndex, scratch: &mut SolveScratch) {
     }
 }
 
-/// Flat counterpart of [`crate::mis_four_rounds::solve_mis_four_rounds`]:
-/// every node's 4-bit port code is computed top-down in level passes and
-/// looked up in the magic table (4) of the paper.
+/// The 4-round MIS algorithm of Section 1.3 and Figure 1: every node's 4-bit
+/// port code is computed top-down in level passes and looked up in the magic
+/// table (4) of the paper. The labels equal the outputs of the message-passing
+/// [`crate::oracle::MisFourRounds`] program.
 ///
 /// # Panics
 ///
@@ -515,9 +515,8 @@ pub fn solve_mis_four_rounds_flat(
 // ---------------------------------------------------------------------------
 
 /// Assigns `v`'s children per a configuration of its label that places
-/// `required` (if any) on the required child — the allocation-free flat port
-/// of the arena solver's `assign_children` (the multiset is distributed with
-/// a skip-one filter instead of a scratch `Vec`).
+/// `required` (if any) on the required child, allocation-free (the multiset
+/// is distributed with a skip-one filter instead of a scratch `Vec`).
 fn assign_children_flat(
     problem_pf: &LclProblem,
     labels: &mut [Label],
@@ -584,10 +583,14 @@ fn assign_children_flat(
     Ok(())
 }
 
-/// Flat counterpart of [`crate::log_solver::solve_log`]: rake-and-compress
-/// over the CSR partition of [`rcp_partition_flat`] (worklist-based, O(p·n)
-/// instead of the arena's O(n log n) rescans), with reusable automaton-walk
-/// buffers so completing a compress run allocates nothing.
+/// The O(log n) algorithm of Theorem 5.1: rake-and-compress over the CSR
+/// partition of [`rcp_partition_flat`] (worklist-based, O(p·n)), with reusable
+/// automaton-walk buffers so completing a compress run allocates nothing.
+/// Layers are labeled from the last (holding the root) down to the first:
+/// rake nodes extend their label downwards inside Σ(Π_pf), compress runs are
+/// filled by a walk of the exact run length in the automaton M(Π_pf). The
+/// layer count is measured (the Θ(log n) term, Lemma 5.9); layer computation
+/// and completion are charged O(k) per layer (Lemma 5.10).
 pub fn solve_log_flat(
     _problem: &LclProblem,
     cert: &LogCertificate,
@@ -709,8 +712,10 @@ pub fn solve_log_flat(
 /// The Lemma 8.1 partition over flat arrays: one reusable membership bitvec,
 /// one in-place compacted frontier, and subtree sizes accumulated upwards in
 /// reverse BFS order (children precede parents). Results land in
-/// [`SolveScratch::part`] / [`SolveScratch::iteration_depths`] and match
-/// [`crate::poly_solver::pi_k_partition`] exactly.
+/// [`SolveScratch::part`] / [`SolveScratch::iteration_depths`]. Iteration `i`
+/// puts the nodes whose remaining subtree has at most `⌈n^{1/k}⌉` nodes into
+/// `B_i`, and into `X_i` the large nodes with a small (or already removed)
+/// child.
 pub fn pi_k_partition_pass(
     tree: &FlatTree,
     idx: &LevelIndex,
@@ -808,9 +813,10 @@ pub fn pi_k_partition_pass(
     // Unassigned nodes (loop exited early) stay B(k) from the reset.
 }
 
-/// Flat counterpart of [`crate::poly_solver::solve_pi_k`]: the O(n^{1/k})
-/// partition algorithm of Lemma 8.1 with the component 2-colouring run as
-/// sharded top-down level passes.
+/// Solves Π_k (the problem built by `lcl_problems::pi_k::pi_k(k)`) with the
+/// O(n^{1/k}) partition algorithm of Lemma 8.1: nodes in `X_i` output `x_i`,
+/// and every component of `B_i` is 2-coloured with `{a_i, b_i}` by the parity
+/// of its depth within the component, in sharded top-down level passes.
 pub fn solve_pi_k_flat(
     problem: &LclProblem,
     k: usize,
@@ -882,18 +888,30 @@ pub fn solve_pi_k_flat(
 // The generalized B/X partition (exact exponent certificate)
 // ---------------------------------------------------------------------------
 
-/// The flat generalized partition: per-node parts, per-iteration chain runs,
-/// and the measured exploration depths — the CSR mirror of
-/// [`crate::poly_solver::poly_partition`], producing the identical partition
-/// (subtree sizes are accumulated in reverse BFS order instead of post-order,
-/// which visits children before parents all the same).
-struct FlatPolyPartition {
-    part: Vec<PolyPart>,
-    runs_by_iteration: Vec<Vec<Vec<u32>>>,
-    iteration_depths: Vec<usize>,
+/// The generalized B/X partition: per-node parts, per-iteration chain runs,
+/// and the measured exploration depths.
+#[derive(Debug, Clone)]
+pub struct FlatPolyPartition {
+    /// For every node id, the part it belongs to.
+    pub part: Vec<PolyPart>,
+    /// The compressed runs of iteration `i` are `runs_by_iteration[i − 1]`,
+    /// each a vertical path listed top-down.
+    pub runs_by_iteration: Vec<Vec<Vec<u32>>>,
+    /// The measured per-iteration exploration depths (the O(n^{1/k}) terms).
+    pub iteration_depths: Vec<usize>,
 }
 
-fn poly_partition_flat(
+/// Computes the generalized partition for the certificate's exponent `k`:
+/// iteration `i < k` removes every node whose remaining subtree has at most
+/// `⌈n^{1/k}⌉` nodes (`Rake(i)`, downward closed), then every maximal run of
+/// remaining nodes with exactly one remaining child whose length reaches the
+/// level's `chain_threshold` (`Chain(i)`); survivors of all iterations form
+/// the `Core`. Compare Lemma 8.1's B/X partition, which this generalizes: the
+/// rakes play the role of the `B_i` blocks and the chains the role of the
+/// `x_i` separators, with the chain threshold guaranteeing the flexibility
+/// walks of the labeling pass always exist. Subtree sizes are accumulated in
+/// reverse BFS order (children before parents).
+pub fn poly_partition_flat(
     tree: &FlatTree,
     idx: &LevelIndex,
     cert: &PolyCertificate,
@@ -1005,11 +1023,22 @@ fn poly_partition_flat(
     }
 }
 
-/// Flat counterpart of [`crate::poly_solver::solve_poly`]: the generalized
-/// certificate-driven B/X-partition solver over CSR arrays, with the reusable
+/// Solves any polynomial-region problem with the generalized B/X-partition
+/// algorithm driven by its exact-exponent certificate, using the reusable
 /// automaton-walk buffers of the scratch so chain completion allocates only
-/// for the partition itself. Round accounting is byte-identical to the arena
-/// solver (same measured depths, same charged constants).
+/// for the partition itself.
+///
+/// Layers are processed from the core (level `k`) down to level 1. Every
+/// piece root whose parent lives in a *lower* layer picks its own starting
+/// label (within the level set for rakes and the core, within the flexible
+/// SCC for chain tops); every other node is prescribed by its parent's
+/// configuration choice. Chain runs are filled with an exact-length walk in
+/// the automaton of `Π|S_i` from the prescribed top label to the label the
+/// below-run attachment already chose — the walk exists because runs reach
+/// the certificate's `chain_threshold = |C_i| + flexibility` and `C_i` is a
+/// strongly connected flexible component containing both endpoints
+/// (`S_{i+1} = trim(C_i) ⊆ C_i`). Rake pieces and the core are completed
+/// downward inside their (trimmed) level sets.
 pub fn solve_poly_flat(
     problem: &LclProblem,
     cert: &PolyCertificate,
@@ -1042,7 +1071,7 @@ pub fn solve_poly_flat(
                 if labels[top as usize] == NO_LABEL {
                     // Top with a lower-layer parent (global root or the
                     // attachment below an earlier iteration's chain): free
-                    // choice in C_i, like the arena solver.
+                    // choice in C_i.
                     labels[top as usize] = scc.first().expect("flexible SCCs are non-empty");
                 }
                 let start = labels[top as usize];
@@ -1111,8 +1140,8 @@ pub fn solve_poly_flat(
     })
 }
 
-/// The maximal within-piece depth over all pieces of the selected kind — the
-/// flat twin of the arena solver's measured completion phases.
+/// The maximal within-piece depth (in nodes) over all pieces of the selected
+/// kind — the measured completion cost of that phase.
 fn flat_piece_depths(
     tree: &FlatTree,
     order: &[u32],
@@ -1139,10 +1168,10 @@ fn flat_piece_depths(
 // Greedy baseline (the n^{Θ(1)} fallback of the dispatcher)
 // ---------------------------------------------------------------------------
 
-/// Flat counterpart of the centralized greedy baseline
-/// ([`lcl_core::greedy::solve`]): the continuation configuration of every
+/// The O(n) baseline for any solvable problem, the global greedy top-down
+/// sweep (`rtlcl solve --baseline`): the continuation configuration of every
 /// kept label is resolved once, then the tree is labeled in sharded top-down
-/// level passes. Produces the identical labeling to the arena greedy.
+/// level passes. Produces the labeling of [`lcl_core::greedy::solve`].
 pub fn solve_greedy_flat(
     problem: &LclProblem,
     idx: &LevelIndex,
@@ -1151,7 +1180,7 @@ pub fn solve_greedy_flat(
     let kept = solvable_labels(problem);
     let first = kept.first()?;
     // Continuation table: one configuration per kept label, chosen exactly as
-    // the arena greedy chooses it per node.
+    // `lcl_core::greedy::solve` chooses it per node.
     let num_alphabet = problem.alphabet().len();
     let mut continuation: Vec<Option<&Configuration>> = vec![None; num_alphabet];
     for l in kept {
@@ -1192,13 +1221,40 @@ pub fn solve_greedy_flat(
     })
 }
 
+/// The Θ(n)-round baseline for the global 2-coloring problem (2): every node
+/// learns its depth (a full top-down sweep) and outputs the colour of its
+/// depth parity.
+///
+/// # Panics
+///
+/// Panics if `problem` has no labels named `1` and `2`.
+pub fn solve_by_depth_parity_flat(problem: &LclProblem, tree: &FlatTree) -> FlatOutcome {
+    let one = problem
+        .label_by_name("1")
+        .expect("2-coloring problem uses labels 1 and 2");
+    let two = problem.label_by_name("2").expect("label 2");
+    let labels = tree
+        .depths()
+        .iter()
+        .map(|d| if d % 2 == 0 { one } else { two })
+        .collect();
+    let mut rounds = RoundReport::new();
+    rounds.measured("top-down depth propagation", tree.height() + 1);
+    FlatOutcome {
+        labels,
+        rounds,
+        algorithm: "depth parity (Θ(n) baseline)",
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Solves `problem` on the flat `tree` with the asymptotically optimal flat
-/// solver for its complexity class — the CSR mirror of [`crate::solve`],
-/// byte-identical in round accounting for equal `(tree, ids, seed)`.
+/// Solves `problem` on the flat `tree` with the asymptotically optimal solver
+/// for its complexity class, as determined by the classification `report`
+/// (see [`crate::solve()`], which runs this dispatch on arena trees). Round
+/// accounting is deterministic for equal `(tree, ids)`.
 pub fn solve_flat(
     problem: &LclProblem,
     report: &ClassificationReport,

@@ -1,14 +1,20 @@
-//! The unified solver entry point and round accounting.
+//! The solver entry point for arena trees, the round accounting every solver
+//! reports, and the tables the flat solvers share.
+//!
+//! [`solve`] is an adapter: it copies a [`RootedTree`] into CSR form (node ids
+//! are kept) and runs [`solve_flat`], the one implementation of every solver.
 
 use std::borrow::Cow;
 
-use lcl_core::{ClassificationReport, Complexity, Labeling, LclProblem};
+use lcl_core::{ClassificationReport, Label, Labeling, LclProblem, PolyCertificate};
 use lcl_sim::IdAssignment;
-use lcl_trees::RootedTree;
+use lcl_trees::{FlatTree, RootedTree};
+
+use crate::flat::{solve_flat, SolveScratch};
 
 /// Itemized round accounting of one solver run. The `measured` flag of each phase
 /// records whether the count was obtained by actually running / measuring that phase
-/// (simulator rounds, rake-and-compress layer counts, recursion depths) or charged
+/// (Cole–Vishkin rounds, rake-and-compress layer counts, recursion depths) or charged
 /// as the constant derived in the paper's analysis.
 ///
 /// Phase names are `Cow<'static, str>`: every fixed phase name is a borrowed
@@ -61,8 +67,8 @@ impl RoundReport {
     }
 }
 
-/// The result of solving a problem on a tree: a complete labeling plus the round
-/// accounting of the algorithm used.
+/// The result of solving a problem on an arena tree: a complete labeling plus
+/// the round accounting of the algorithm used.
 #[derive(Debug, Clone)]
 pub struct SolverOutcome {
     /// The complete labeling (verified by the caller or the test-suite).
@@ -73,7 +79,7 @@ pub struct SolverOutcome {
     pub algorithm: &'static str,
 }
 
-/// Errors returned by [`solve`].
+/// Errors returned by [`solve`] and [`solve_flat`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
     /// The problem is unsolvable on deep trees.
@@ -99,69 +105,165 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {}
 
 /// Solves `problem` on `tree` using the asymptotically optimal algorithm for its
-/// complexity class, as determined by the classification `report`.
+/// complexity class, as determined by the classification `report`:
 ///
 /// * O(1) and Θ(log* n) problems use the certificate-driven splitting solvers
 ///   (Theorems 7.2 and 6.3);
 /// * Θ(log n) problems use the rake-and-compress solver (Theorem 5.1);
 /// * Θ(n^{1/k}) problems use the generalized B/X-partition solver driven by
-///   the exact-exponent certificate ([`crate::poly_solver::solve_poly`]);
-///   the O(n) greedy sweep stays available as [`solve_baseline`].
+///   the exact-exponent certificate (Section 5, Lemma 8.1).
+///
+/// The tree is copied into CSR form with its node ids, solved by
+/// [`solve_flat`], and the labels are copied back into a [`Labeling`].
 pub fn solve(
     problem: &LclProblem,
     report: &ClassificationReport,
     tree: &RootedTree,
     ids: IdAssignment,
 ) -> Result<SolverOutcome, SolveError> {
-    match report.complexity {
-        Complexity::Unsolvable => Err(SolveError::Unsolvable),
-        Complexity::Constant => {
-            let cert = report
-                .constant_certificate()
-                .expect("constant class implies a certificate")
-                .map_err(|e| SolveError::CertificateTooLarge(e.to_string()))?;
-            Ok(crate::constant_solver::solve_constant(problem, &cert, tree))
-        }
-        Complexity::LogStar => {
-            let cert = report
-                .log_star_certificate()
-                .expect("log* class implies a certificate")
-                .map_err(|e| SolveError::CertificateTooLarge(e.to_string()))?;
-            Ok(crate::log_star_solver::solve_log_star(
-                problem, &cert, tree, ids,
-            ))
-        }
-        Complexity::Log => {
-            let cert = report
-                .log_certificate()
-                .expect("log class implies a certificate");
-            crate::log_solver::solve_log(problem, cert, tree).map_err(SolveError::Internal)
-        }
-        Complexity::Polynomial { .. } => {
-            let cert = report
-                .poly_certificate()
-                .expect("polynomial class implies an exponent certificate");
-            crate::poly_solver::solve_poly(problem, cert, tree).map_err(SolveError::Internal)
-        }
-    }
+    let flat = FlatTree::from_tree(tree);
+    let idx = flat.level_index();
+    let outcome = solve_flat(problem, report, &flat, &idx, &ids, &mut SolveScratch::new())?;
+    Ok(SolverOutcome {
+        labeling: Labeling::from_labels(&outcome.labels),
+        rounds: outcome.rounds,
+        algorithm: outcome.algorithm,
+    })
 }
 
-/// The O(n) baseline for any solvable problem: the global greedy top-down
-/// sweep. This used to be the dispatcher's answer for the whole polynomial
-/// region; it is kept as an explicit fallback (`rtlcl solve --baseline`) and
-/// as a differential anchor for the certificate-driven solver.
-pub fn solve_baseline(
+/// The exact ceiling k-th root: the smallest `t ≥ 1` with `t^k ≥ n`.
+///
+/// The partition solvers use this as the subtree-size threshold `n^{1/k}`; a
+/// floating-point `(n as f64).powf(1.0 / k)` can round the wrong way near
+/// exact powers for large `n` (53-bit mantissa), which would shift every
+/// iteration's B/X boundary. Powers are computed in `u128` with saturation,
+/// so the binary search is exact for every `usize` input.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn ceil_nth_root(n: usize, k: usize) -> usize {
+    assert!(k >= 1, "k-th roots need k >= 1");
+    if n <= 1 {
+        return 1;
+    }
+    if k == 1 {
+        return n;
+    }
+    let pow_at_least = |t: u128| -> bool {
+        let mut acc: u128 = 1;
+        for _ in 0..k {
+            acc = acc.saturating_mul(t);
+            if acc >= n as u128 {
+                return true;
+            }
+        }
+        acc >= n as u128
+    };
+    let (mut lo, mut hi) = (1usize, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pow_at_least(mid as u128) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// The 16-symbol output table (4) of the paper for the 4-round MIS algorithm of
+/// Section 1.3 and Figure 1, indexed by the 4-bit port code.
+pub const MIS_TABLE: [char; 16] = [
+    'b', '1', 'a', 'b', 'b', 'b', '1', 'b', 'b', '1', '1', 'b', 'b', 'b', '1', 'b',
+];
+
+/// Membership in the Lemma 8.1 partition
+/// `V = B₁ ∪ X₁ ∪ B₂ ∪ X₂ ∪ … ∪ X_{k−1} ∪ B_k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Part {
+    /// `B_i`: components that are properly 2-coloured with `{a_i, b_i}`.
+    B(usize),
+    /// `X_i`: separator nodes labeled `x_i`.
+    X(usize),
+}
+
+/// Resolves the Π_k part labels once per solve: `x_1 … x_{k−1}` (separators
+/// exist only below level k) and `(a_i, b_i)` for `i = 1 … k` — so the
+/// per-node labeling loop never formats a label name.
+///
+/// # Panics
+///
+/// Panics if `problem` is missing one of the Π_k labels.
+pub(crate) fn pi_k_part_labels(
     problem: &LclProblem,
-    tree: &RootedTree,
-) -> Result<SolverOutcome, SolveError> {
-    let labeling = lcl_core::greedy::solve(problem, tree).ok_or(SolveError::Unsolvable)?;
+    k: usize,
+) -> (Vec<Label>, Vec<(Label, Label)>) {
+    let label = |name: &str| {
+        problem
+            .label_by_name(name)
+            .unwrap_or_else(|| panic!("Π_k problem is missing label {name}"))
+    };
+    let x_labels = (1..k).map(|i| label(&format!("x{i}"))).collect();
+    let ab_labels = (1..=k)
+        .map(|i| (label(&format!("a{i}")), label(&format!("b{i}"))))
+        .collect();
+    (x_labels, ab_labels)
+}
+
+/// Membership in the generalized certificate-driven partition: `Rake(i)` holds
+/// the ≤ n^{1/k}-node subtrees peeled off at iteration `i` (labeled within the
+/// certificate's level-`i` set `S_i`), `Chain(i)` the long one-child runs
+/// completed by flexibility walks inside the level's flexible SCC `C_i`, and
+/// `Core` the remainder after `k − 1` iterations (labeled within `S_k`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolyPart {
+    /// A small-subtree node removed at iteration `i` (1-based).
+    Rake(usize),
+    /// A long-run node removed at iteration `i` (1-based).
+    Chain(usize),
+    /// A survivor of all `k − 1` iterations.
+    Core,
+}
+
+/// The algorithm tag of the generalized partition solver.
+pub(crate) const POLY_ALGORITHM: &str = "generalized B/X partition (exact exponent certificate)";
+
+/// Builds the round report of the generalized partition solver; `depths(kind)`
+/// must return the maximal piece depth of the selected parts.
+///
+/// Round accounting: `k − 1` measured subtree-size explorations of ≤ n^{1/k}
+/// levels each, a charged constant per iteration for the ruling-set chain
+/// completion, and the measured maximal rake-piece and core-component depths
+/// (≤ n^{1/k} and O(n^{1/k}) respectively) — in total O(n^{1/k}).
+pub(crate) fn poly_rounds(
+    iteration_depths: &[usize],
+    cert: &PolyCertificate,
+    depths: impl Fn(fn(PolyPart) -> bool) -> usize,
+) -> RoundReport {
     let mut rounds = RoundReport::new();
-    rounds.measured("global top-down sweep (tree height)", tree.height() + 1);
-    Ok(SolverOutcome {
-        labeling,
-        rounds,
-        algorithm: "global greedy (O(n) baseline)",
-    })
+    for (i, depth) in iteration_depths.iter().enumerate() {
+        rounds.measured(
+            format!("iteration {} subtree-size exploration", i + 1),
+            *depth,
+        );
+    }
+    if cert.exponent() > 1 {
+        let ruling: usize = cert.levels[..cert.exponent() - 1]
+            .iter()
+            .map(|level| 2 * level.chain_threshold + 2)
+            .sum();
+        rounds.charged("chain completion via ruling sets", ruling);
+        rounds.measured(
+            "rake completion (max rake piece depth)",
+            depths(|p| matches!(p, PolyPart::Rake(_))),
+        );
+    }
+    rounds.measured(
+        "core completion (max core component depth)",
+        depths(|p| matches!(p, PolyPart::Core)),
+    );
+    rounds
 }
 
 #[cfg(test)]
@@ -217,33 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn poly_dispatch_and_baseline_both_solve() {
-        // The dispatcher routes the polynomial class to the certificate-driven
-        // solver; the greedy O(n) sweep stays reachable through
-        // `solve_baseline` — both must produce valid labelings.
+    fn solve_routes_the_polynomial_class_to_the_partition_solver() {
         let problem: LclProblem = "1:22\n2:11\n".parse().unwrap();
         let report = classify(&problem);
         let tree = generators::random_full(2, 501, 3);
-        let optimal = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap();
-        assert_eq!(
-            optimal.algorithm,
-            "generalized B/X partition (exact exponent certificate)"
-        );
-        optimal.labeling.verify(&tree, &problem).unwrap();
-        let baseline = solve_baseline(&problem, &tree).unwrap();
-        assert_eq!(baseline.algorithm, "global greedy (O(n) baseline)");
-        baseline.labeling.verify(&tree, &problem).unwrap();
-        assert_eq!(baseline.rounds.total(), tree.height() + 1);
-    }
-
-    #[test]
-    fn baseline_rejects_unsolvable_problems() {
-        let problem: LclProblem = "a : b b\nb : c c\n".parse().unwrap();
-        let tree = generators::balanced(2, 4);
-        assert_eq!(
-            solve_baseline(&problem, &tree).unwrap_err(),
-            SolveError::Unsolvable
-        );
+        let outcome = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap();
+        assert_eq!(outcome.algorithm, POLY_ALGORITHM);
+        outcome.labeling.verify(&tree, &problem).unwrap();
     }
 
     #[test]
@@ -253,5 +335,36 @@ mod tests {
         let tree = generators::balanced(2, 4);
         let err = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap_err();
         assert_eq!(err, SolveError::Unsolvable);
+    }
+
+    #[test]
+    fn ceil_nth_root_boundary_values() {
+        // Exact powers map to their root; one more tips over to root + 1.
+        for t in [1usize, 2, 3, 10, 31, 1000, 65_536] {
+            for k in 1..=4 {
+                let n = (t as u128).pow(k as u32);
+                if n <= usize::MAX as u128 {
+                    let n = n as usize;
+                    assert_eq!(ceil_nth_root(n, k), t, "n = {n}, k = {k}");
+                    if t > 1 && k > 1 {
+                        assert_eq!(ceil_nth_root(n - 1, k), t, "n = {}, k = {k}", n - 1);
+                        assert_eq!(ceil_nth_root(n + 1, k), t + 1, "n = {}, k = {k}", n + 1);
+                    }
+                }
+            }
+        }
+        // Degenerate inputs.
+        assert_eq!(ceil_nth_root(0, 3), 1);
+        assert_eq!(ceil_nth_root(1, 7), 1);
+        assert_eq!(ceil_nth_root(usize::MAX, 1), usize::MAX);
+        // Large exact cubes near the f64 mantissa limit, where
+        // `(n as f64).powf(1.0 / 3.0)` rounding is untrustworthy.
+        for t in [1_000_003usize, 2_097_151, 2_642_245] {
+            let n = t * t * t;
+            assert_eq!(ceil_nth_root(n, 3), t);
+            assert_eq!(ceil_nth_root(n + 1, 3), t + 1);
+        }
+        // Huge k saturates cleanly.
+        assert_eq!(ceil_nth_root(usize::MAX, 200), 2);
     }
 }

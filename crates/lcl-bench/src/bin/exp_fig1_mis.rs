@@ -2,9 +2,11 @@
 //! exhaustive verification of the output table and measured rounds on growing
 //! random trees.
 
-use lcl_algorithms::mis_four_rounds::{self, MIS_TABLE};
+use lcl_algorithms::flat::{solve_mis_four_rounds_flat, SolveScratch};
+use lcl_algorithms::{oracle, MIS_TABLE};
 use lcl_problems::mis;
-use lcl_trees::generators;
+use lcl_trees::FlatTree;
+use lcl_verify::LabelingValidator;
 
 fn main() {
     let problem = mis::mis_binary();
@@ -15,7 +17,7 @@ fn main() {
             .map(|c| format!("{c} "))
             .collect::<String>()
     );
-    let violations = mis_four_rounds::verify_table_against(&problem);
+    let violations = oracle::verify_table_against(&problem);
     println!(
         "exhaustive case check over all 16 codes: {} valid, {} violations",
         16 - violations.len(),
@@ -27,11 +29,14 @@ fn main() {
         "\n{:>10} {:>8} {:>14} {:>10}",
         "n", "rounds", "max msg bits", "valid"
     );
+    let validator = LabelingValidator::new(&problem);
+    let mut scratch = SolveScratch::new();
     for exponent in [8u32, 12, 16, 20] {
-        let tree = generators::random_full(2, (1usize << exponent) + 1, u64::from(exponent));
-        let outcome = mis_four_rounds::solve_mis_four_rounds(&problem, &tree);
-        let metrics = mis_four_rounds::run_metrics(&tree);
-        let valid = outcome.labeling.verify(&tree, &problem).is_ok();
+        let tree = FlatTree::random_full(2, (1usize << exponent) + 1, u64::from(exponent));
+        let outcome = solve_mis_four_rounds_flat(&problem, &tree.level_index(), &mut scratch);
+        // Rounds and message sizes come from the message-passing program.
+        let metrics = oracle::run_metrics(&tree.to_rooted());
+        let valid = validator.validate(&tree, &outcome.labels).is_ok();
         println!(
             "{:>10} {:>8} {:>14} {:>10}",
             tree.len(),

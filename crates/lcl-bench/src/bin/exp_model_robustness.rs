@@ -5,12 +5,14 @@
 //! model's identifiers), and the genuinely message-passing programs stay within the
 //! CONGEST bandwidth budget.
 
-use lcl_algorithms::mis_four_rounds;
-use lcl_algorithms::primitives::chain_coloring;
+use lcl_algorithms::flat::{solve_mis_four_rounds_flat, SolveScratch};
+use lcl_algorithms::oracle;
 use lcl_core::classify;
 use lcl_problems::{coloring, mis};
-use lcl_sim::IdAssignment;
-use lcl_trees::generators;
+use lcl_sim::programs::ChainColorReduction;
+use lcl_sim::{IdAssignment, Simulator};
+use lcl_trees::{generators, FlatTree};
+use lcl_verify::LabelingValidator;
 
 fn main() {
     let tree = generators::random_full(2, (1 << 14) + 1, 9);
@@ -29,7 +31,7 @@ fn main() {
         ),
         ("sparse random (n³)", IdAssignment::random_sparse(&tree, 2)),
     ] {
-        let (colors, metrics) = chain_coloring(&tree, ids);
+        let (colors, metrics) = Simulator::new(&tree, ids).run(&ChainColorReduction);
         for v in tree.nodes() {
             if let Some(p) = tree.parent(v) {
                 assert_ne!(colors[v.index()], colors[p.index()]);
@@ -46,15 +48,19 @@ fn main() {
 
     println!("\n4-round MIS (identifier-free, port numbering only):");
     let problem = mis::mis_binary();
-    let metrics = mis_four_rounds::run_metrics(&tree);
+    let metrics = oracle::run_metrics(&tree);
     println!(
         "rounds = {}, max message bits = {}, CONGEST compliant = {}",
         metrics.rounds,
         metrics.max_message_bits,
         metrics.is_congest_compliant(tree.len(), 1)
     );
-    let outcome = mis_four_rounds::solve_mis_four_rounds(&problem, &tree);
-    outcome.labeling.verify(&tree, &problem).unwrap();
+    let flat = FlatTree::from_tree(&tree);
+    let outcome =
+        solve_mis_four_rounds_flat(&problem, &flat.level_index(), &mut SolveScratch::new());
+    LabelingValidator::new(&problem)
+        .validate(&flat, &outcome.labels)
+        .unwrap();
 
     println!("\nfull solver round totals under different identifier assignments (3-coloring):");
     let col = coloring::three_coloring_binary();

@@ -2,11 +2,16 @@
 //! complexity classes as n grows, reproducing the shape of the paper's landscape
 //! (flat / log* / log / n^{1/k}), plus the raw RCP layer counts of Lemma 5.9.
 
-use lcl_algorithms::{constant_solver, log_solver, log_star_solver, poly_solver};
+use lcl_algorithms::flat::{
+    solve_by_depth_parity_flat, solve_constant_flat, solve_log_flat, solve_log_star_flat,
+    solve_pi_k_flat, SolveScratch,
+};
 use lcl_core::classify;
 use lcl_problems::{coloring, mis, pi_k};
 use lcl_sim::IdAssignment;
-use lcl_trees::generators;
+use lcl_trees::rcp::rcp_partition_flat;
+use lcl_trees::FlatTree;
+use lcl_verify::LabelingValidator;
 
 fn main() {
     let mis_problem = mis::mis_binary();
@@ -23,21 +28,25 @@ fn main() {
     let branch_cert = classify(&branch_problem).log_certificate().unwrap().clone();
     let pi2 = pi_k::pi_k(2);
     let two_col = coloring::two_coloring_binary();
+    let mut scratch = SolveScratch::new();
 
     println!(
         "{:>9} | {:>10} {:>14} {:>16} {:>12} {:>10} | {:>10}",
         "n", "MIS O(1)", "3col log*", "branch log", "Π₂ √n", "2col n", "RCP layers"
     );
     for &n in &lcl_bench::scaling_sizes() {
-        let tree = generators::random_full(2, n + 1, n as u64);
-        let ids = IdAssignment::random_permutation(&tree, 3);
+        let tree = FlatTree::random_full(2, n + 1, n as u64);
+        let idx = tree.level_index();
+        let ids = IdAssignment::random_permutation_len(tree.len(), 3);
 
-        let r_const = constant_solver::solve_constant(&mis_problem, &mis_cert, &tree);
-        let r_logstar = log_star_solver::solve_log_star(&col_problem, &col_cert, &tree, ids);
-        let r_log = log_solver::solve_log(&branch_problem, &branch_cert, &tree).unwrap();
-        let r_poly = poly_solver::solve_pi_k(&pi2, 2, &tree);
-        let r_global = poly_solver::solve_by_depth_parity(&two_col, &tree);
-        let layers = log_solver::rcp_layers(&branch_cert, &tree);
+        let r_const = solve_constant_flat(&mis_problem, &mis_cert, &idx, &mut scratch);
+        let r_logstar =
+            solve_log_star_flat(&col_problem, &col_cert, &tree, &idx, &ids, &mut scratch);
+        let r_log = solve_log_flat(&branch_problem, &branch_cert, &tree, &mut scratch).unwrap();
+        let r_poly = solve_pi_k_flat(&pi2, 2, &tree, &idx, &mut scratch);
+        let r_global = solve_by_depth_parity_flat(&two_col, &tree);
+        // The Θ(log n) term of the rake-and-compress solver (Lemma 5.9).
+        let layers = rcp_partition_flat(&tree, branch_cert.rcp_parameter()).num_layers();
 
         for (problem, outcome) in [
             (&mis_problem, &r_const),
@@ -46,9 +55,8 @@ fn main() {
             (&pi2, &r_poly),
             (&two_col, &r_global),
         ] {
-            outcome
-                .labeling
-                .verify(&tree, problem)
+            LabelingValidator::new(problem)
+                .validate(&tree, &outcome.labels)
                 .expect("valid solution");
         }
         println!(

@@ -6,16 +6,17 @@
 //!                                     # or a catalog name such as `mis`)
 //! rtlcl explain  <file|name>          # classification plus certificates
 //! rtlcl solve    <file|name> <n>      # classify, solve on a random n-node tree, verify
-//!                                     # (--emit-labeling <path> writes the solution;
-//!                                     #  --flat [--nodes n] streams the tree into CSR
-//!                                     #  form and uses the flat level-synchronous
-//!                                     #  solver engine — the million-node path;
+//!                                     # (the size may also be given as --nodes n; the
+//!                                     #  tree is streamed into CSR form and solved by
+//!                                     #  the flat level-synchronous solver engine;
+//!                                     #  --emit-labeling <path> writes the solution;
 //!                                     #  --baseline forces the greedy O(n) sweep
 //!                                     #  instead of the class-optimal solver;
 //!                                     #  --edits BxE[@seed] drives B seeded batches of
 //!                                     #  E attach/detach/relabel edits through the
 //!                                     #  incremental repair engine after the solve,
-//!                                     #  validating every batch — requires --flat)
+//!                                     #  validating every batch; --flat is accepted
+//!                                     #  and does nothing)
 //! rtlcl classify-batch [options]      # sweep a whole problem family through the engine
 //! rtlcl sweep    [options]            # canonical-first exhaustive sweep of a (δ, Σ) universe
 //! rtlcl serve    [options]            # run the resident classification daemon (HTTP/JSON)
@@ -31,7 +32,7 @@
 //! --tree <shape>   random | balanced | hairy (default random)
 //! --nodes <n>      minimum tree size (default 101)
 //! --seed <s>       tree seed (default 1)
-//! --edits BxE[@s]  replay the same seeded edit script a `solve --flat --edits`
+//! --edits BxE[@s]  replay the same seeded edit script a `solve --edits`
 //!                  run applied (structure only) before validating, so labelings
 //!                  emitted after dynamic edits round-trip through verify
 //! --json           emit the verdict as JSON
@@ -118,7 +119,8 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lcl_algorithms::solve;
+use lcl_algorithms::flat::solve_greedy_flat;
+use lcl_algorithms::{solve_flat, SolveError, SolveScratch};
 use lcl_core::{
     classify, ClassificationEngine, EngineKind, LaneWidth, LclProblem, LoadOutcome, MaskRange,
     SnapshotLayout, SweepCheckpoint, SweepSnapshot,
@@ -227,6 +229,12 @@ fn cmd_explain(spec: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `rtlcl solve`: streams a random full δ-ary tree (seed 1) straight into CSR
+/// form, solves it with the class-optimal flat solver (or the greedy O(n)
+/// sweep under `--baseline`) and identifiers permuted with seed 1, validates
+/// with the parallel CSR validator, and optionally drives seeded edit batches
+/// through the incremental repair engine. `rtlcl verify` regenerates the same
+/// tree, so it accepts the emitted labeling.
 fn cmd_solve(opts: &SolveOptions) -> ExitCode {
     let (n, emit_labeling) = (opts.nodes, opts.emit.as_deref());
     let problem = match load_problem(&opts.spec) {
@@ -248,91 +256,15 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if opts.flat {
-        return cmd_solve_flat(
-            &problem,
-            &report,
-            n,
-            opts.baseline,
-            opts.edits,
-            emit_labeling,
-        );
-    }
-    let tree = generators::random_full(problem.delta(), n.max(1), 1);
-    let solved = if opts.baseline {
-        lcl_algorithms::solve_baseline(&problem, &tree)
-    } else {
-        solve(
-            &problem,
-            &report,
-            &tree,
-            IdAssignment::random_permutation(&tree, 1),
-        )
-    };
-    match solved {
-        Ok(outcome) => {
-            if let Err(e) = outcome.labeling.verify(&tree, &problem) {
-                eprintln!("internal error: produced an invalid solution: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "solved and verified on a {}-node random full {}-ary tree",
-                tree.len(),
-                problem.delta()
-            );
-            println!("algorithm: {}", outcome.algorithm);
-            println!("rounds: {}", outcome.rounds.summary());
-            if let Some(path) = emit_labeling {
-                let mut out = String::with_capacity(tree.len() * 2);
-                for v in tree.nodes() {
-                    // Invariant: `verify` above walked every node of this
-                    // exact tree and errored out on any missing label, so a
-                    // hole here is impossible — it would mean the validator
-                    // accepted a partial labeling, a bug worth crashing on.
-                    let label = outcome
-                        .labeling
-                        .get(v)
-                        .expect("verified labeling is complete");
-                    out.push_str(problem.label_name(label));
-                    out.push('\n');
-                }
-                if let Err(e) = std::fs::write(path, out) {
-                    eprintln!("cannot write labeling to `{path}`: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("labeling written to {path} (validate with `rtlcl verify`)");
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("solver error: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `solve --flat` path: streams the tree straight into CSR form (the
-/// arena tree is never built), solves with the flat level-synchronous engine,
-/// and validates with the parallel CSR validator — the million-node workflow.
-/// The tree and identifiers match the arena path bit-for-bit (same generator
-/// process, same seed), so `rtlcl verify` accepts the emitted labeling.
-fn cmd_solve_flat(
-    problem: &LclProblem,
-    report: &lcl_core::ClassificationReport,
-    n: usize,
-    baseline: bool,
-    edits: Option<EditSpec>,
-    emit_labeling: Option<&str>,
-) -> ExitCode {
+    let (problem, report) = (&problem, &report);
     let tree = FlatTree::random_full(problem.delta(), n.max(1), 1);
     let idx = tree.level_index();
-    let ids = lcl_sim::IdAssignment::random_permutation_len(tree.len(), 1);
-    let mut scratch = lcl_algorithms::SolveScratch::new();
-    let solved = if baseline {
-        lcl_algorithms::flat::solve_greedy_flat(problem, &idx, &mut scratch)
-            .ok_or(lcl_algorithms::SolveError::Unsolvable)
+    let ids = IdAssignment::random_permutation_len(tree.len(), 1);
+    let mut scratch = SolveScratch::new();
+    let solved = if opts.baseline {
+        solve_greedy_flat(problem, &idx, &mut scratch).ok_or(SolveError::Unsolvable)
     } else {
-        lcl_algorithms::solve_flat(problem, report, &tree, &idx, &ids, &mut scratch)
+        solve_flat(problem, report, &tree, &idx, &ids, &mut scratch)
     };
     let validator = LabelingValidator::new(problem);
     let mut outcome = match solved {
@@ -347,7 +279,7 @@ fn cmd_solve_flat(
         return ExitCode::FAILURE;
     }
     println!(
-        "solved and verified on a {}-node random full {}-ary tree (flat engine)",
+        "solved and verified on a {}-node random full {}-ary tree",
         tree.len(),
         problem.delta()
     );
@@ -356,7 +288,7 @@ fn cmd_solve_flat(
 
     // The dynamic-tree path: drive seeded edit batches through the
     // incremental repair engine, validating each batch's dirty ranges.
-    if let Some(spec) = edits {
+    if let Some(spec) = opts.edits {
         let base_len = tree.len();
         let mut dt = DynamicTree::new(tree, problem.delta());
         if let Err(e) = drive_edit_batches(
@@ -611,7 +543,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
     };
     if let Some(spec) = edits {
-        // Structure-only replay of the edit script a `solve --flat --edits`
+        // Structure-only replay of the edit script a `solve --edits`
         // run applied: same seed, same deterministic generator, same ids.
         let mut dt = DynamicTree::new(tree, problem.delta());
         let mut gen = EditScriptGen::new(spec.seed, dt.len());
@@ -1627,7 +1559,6 @@ struct SolveOptions {
     spec: String,
     nodes: usize,
     emit: Option<String>,
-    flat: bool,
     baseline: bool,
     edits: Option<EditSpec>,
 }
@@ -1635,7 +1566,6 @@ struct SolveOptions {
 fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
     let mut positional: Vec<&String> = Vec::new();
     let mut emit = None;
-    let mut flat = false;
     let mut baseline = false;
     let mut edits = None;
     let mut nodes_flag: Option<usize> = None;
@@ -1643,7 +1573,8 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
     while let Some(arg) = cur.next_arg() {
         match arg.as_str() {
             "--emit-labeling" => emit = Some(cur.value("--emit-labeling")?.clone()),
-            "--flat" => flat = true,
+            // Accepted for old command lines; every solve is flat.
+            "--flat" => {}
             "--baseline" => baseline = true,
             "--edits" => edits = Some(cur.parse_value("--edits")?),
             "--nodes" => nodes_flag = Some(cur.parse_value("--nodes")?),
@@ -1652,9 +1583,6 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
             }
             _ => positional.push(arg),
         }
-    }
-    if edits.is_some() && !flat {
-        return Err("--edits requires --flat (the repair engine works on CSR trees)".into());
     }
     if edits.is_some() && baseline {
         return Err("--edits needs the class-optimal solver, not --baseline".into());
@@ -1676,7 +1604,6 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
         spec,
         nodes,
         emit,
-        flat,
         baseline,
         edits,
     })
@@ -1684,7 +1611,7 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  rtlcl catalog\n  rtlcl classify <file|name> [--json]\n  rtlcl explain <file|name>\n  rtlcl solve <file|name> <tree size | --nodes n> [--flat] [--baseline] [--edits BxE[@seed]] [--emit-labeling path]\n  rtlcl classify-batch [--count n] [--labels k] [--delta d] [--density p] [--seed s] [--enumerate] [--sequential] [--no-memo] [--json]\n  rtlcl sweep [--delta d] [--labels k] [--shards n] [--engine bitsliced|scalar] [--checkpoint file] [--checkpoint-every n] [--max-orbits n] [--resume] [--json]\n  rtlcl serve [--addr host:port] [--workers n] [--queue n] [--deadline-ms n] [--read-timeout-ms n] [--snapshot file] [--debug-endpoints]\n  rtlcl snapshot info <file> [--json]\n  rtlcl verify <file|name> <labeling-file> [--tree random|balanced|hairy] [--nodes n] [--seed s] [--edits BxE[@seed]] [--json]\n  rtlcl fuzz [--iters n] [--seed s] [--json]"
+        "usage:\n  rtlcl catalog\n  rtlcl classify <file|name> [--json]\n  rtlcl explain <file|name>\n  rtlcl solve <file|name> <tree size | --nodes n> [--baseline] [--edits BxE[@seed]] [--emit-labeling path] [--flat (accepted, no effect)]\n  rtlcl classify-batch [--count n] [--labels k] [--delta d] [--density p] [--seed s] [--enumerate] [--sequential] [--no-memo] [--json]\n  rtlcl sweep [--delta d] [--labels k] [--shards n] [--engine bitsliced|scalar] [--checkpoint file] [--checkpoint-every n] [--max-orbits n] [--resume] [--json]\n  rtlcl serve [--addr host:port] [--workers n] [--queue n] [--deadline-ms n] [--read-timeout-ms n] [--snapshot file] [--debug-endpoints]\n  rtlcl snapshot info <file> [--json]\n  rtlcl verify <file|name> <labeling-file> [--tree random|balanced|hairy] [--nodes n] [--seed s] [--edits BxE[@seed]] [--json]\n  rtlcl fuzz [--iters n] [--seed s] [--json]"
     );
     ExitCode::FAILURE
 }

@@ -36,85 +36,6 @@ pub fn solve(problem: &LclProblem, tree: &RootedTree) -> Option<Labeling> {
     Some(labeling)
 }
 
-/// Completes a partial labeling downwards: every already-labeled node keeps its
-/// label, and unlabeled descendants of labeled nodes are filled greedily within
-/// `problem`'s self-sustaining set. Returns `None` if some labeled node's label has
-/// no continuation within that set while it still has unlabeled children.
-///
-/// This helper is used by the certificate-driven solvers to finish the bottom
-/// fringe of the tree (below the last complete splitting layer).
-pub fn complete_downwards(
-    problem: &LclProblem,
-    tree: &RootedTree,
-    labeling: &mut Labeling,
-) -> Option<()> {
-    let kept = solvable_labels(problem);
-    for v in tree.bfs_order() {
-        if tree.is_leaf(v) {
-            continue;
-        }
-        let parent_label = labeling.get(v)?;
-        if tree.children(v).iter().all(|&c| labeling.is_set(c)) {
-            continue;
-        }
-        let fixed: Vec<_> = tree.children(v).iter().map(|&c| labeling.get(c)).collect();
-        if fixed.iter().all(|f| f.is_none()) {
-            // No child constrained yet: extend with any continuation in the kept set.
-            let config = problem.continuation_within(parent_label, kept)?;
-            for (&child, &label) in tree.children(v).iter().zip(config.children()) {
-                labeling.set(child, label);
-            }
-        } else {
-            // Some children are fixed: pick a configuration consistent with them
-            // whose remaining labels stay in the kept set.
-            let chosen = problem
-                .configurations_with_parent(parent_label)
-                .find(|cfg| {
-                    cfg.uses_only(|l| kept.contains(l) || fixed.contains(&Some(l)))
-                        && compatible(cfg.children(), &fixed)
-                })?;
-            let assignment = assign(chosen.children(), &fixed)?;
-            for (&c, &l) in tree.children(v).iter().zip(assignment.iter()) {
-                labeling.set(c, l);
-            }
-        }
-    }
-    Some(())
-}
-
-/// Checks that the multiset `children` can be arranged so that every slot with a
-/// fixed label receives exactly that label.
-fn compatible(children: &[crate::label::Label], fixed: &[Option<crate::label::Label>]) -> bool {
-    assign(children, fixed).is_some()
-}
-
-/// Arranges `children` so fixed slots keep their labels; free slots get the rest.
-fn assign(
-    children: &[crate::label::Label],
-    fixed: &[Option<crate::label::Label>],
-) -> Option<Vec<crate::label::Label>> {
-    let mut remaining: Vec<crate::label::Label> = children.to_vec();
-    let mut out = vec![None; fixed.len()];
-    for (i, f) in fixed.iter().enumerate() {
-        if let Some(l) = f {
-            let pos = remaining.iter().position(|r| r == l)?;
-            remaining.swap_remove(pos);
-            out[i] = Some(*l);
-        }
-    }
-    let mut it = remaining.into_iter();
-    for slot in out.iter_mut() {
-        if slot.is_none() {
-            *slot = Some(it.next().expect("counts match"));
-        }
-    }
-    Some(
-        out.into_iter()
-            .map(|o| o.expect("all slots filled"))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,18 +76,5 @@ mod tests {
         let tree = generators::random_full(3, 121, 11);
         let labeling = solve(&p, &tree).unwrap();
         labeling.verify(&tree, &p).unwrap();
-    }
-
-    #[test]
-    fn complete_downwards_respects_prefilled_labels() {
-        let p: LclProblem = "1:22\n2:11\n".parse().unwrap();
-        let one = p.label_by_name("1").unwrap();
-        let tree = generators::balanced(2, 4);
-        let mut labeling = Labeling::for_tree(&tree);
-        labeling.set(tree.root(), one);
-        complete_downwards(&p, &tree, &mut labeling).unwrap();
-        assert!(labeling.is_complete());
-        labeling.verify(&tree, &p).unwrap();
-        assert_eq!(labeling.get(tree.root()), Some(one));
     }
 }

@@ -32,6 +32,14 @@ impl Labeling {
         Self::new(tree.len())
     }
 
+    /// Creates a complete labeling from one label per node, indexed by node id
+    /// (the layout of the flat solvers' output).
+    pub fn from_labels(labels: &[Label]) -> Self {
+        Labeling {
+            labels: labels.iter().copied().map(Some).collect(),
+        }
+    }
+
     /// Number of nodes the labeling covers.
     pub fn len(&self) -> usize {
         self.labels.len()

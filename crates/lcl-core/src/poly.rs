@@ -17,7 +17,7 @@
 //! flexible SCC of the automaton of `Π|S_i`, and `S_{i+1} = trim(C_i)`:
 //!
 //! * **upper bound**: the chain drives an O(n^{1/k})-round algorithm
-//!   (`lcl-algorithms::poly_solver::solve_poly`) that peels the tree into k
+//!   (`lcl_algorithms::flat::solve_poly_flat`) that peels the tree into k
 //!   layers of n^{1/k}-sized rake pieces and flexibility-completed chains,
 //!   generalizing the Π_k partition of Lemma 8.1;
 //! * **lower bound**: no chain of length k+1 exists, which generalizes the

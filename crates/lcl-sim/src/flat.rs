@@ -10,11 +10,11 @@
 //!
 //! [`chain_color_reduction_flat`] reproduces the simulator run *exactly*: the
 //! same colours and the same [`Metrics`] (rounds, message count, bit totals)
-//! as `Simulator::run(&ChainColorReduction)` with the same identifiers, which
-//! is what lets the flat solvers report byte-identical round accounting to the
-//! arena solvers. Each reduction round is sharded across `std::thread::scope`
-//! workers over contiguous node ranges (reads go to the previous buffer, so
-//! workers only ever write their own chunk).
+//! as `Simulator::run(&ChainColorReduction)` with the same identifiers, so the
+//! Cole–Vishkin phases the flat solvers report as measured are the rounds of
+//! the message-passing program. Each reduction round is sharded across
+//! `std::thread::scope` workers over contiguous node ranges (reads go to the
+//! previous buffer, so workers only ever write their own chunk).
 
 use lcl_trees::FlatTree;
 

@@ -1,5 +1,7 @@
-//! Built-in node programs: small, genuinely message-passing building blocks used by
-//! the solvers in `lcl-algorithms` and by the examples.
+//! Built-in node programs: small, genuinely message-passing building blocks. The
+//! flat solvers of `lcl-algorithms` are checked against their simulator runs
+//! (the flat Cole–Vishkin path reproduces [`ChainColorReduction`] exactly), and
+//! the experiments and examples run them directly.
 
 use crate::node::NodeInfo;
 use crate::program::{broadcast, NodeProgram, RoundAction};

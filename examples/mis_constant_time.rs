@@ -5,7 +5,10 @@
 //!
 //! Run with `cargo run --release --example mis_constant_time`.
 
-use rooted_tree_lcl::algorithms::mis_four_rounds;
+use rooted_tree_lcl::algorithms::flat::{
+    solve_constant_flat, solve_mis_four_rounds_flat, SolveScratch,
+};
+use rooted_tree_lcl::algorithms::{oracle, MIS_TABLE};
 use rooted_tree_lcl::core::classify;
 use rooted_tree_lcl::prelude::*;
 use rooted_tree_lcl::problems::mis::mis_binary;
@@ -28,11 +31,11 @@ fn main() {
     );
 
     // The Figure 1 check: the 16-symbol table is consistent with every code.
-    let violations = mis_four_rounds::verify_table_against(&problem);
+    let violations = oracle::verify_table_against(&problem);
     println!("\n== Figure 1 / string (4): exhaustive case check ==");
     println!(
         "table {:?}: {} of 16 codes valid",
-        mis_four_rounds::MIS_TABLE.iter().collect::<String>(),
+        MIS_TABLE.iter().collect::<String>(),
         16 - violations.len()
     );
     assert!(violations.is_empty());
@@ -43,13 +46,15 @@ fn main() {
         "{:>10} {:>18} {:>22}",
         "n", "4-round alg", "generic (Thm 7.2)"
     );
+    let validator = LabelingValidator::new(&problem);
+    let mut scratch = SolveScratch::new();
     for exponent in [10, 12, 14, 16, 18] {
-        let tree = generators::random_full(2, (1usize << exponent) + 1, exponent as u64);
-        let explicit = mis_four_rounds::solve_mis_four_rounds(&problem, &tree);
-        explicit.labeling.verify(&tree, &problem).unwrap();
-        let generic =
-            rooted_tree_lcl::algorithms::constant_solver::solve_constant(&problem, &cert, &tree);
-        generic.labeling.verify(&tree, &problem).unwrap();
+        let tree = FlatTree::random_full(2, (1usize << exponent) + 1, exponent as u64);
+        let idx = tree.level_index();
+        let explicit = solve_mis_four_rounds_flat(&problem, &idx, &mut scratch);
+        validator.validate(&tree, &explicit.labels).unwrap();
+        let generic = solve_constant_flat(&problem, &cert, &idx, &mut scratch);
+        validator.validate(&tree, &generic.labels).unwrap();
         println!(
             "{:>10} {:>18} {:>22}",
             tree.len(),

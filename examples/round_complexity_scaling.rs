@@ -5,7 +5,10 @@
 //!
 //! Run with `cargo run --release --example round_complexity_scaling`.
 
-use rooted_tree_lcl::algorithms::{constant_solver, log_solver, log_star_solver, poly_solver};
+use rooted_tree_lcl::algorithms::flat::{
+    solve_by_depth_parity_flat, solve_constant_flat, solve_log_flat, solve_log_star_flat,
+    solve_pi_k_flat, SolveScratch,
+};
 use rooted_tree_lcl::core::classify;
 use rooted_tree_lcl::prelude::*;
 use rooted_tree_lcl::problems::{coloring, mis, pi_k};
@@ -25,30 +28,35 @@ fn main() {
     let branch_cert = classify(&branch_problem).log_certificate().unwrap().clone();
 
     let pi2_problem = pi_k::pi_k(2);
+    let two_col = coloring::two_coloring_binary();
+    let mut scratch = SolveScratch::new();
 
     println!(
         "{:>9} {:>12} {:>16} {:>16} {:>14} {:>12}",
         "n", "MIS O(1)", "3-col Θ(log*n)", "branch Θ(log n)", "Π₂ Θ(√n)", "2-col Θ(n)"
     );
     for &n in &sizes {
-        let tree = generators::random_full(2, n + 1, n as u64);
-        let ids = IdAssignment::random_permutation(&tree, 7);
+        let tree = FlatTree::random_full(2, n + 1, n as u64);
+        let idx = tree.level_index();
+        let ids = IdAssignment::random_permutation_len(tree.len(), 7);
 
-        let r_const = constant_solver::solve_constant(&mis_problem, &mis_cert, &tree);
-        r_const.labeling.verify(&tree, &mis_problem).unwrap();
-
-        let r_logstar = log_star_solver::solve_log_star(&col_problem, &col_cert, &tree, ids);
-        r_logstar.labeling.verify(&tree, &col_problem).unwrap();
-
-        let r_log = log_solver::solve_log(&branch_problem, &branch_cert, &tree).unwrap();
-        r_log.labeling.verify(&tree, &branch_problem).unwrap();
-
-        let r_poly = poly_solver::solve_pi_k(&pi2_problem, 2, &tree);
-        r_poly.labeling.verify(&tree, &pi2_problem).unwrap();
-
-        let two_col = coloring::two_coloring_binary();
-        let r_global = poly_solver::solve_by_depth_parity(&two_col, &tree);
-        r_global.labeling.verify(&tree, &two_col).unwrap();
+        let r_const = solve_constant_flat(&mis_problem, &mis_cert, &idx, &mut scratch);
+        let r_logstar =
+            solve_log_star_flat(&col_problem, &col_cert, &tree, &idx, &ids, &mut scratch);
+        let r_log = solve_log_flat(&branch_problem, &branch_cert, &tree, &mut scratch).unwrap();
+        let r_poly = solve_pi_k_flat(&pi2_problem, 2, &tree, &idx, &mut scratch);
+        let r_global = solve_by_depth_parity_flat(&two_col, &tree);
+        for (problem, outcome) in [
+            (&mis_problem, &r_const),
+            (&col_problem, &r_logstar),
+            (&branch_problem, &r_log),
+            (&pi2_problem, &r_poly),
+            (&two_col, &r_global),
+        ] {
+            LabelingValidator::new(problem)
+                .validate(&tree, &outcome.labels)
+                .unwrap();
+        }
 
         println!(
             "{:>9} {:>12} {:>16} {:>16} {:>14} {:>12}",

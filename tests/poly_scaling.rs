@@ -3,8 +3,8 @@
 //! constant times n^{1/k} — and the labeling must pass the parallel CSR
 //! validator of `lcl-verify`.
 
-use rooted_tree_lcl::algorithms::flat::{solve_poly_flat, SolveScratch};
-use rooted_tree_lcl::algorithms::{ceil_nth_root, poly_partition, PolyPart};
+use rooted_tree_lcl::algorithms::flat::{poly_partition_flat, solve_poly_flat, SolveScratch};
+use rooted_tree_lcl::algorithms::{ceil_nth_root, PolyPart};
 use rooted_tree_lcl::core::find_poly_certificate;
 use rooted_tree_lcl::problems::pi_k;
 use rooted_tree_lcl::trees::FlatTree;
@@ -57,8 +57,8 @@ fn partition_core_shrinks_with_the_threshold() {
     // the chain-threshold constant.
     let problem = pi_k::pi_k(2);
     let cert = find_poly_certificate(&problem).unwrap();
-    let tree = FlatTree::random_full(2, 1 << 16, 7).to_rooted();
-    let partition = poly_partition(&tree, &cert);
+    let tree = FlatTree::random_full(2, 1 << 16, 7);
+    let partition = poly_partition_flat(&tree, &tree.level_index(), &cert);
     let core = partition
         .part
         .iter()
@@ -66,7 +66,7 @@ fn partition_core_shrinks_with_the_threshold() {
         .count();
     let root = ceil_nth_root(tree.len(), 2);
     let l1 = cert.levels[0].chain_threshold;
-    let bound = 4 * (l1 + 2) * (tree.len() / partition.threshold + 1);
+    let bound = 4 * (l1 + 2) * (tree.len() / root + 1);
     assert!(
         core <= bound,
         "core of {core} nodes exceeds the shrinkage bound {bound} (n^(1/2) = {root})"
