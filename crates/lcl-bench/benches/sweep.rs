@@ -40,6 +40,10 @@
 //! leg from an empty memo. Their median time ratio is recorded as
 //! `resumed_leg_vs_fresh_leg` (cost, lower is better), and CI fails when the
 //! committed ratio reaches 2.0.
+//!
+//! Campaign stages: the canonical filter and the key derivation of one
+//! (δ=2, 4-label) campaign slice, recorded as `d2_l4_filter_masks_per_sec`
+//! and `d2_l4_keys_per_sec`.
 
 use std::path::Path;
 use std::time::Instant;
@@ -78,8 +82,9 @@ fn bitsliced_outcome(delta: usize, labels: usize, shards: usize) -> SweepOutcome
 
 /// Full-universe scan rate of the batched canonical filter: how fast
 /// `CanonicalFamily::blocks_in` streams canonical representatives when it tests
-/// 64-mask windows at once (one hoisted permutation image per window plus a
-/// precomputed low-bit image table, instead of one `is_canonical` per mask).
+/// 64-mask windows at once (one image of the window's base per permutation,
+/// ORed with one table lookup per surviving offset, instead of one
+/// `is_canonical` per mask).
 fn canonical_filter_masks_per_sec(delta: usize, labels: usize) -> f64 {
     let family = CanonicalFamily::new(delta, labels);
     let mut best = f64::MAX;
@@ -374,6 +379,53 @@ fn run_resumed_leg(report: &mut BenchReport, delta: usize, labels: usize, sample
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The canonical stream of one (δ=2, 4-label) campaign slice — 2^16 masks
+/// from 2^27, where the campaign benchmark walks — through the two stages a
+/// sweep leg runs before its kernels: the batched canonical filter
+/// (`blocks_in`, orbit sizes included) over the slice, and the mask-direct
+/// key (`canonical_key_of`) of every representative it yields. Records both
+/// rates, `d2_l4_filter_masks_per_sec` and `d2_l4_keys_per_sec`.
+fn run_canonical_stream(report: &mut BenchReport, samples: usize) {
+    let family = CanonicalFamily::new(2, 4);
+    let slice = MaskRange {
+        next: 1 << 27,
+        hi: (1 << 27) + (1 << 16),
+    };
+    let lanes = LaneWidth::default().lanes();
+    let representatives: Vec<u64> = family
+        .blocks_in(slice, lanes)
+        .flat_map(|block| block.masks)
+        .collect();
+
+    let mut bench = Bench::new("canonical_stream_d2_l4 (2^16 masks from 2^27)");
+    let filter_label = "blocks_in: canonical filter and orbit sizes";
+    let key_label = &format!(
+        "canonical_key_of: {} representatives",
+        representatives.len()
+    );
+    bench.case_samples(filter_label, samples, || {
+        family
+            .blocks_in(slice, lanes)
+            .map(|block| block.masks.len())
+            .sum::<usize>()
+    });
+    bench.case_samples(key_label, samples, || {
+        representatives
+            .iter()
+            .map(|&mask| family.canonical_key_of(mask).as_words().len())
+            .sum::<usize>()
+    });
+    let filter = bench.median_of(filter_label).expect("case ran");
+    let keys = bench.median_of(key_label).expect("case ran");
+    let filter_rate = slice.remaining() as f64 / filter.as_secs_f64().max(1e-12);
+    let key_rate = representatives.len() as f64 / keys.as_secs_f64().max(1e-12);
+    report.add_metric("d2_l4_filter_masks_per_sec", filter_rate);
+    report.add_metric("d2_l4_keys_per_sec", key_rate);
+    println!("(δ=2, 4-label) slice: {filter_rate:.3e} masks/s filtered, {key_rate:.3e} keys/s");
+    println!();
+    report.add_group(bench);
+}
+
 fn run_universe(
     report: &mut BenchReport,
     delta: usize,
@@ -467,5 +519,7 @@ fn main() {
     run_checkpoint_cost(&mut report, 2, 3, 11);
     // What resuming a near-complete campaign adds to its last leg.
     run_resumed_leg(&mut report, 2, 3, 11);
+    // The filter and key stages of a (δ=2, 4-label) campaign leg.
+    run_canonical_stream(&mut report, 11);
     report.write().expect("bench report written");
 }

@@ -134,6 +134,35 @@ use lcl_sim::IdAssignment;
 use lcl_trees::{generators, DynamicTree, EditScriptGen, FlatTree};
 use lcl_verify::{fuzz_classifier_vs_solvers, LabelingValidator};
 
+/// Writes to stdout. A reader that has gone away (`BrokenPipe`, as when
+/// `head` or `grep -q` stops reading) ends the run quietly with exit status
+/// 0; any other write error panics, as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout().lock(), args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// `--edits BxE[@seed]`: B batches of E edits, script seed (default 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct EditSpec {
@@ -174,9 +203,9 @@ fn load_problem(spec: &str) -> Result<LclProblem, String> {
 }
 
 fn cmd_catalog() -> ExitCode {
-    println!("{:<22} {:<14} reference", "name", "expected class");
+    outln!("{:<22} {:<14} reference", "name", "expected class");
     for entry in catalog::catalog() {
-        println!(
+        outln!(
             "{:<22} {:<14} {}",
             entry.name,
             entry.expected.describe(),
@@ -196,9 +225,9 @@ fn cmd_classify(spec: &str, json: bool) -> ExitCode {
     };
     let report = classify(&problem);
     if json {
-        println!("{}", report_to_json(&report).to_pretty());
+        outln!("{}", report_to_json(&report).to_pretty());
     } else {
-        println!("{}", report.complexity);
+        outln!("{}", report.complexity);
     }
     ExitCode::SUCCESS
 }
@@ -212,9 +241,9 @@ fn cmd_explain(spec: &str) -> ExitCode {
         }
     };
     let report = classify(&problem);
-    print!("{}", report.describe());
+    out!("{}", report.describe());
     if let Some(Ok(cert)) = report.log_star_certificate() {
-        println!(
+        outln!(
             "uniform certificate: depth {}, labels {}",
             cert.depth,
             problem.alphabet().format_set(cert.labels)
@@ -224,7 +253,7 @@ fn cmd_explain(spec: &str) -> ExitCode {
             .iter()
             .map(|&l| problem.label_name(l))
             .collect();
-        println!("shared leaf pattern: {}", leaf_names.join(" "));
+        outln!("shared leaf pattern: {}", leaf_names.join(" "));
     }
     ExitCode::SUCCESS
 }
@@ -245,9 +274,9 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
         }
     };
     let report = classify(&problem);
-    println!("complexity: {}", report.complexity);
+    outln!("complexity: {}", report.complexity);
     if !report.complexity.is_solvable() {
-        println!("problem is unsolvable; nothing to solve");
+        outln!("problem is unsolvable; nothing to solve");
         if let Some(path) = emit_labeling {
             // Fail rather than exit 0 with nothing written: a `solve … &&
             // verify …` chain would otherwise validate a stale file.
@@ -278,13 +307,13 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
         eprintln!("internal error: produced an invalid solution: {e}");
         return ExitCode::FAILURE;
     }
-    println!(
+    outln!(
         "solved and verified on a {}-node random full {}-ary tree",
         tree.len(),
         problem.delta()
     );
-    println!("algorithm: {}", outcome.algorithm);
-    println!("rounds: {}", outcome.rounds.summary());
+    outln!("algorithm: {}", outcome.algorithm);
+    outln!("rounds: {}", outcome.rounds.summary());
 
     // The dynamic-tree path: drive seeded edit batches through the
     // incremental repair engine, validating each batch's dirty ranges.
@@ -303,7 +332,7 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
             eprintln!("edit replay failed: {e}");
             return ExitCode::FAILURE;
         }
-        println!(
+        outln!(
             "edits: {} batches x {} edits (seed {}), tree {} -> {} nodes, every batch validated",
             spec.batches,
             spec.per_batch,
@@ -322,7 +351,7 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
             eprintln!("cannot write labeling to `{path}`: {e}");
             return ExitCode::FAILURE;
         }
-        println!("labeling written to {path} (validate with `rtlcl verify`)");
+        outln!("labeling written to {path} (validate with `rtlcl verify`)");
     }
     ExitCode::SUCCESS
 }
@@ -391,8 +420,8 @@ fn drive_edit_batches(
             dtree.len()
         ));
     }
-    println!("repair: {sites} sites, {relabeled} labels written, {escalations} escalations");
-    println!(
+    outln!("repair: {sites} sites, {relabeled} labels written, {escalations} escalations");
+    outln!(
         "identifiers: {} live ids in {} bits (survivors stable across every batch)",
         ids.len(),
         ids.id_bits()
@@ -576,15 +605,15 @@ fn cmd_verify(args: &[String]) -> ExitCode {
                 obj.push(("violation_node".into(), Json::int(node as usize)));
             }
         }
-        println!("{}", Json::Obj(obj).to_pretty());
+        outln!("{}", Json::Obj(obj).to_pretty());
     } else {
         match &verdict {
-            Ok(()) => println!(
+            Ok(()) => outln!(
                 "valid: all {} nodes of the {} tree satisfy the problem",
                 tree.len(),
                 shape
             ),
-            Err(e) => println!("INVALID: {e}"),
+            Err(e) => outln!("INVALID: {e}"),
         }
     }
     if verdict.is_ok() {
@@ -661,32 +690,34 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
                 ),
             ),
         ]);
-        println!("{}", out.to_pretty());
+        outln!("{}", out.to_pretty());
     } else {
-        println!(
+        outln!(
             "fuzzed {} problems (seed {seed}) in {:.1} ms",
             report.iterations,
             elapsed.as_secs_f64() * 1e3
         );
         for (name, n) in report.histogram {
             if n > 0 {
-                println!("{name:>12}: {n}");
+                outln!("{name:>12}: {n}");
             }
         }
-        println!(
+        outln!(
             "solver runs: {} ({} nodes validated, {} certificate skips)",
-            report.solver_runs, report.validated_nodes, report.skipped_certificates
+            report.solver_runs,
+            report.validated_nodes,
+            report.skipped_certificates
         );
-        println!(
+        outln!(
             "edit scripts: {} repaired batches validated incrementally",
             report.edit_scripts
         );
         if report.is_clean() {
-            println!("no discrepancies: classifier, solvers, and validator agree");
+            outln!("no discrepancies: classifier, solvers, and validator agree");
         } else {
-            println!("{} DISCREPANCIES:", report.discrepancies.len());
+            outln!("{} DISCREPANCIES:", report.discrepancies.len());
             for d in &report.discrepancies {
-                println!("  {d}");
+                outln!("  {d}");
             }
         }
     }
@@ -854,9 +885,9 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
                 ),
             ),
         ]);
-        println!("{}", out.to_pretty());
+        outln!("{}", out.to_pretty());
     } else {
-        println!(
+        outln!(
             "classified {} problems (δ={}, {} labels, {}) in {:.1} ms",
             problems.len(),
             opts.delta,
@@ -868,7 +899,7 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
             },
             elapsed.as_secs_f64() * 1e3
         );
-        println!(
+        outln!(
             "engine: {} ({}), cache hits {}, misses {}",
             if opts.sequential {
                 "sequential"
@@ -881,7 +912,7 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
         );
         for (name, n) in histogram {
             if n > 0 {
-                println!("{name:>12}: {n}");
+                outln!("{name:>12}: {n}");
             }
         }
     }
@@ -1223,10 +1254,10 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
         }
         entries.push(("orbits".into(), histogram_json(&outcome.orbits)));
         entries.push(("problems".into(), histogram_json(&outcome.problems)));
-        println!("{}", Json::Obj(entries).to_pretty());
+        outln!("{}", Json::Obj(entries).to_pretty());
     } else {
         if completed {
-            println!(
+            outln!(
                 "swept the complete (δ={}, {}-label) universe: {} problems in {} orbits, \
                  {} decisions in {:.1} ms ({} shards{}, {} engine)",
                 delta,
@@ -1244,7 +1275,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
                 engine_kind.name()
             );
         } else {
-            println!(
+            outln!(
                 "sweep leg of the (δ={}, {}-label) universe stopped at the --max-orbits \
                  budget: {} of {} problems accounted in {} orbits so far, {} masks \
                  remaining ({:.1} ms, {} shards, {} engine)",
@@ -1258,13 +1289,13 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
                 effective_shards,
                 engine_kind.name()
             );
-            println!("resume the campaign with: rtlcl sweep --checkpoint <file> --resume");
+            outln!("resume the campaign with: rtlcl sweep --checkpoint <file> --resume");
         }
         // Throughput of this leg (a resumed campaign's histograms span every
         // leg, but the engine stats count only this process's decisions).
         let leg_orbits = engine.stats().total() as u64;
         let orbits_per_sec = leg_orbits as f64 / elapsed.as_secs_f64().max(1e-9);
-        println!("throughput: {orbits_per_sec:.0} orbits/s this leg ({leg_orbits} orbits)");
+        outln!("throughput: {orbits_per_sec:.0} orbits/s this leg ({leg_orbits} orbits)");
         if !completed {
             let masks_done = family_size - masks_remaining;
             if masks_done > 0 && leg_orbits > 0 {
@@ -1272,7 +1303,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
                 // unswept masks; the leg's rate turns that into wall time.
                 let est_remaining_orbits =
                     masks_remaining as f64 * orbit_count as f64 / masks_done as f64;
-                println!(
+                outln!(
                     "ETA at this rate: {} (~{:.3e} orbits estimated in the {} masks remaining)",
                     format_eta(est_remaining_orbits / orbits_per_sec),
                     est_remaining_orbits,
@@ -1281,21 +1312,21 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
             }
         }
         if let Some(path) = &opts.checkpoint {
-            println!(
+            outln!(
                 "checkpoint: {path} (every {} orbits{})",
                 opts.checkpoint_every.unwrap_or(4096),
                 if resumed { ", resumed" } else { "" }
             );
         }
         if engine_kind == EngineKind::Bitsliced {
-            println!(
+            outln!(
                 "lanes: {} blocks, {:.1} live lanes/round avg, {} scalar fallbacks",
                 outcome.lanes.blocks,
                 outcome.lanes.avg_live_lanes(),
                 outcome.lanes.scalar_fallbacks
             );
         }
-        println!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
+        outln!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
         for (&(name, orbits), &(_, problems)) in outcome
             .orbits
             .entries()
@@ -1303,7 +1334,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
             .zip(outcome.problems.entries().iter())
         {
             if orbits > 0 || problems > 0 {
-                println!("{name:<12} {orbits:>12} {problems:>12}");
+                outln!("{name:<12} {orbits:>12} {problems:>12}");
             }
         }
         // Per-exponent breakdown of the pooled `poly` row.
@@ -1314,7 +1345,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
             .zip(outcome.problems.poly_exponent_entries().iter())
         {
             if orbits > 0 || problems > 0 {
-                println!("  {name:<10} {orbits:>12} {problems:>12}");
+                outln!("  {name:<10} {orbits:>12} {problems:>12}");
             }
         }
     }
@@ -1394,31 +1425,31 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             to.display()
         );
     }
-    println!("rtlcl serve: listening on http://{}", server.addr());
+    outln!("rtlcl serve: listening on http://{}", server.addr());
     match &snapshot_path {
-        Some(path) => println!(
+        Some(path) => outln!(
             "snapshot: {} ({} memo entries warm at boot)",
             path.display(),
             server.boot.warm_memo_entries
         ),
-        None => println!("snapshot: none (the memo dies with the process)"),
+        None => outln!("snapshot: none (the memo dies with the process)"),
     }
 
     wait_for_shutdown();
-    println!("shutdown requested; draining in-flight requests");
+    outln!("shutdown requested; draining in-flight requests");
     let requests = server
         .state()
         .metrics
         .requests
         .load(std::sync::atomic::Ordering::Relaxed);
     let report = server.join();
-    println!("served {requests} requests");
+    outln!("served {requests} requests");
     if let Some(e) = report.flush_error {
         eprintln!("snapshot flush failed: {e} (earlier snapshot, if any, is intact)");
         return ExitCode::FAILURE;
     }
     if let Some(n) = report.flushed_entries {
-        println!(
+        outln!(
             "flushed {n} memo entries to {}",
             snapshot_path
                 .as_deref()
@@ -1509,22 +1540,22 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             ("orbits".into(), histogram_json(&snap.outcome.orbits)),
             ("problems".into(), histogram_json(&snap.outcome.problems)),
         ]);
-        println!("{}", out.to_pretty());
+        outln!("{}", out.to_pretty());
     } else if snap.cursor.ranges.is_empty() {
         // A memo-only flush (the serve daemon's snapshot): no campaign cursor,
         // just the canonical-form cache.
-        println!(
+        outln!(
             "memo snapshot v{version}: {} canonical forms, no sweep campaign state",
             snap.memo.len()
         );
-        println!("{segments}");
+        outln!("{segments}");
     } else {
-        println!(
+        outln!(
             "sweep snapshot v{version}: (δ={delta}, {labels}-label) universe, {} engine",
             snap.cursor.engine.name()
         );
-        println!("{segments}");
-        println!(
+        outln!("{segments}");
+        outln!(
             "progress: {done}/{family_size} masks across {} shards{}",
             snap.cursor.ranges.len(),
             if complete {
@@ -1533,13 +1564,13 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
                 format!(" ({remaining} remaining)")
             }
         );
-        println!(
+        outln!(
             "memo: {} canonical forms; {} orbits classified covering {} problems",
             snap.memo.len(),
             snap.outcome.orbits.total(),
             snap.outcome.problems.total()
         );
-        println!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
+        outln!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
         for (&(name, orbits), &(_, problems)) in snap
             .outcome
             .orbits
@@ -1548,7 +1579,7 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             .zip(snap.outcome.problems.entries().iter())
         {
             if orbits > 0 || problems > 0 {
-                println!("{name:<12} {orbits:>12} {problems:>12}");
+                outln!("{name:<12} {orbits:>12} {problems:>12}");
             }
         }
     }

@@ -154,14 +154,13 @@ pub fn canonical_form(problem: &LclProblem) -> CanonicalKey {
     canonical_key_from_packed_rows(delta, k, &best)
 }
 
-/// Builds a [`CanonicalKey`] directly from the winning packed-row encoding: the
-/// sorted `u128` rows of the minimizing relabeling, each packing `delta + 1`
-/// 16-bit slots (parent highest, children ascending) as [`canonical_form`]'s
-/// permutation search produces them. This is the key's *definition* unpacked —
-/// callers that find the minimizing relabeling by other means (the mask-direct
-/// fast path in `lcl-problems`' `CanonicalFamily`) get a key identical to
-/// `canonical_form`'s for the same problem.
-pub fn canonical_key_from_packed_rows(
+/// Builds a [`CanonicalKey`] from the winning packed-row encoding: the sorted
+/// `u128` rows of the minimizing relabeling, each packing `delta + 1` 16-bit
+/// slots (parent highest, children ascending) as [`canonical_form`]'s
+/// permutation search produces them. The key is these rows unpacked, which is
+/// what the mask-direct fast path in `lcl-problems`' `CanonicalFamily` spells
+/// directly.
+fn canonical_key_from_packed_rows(
     delta: usize,
     num_used: usize,
     sorted_packed: &[u128],
@@ -701,7 +700,9 @@ impl ClassificationEngine {
                                 }
                                 None => {
                                     w.misses += 1;
-                                    w.chunk_memo.push((keys[j].clone(), computed));
+                                    let key =
+                                        std::mem::replace(&mut keys[j], CanonicalKey(Vec::new()));
+                                    w.chunk_memo.push((key, computed));
                                 }
                             }
                         } else {

@@ -109,9 +109,8 @@ pub use classifier::{
 pub use configuration::Configuration;
 pub use constant::{find_constant_certificate, find_constant_certificate_within};
 pub use engine::{
-    canonical_form, canonical_key_from_packed_rows, CanonicalKey, ClassificationEngine,
-    ComplexityHistogram, EngineStats, MaskBlock, OrbitProblem, SweepCheckpoint, SweepLaneStats,
-    SweepOutcome,
+    canonical_form, CanonicalKey, ClassificationEngine, ComplexityHistogram, EngineStats,
+    MaskBlock, OrbitProblem, SweepCheckpoint, SweepLaneStats, SweepOutcome,
 };
 pub use label::{Alphabet, Label};
 pub use label_set::LabelSet;

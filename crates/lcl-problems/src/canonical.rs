@@ -22,18 +22,39 @@
 //! (`tests/canonical_sweep.rs`) pin against brute-force
 //! `canonical_form`-dedup of [`crate::random::enumerate_problems`].
 //!
+//! **Permutation-image tables.** Canonicity, orbit sizes and the canonical
+//! key all need the image of one mask under every permutation. Since a
+//! permutation maps each configuration to one configuration, the image of a
+//! mask is the OR of the images of its parts, so [`CanonicalFamily::new`]
+//! tabulates the parts: the mask is cut into w-bit *chunks*, and for every
+//! permutation, chunk position and non-zero chunk value the tables hold the
+//! image, once as a mask (non-identity permutations) and once in packed-row
+//! rank order (every permutation, for the key; see
+//! [`CanonicalFamily::canonical_key_of`]). A mask's image is then one lookup
+//! per non-zero chunk, with the chunk entries computed once per mask and
+//! shared by all permutations. The width is not an option: it is the widest,
+//! up to 8 bits, whose tables fit a fixed budget of 512 KiB — 8 bits and
+//! about 0.5 MB for (δ=2, 4 labels), 5 bits for (1, 5), single bits for the
+//! 720- and 5,040-permutation (1, 6) and (1, 7), where a lookup per set bit
+//! is all the budget allows ((1, 7) takes 3.9 MB even so). Each entry costs
+//! one OR to build: the entry of a value is the entry of its highest bit
+//! alone OR the entry of the value without that bit, built before it.
+//!
+//! The sweep's canonical filter takes 64-mask windows at once
+//! ([`CanonicalFamily::canonical_survivors`]): a lane that survives has met
+//! every permutation, so the filter counts its stabilizer on the way and the
+//! blocks it feeds carry orbit sizes at no extra lookup.
+//!
 //! Sharding for the parallel sweep driver
 //! (`lcl_core::engine::ClassificationEngine::sweep_resumable`) partitions the
 //! mask space into contiguous ranges ([`CanonicalFamily::ranges`]); the
 //! canonicity filter runs inside each range, so no pass over the universe is
 //! needed up front.
 
-use std::collections::HashMap;
+use std::ops::BitOr;
 
 use lcl_core::bitslice::SlicedUniverse;
-use lcl_core::engine::{
-    canonical_form, canonical_key_from_packed_rows, CanonicalKey, MaskBlock, OrbitProblem,
-};
+use lcl_core::engine::{canonical_form, CanonicalKey, MaskBlock, OrbitProblem};
 use lcl_core::snapshot::MaskRange;
 use lcl_core::LclProblem;
 
@@ -45,6 +66,16 @@ use crate::random::{configuration_universe, problem_from_universe};
 /// table construction's cost explicit.
 pub const MAX_CANONICAL_ENUM_LABELS: usize = 8;
 
+/// Bytes the permutation-image tables of one family may take. The chunk
+/// width is the widest, up to [`MAX_CHUNK_BITS`], whose tables fit; a family
+/// whose tables do not fit even at one bit — only (1, 7), at 3.9 MB — takes
+/// one-bit chunks.
+const TABLE_BUDGET_BYTES: usize = 512 << 10;
+
+/// Widest mask chunk the image tables index: a byte, 255 entries per chunk
+/// position.
+const MAX_CHUNK_BITS: usize = 8;
+
 /// A complete (δ, Σ) problem family viewed through its label-permutation
 /// orbits. See the module documentation.
 #[derive(Debug, Clone)]
@@ -52,29 +83,58 @@ pub struct CanonicalFamily {
     delta: usize,
     num_labels: usize,
     universe: Vec<(usize, Vec<usize>)>,
-    /// For every non-identity label permutation, the induced permutation of
-    /// universe indices: `table[i]` is the image of configuration `i`.
-    perm_tables: Vec<Vec<u32>>,
-    /// Per permutation table, the images of the 64 low-offset masks
-    /// `0..64`: `low_images[t][j] = apply(table, j)` (zero where `j` is not a
-    /// valid mask of the universe). [`Self::apply`] distributes over disjoint
-    /// bits, so for a 64-aligned base `b` the image of `b + j` is
-    /// `apply(table, b) | low_images[t][j]` — one table walk per base serves a
-    /// whole 64-mask window in [`Self::canonical_survivors`].
-    low_images: Vec<[u64; 64]>,
-    /// Per configuration, the set of labels it mentions (bit per label).
-    config_label_bits: Vec<u16>,
-    /// Per configuration, its identity-relabeling packed row — parent in the
-    /// high 16-bit slot, children ascending — as `canonical_form` packs rows.
-    /// Empty when δ + 1 > 8 slots (rows don't fit a `u128`).
-    packed_id: Vec<u128>,
-    /// Configuration indices ascending by packed row (empty iff `packed_id`
-    /// is).
-    packed_order: Vec<u32>,
-    /// Per configuration, the bit `1 << (63 − rank)` of its packed row in the
-    /// ascending packed order; the OR over a mask's configurations orders
-    /// masks by their *sorted packed-row lists* (see [`Self::canonical_key_of`]).
-    ord_bit: Vec<u64>,
+    /// Bits per mask chunk (w), derived from the family against
+    /// [`TABLE_BUDGET_BYTES`].
+    chunk_bits: u32,
+    /// Entries per table row: ⌈u / w⌉ chunk positions times 2^w − 1 non-zero
+    /// chunk values. Chunk value `v` at position `c` is entry
+    /// `c · (2^w − 1) + v − 1` (see [`CanonicalFamily::entries`]).
+    row_len: usize,
+    /// One row per non-identity label permutation: each entry is the image
+    /// of its chunk value as a configuration mask.
+    mask_images: Vec<u64>,
+    /// One row per label permutation, identity first: each entry is the
+    /// image of its chunk value in packed-row rank order, every
+    /// configuration as the bit `1 << (63 − rank)` of its packed row in the
+    /// ascending packed order (see [`Self::canonical_key_of`]). Empty when
+    /// δ + 1 > 8 slots (rows don't fit a `u128`).
+    ord_images: Vec<u64>,
+    /// One row: each entry is the set of labels its chunk value's
+    /// configurations mention (bit per label).
+    chunk_labels: Vec<u16>,
+    /// Per packed-row rank, the δ + 1 key words of that row — parent, then
+    /// children ascending, as `canonical_form` spells rows. Empty iff
+    /// `ord_images` is.
+    rank_words: Vec<u16>,
+}
+
+/// One 64-mask window of the canonical filter (see
+/// [`CanonicalFamily::window`]).
+struct Window {
+    /// Bit `j` set iff `base + j` is canonical.
+    survivors: u64,
+    /// For surviving lanes, the non-identity permutations fixing the mask.
+    fixed: [u16; 64],
+}
+
+/// The table entries of one mask's non-zero chunks, computed once and looked
+/// up under every permutation.
+struct ChunkEntries {
+    at: [u16; 64],
+    len: usize,
+}
+
+impl ChunkEntries {
+    fn as_slice(&self) -> &[u16] {
+        &self.at[..self.len]
+    }
+
+    /// The mask's image under the permutation whose table row is `row`.
+    fn image(&self, row: &[u64]) -> u64 {
+        self.as_slice()
+            .iter()
+            .fold(0, |image, &e| image | row[e as usize])
+    }
 }
 
 impl CanonicalFamily {
@@ -94,77 +154,57 @@ impl CanonicalFamily {
              {MAX_CANONICAL_ENUM_LABELS} labels is the supported limit"
         );
         let universe = configuration_universe(delta, num_labels);
+        let u = universe.len();
         assert!(
-            universe.len() <= 63,
-            "family over {} possible configurations is too large to enumerate",
-            universe.len()
+            u <= 63,
+            "family over {u} possible configurations is too large to enumerate"
         );
-        let index_of: HashMap<&(usize, Vec<usize>), u32> = universe
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c, i as u32))
-            .collect();
+        let perms = index_permutations(&universe, num_labels);
+        // Rows pack into a u128 (δ + 1 ≤ 8 slots): the key has a fast path.
+        let packs = delta < 8;
+        let rows = perms.len() + if packs { perms.len() + 1 } else { 0 };
+        let chunk_bits = chunk_bits(u, rows);
+        let row_len = u.div_ceil(chunk_bits as usize) * ((1 << chunk_bits) - 1);
 
-        let mut perm_tables = Vec::new();
-        let mut perm: Vec<usize> = (0..num_labels).collect();
-        permute(&mut perm, 0, &mut |perm| {
-            if perm.iter().enumerate().all(|(i, &p)| i == p) {
-                return; // identity fixes every mask; skip it
-            }
-            let table: Vec<u32> = universe
+        let mut mask_images = Vec::with_capacity(perms.len() * row_len);
+        for perm in &perms {
+            push_row(&mut mask_images, u, chunk_bits, |i| 1u64 << perm[i]);
+        }
+        let mut chunk_labels = Vec::with_capacity(row_len);
+        push_row(&mut chunk_labels, u, chunk_bits, |i| {
+            let (parent, children) = &universe[i];
+            children
                 .iter()
-                .map(|(parent, children)| {
-                    let mut image_children: Vec<usize> =
-                        children.iter().map(|&c| perm[c]).collect();
-                    image_children.sort_unstable();
-                    index_of[&(perm[*parent], image_children)]
-                })
-                .collect();
-            perm_tables.push(table);
+                .fold(1u16 << parent, |bits, &c| bits | 1 << c)
         });
-        let low_images: Vec<[u64; 64]> = perm_tables
-            .iter()
-            .map(|table| {
-                let mut low = [0u64; 64];
-                for (j, slot) in low.iter_mut().enumerate() {
-                    if j >> universe.len().min(63) == 0 {
-                        *slot = Self::apply(table, j as u64);
-                    }
-                }
-                low
-            })
-            .collect();
 
-        let config_label_bits: Vec<u16> = universe
-            .iter()
-            .map(|(parent, children)| {
-                children
-                    .iter()
-                    .fold(1u16 << parent, |bits, &c| bits | 1 << c)
-            })
-            .collect();
-        // Identity packed rows + their rank order, for the mask-direct
-        // canonical key (only when rows fit a u128: δ + 1 ≤ 8 slots).
-        let packed_id: Vec<u128> = if delta < 8 {
-            universe
+        let (mut ord_images, mut rank_words) = (Vec::new(), Vec::new());
+        if packs {
+            // Identity packed rows (universe children are already
+            // non-decreasing) and their ascending rank order.
+            let packed: Vec<u128> = universe
                 .iter()
                 .map(|(parent, children)| {
-                    // Universe children are already non-decreasing.
                     children
                         .iter()
                         .fold(*parent as u128, |packed, &c| (packed << 16) | c as u128)
                 })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut ord_bit = vec![0u64; universe.len()];
-        let mut packed_order = Vec::new();
-        if !packed_id.is_empty() {
-            packed_order = (0..universe.len() as u32).collect();
-            packed_order.sort_unstable_by_key(|&i| packed_id[i as usize]);
-            for (rank, &i) in packed_order.iter().enumerate() {
-                ord_bit[i as usize] = 1u64 << (63 - rank);
+                .collect();
+            let mut order: Vec<usize> = (0..u).collect();
+            order.sort_unstable_by_key(|&i| packed[i]);
+            let mut ord_bit = vec![0u64; u];
+            for (rank, &i) in order.iter().enumerate() {
+                ord_bit[i] = 1u64 << (63 - rank);
+                let (parent, children) = &universe[i];
+                rank_words.push(*parent as u16);
+                rank_words.extend(children.iter().map(|&c| c as u16));
+            }
+            ord_images.reserve((perms.len() + 1) * row_len);
+            push_row(&mut ord_images, u, chunk_bits, |i| ord_bit[i]);
+            for perm in &perms {
+                push_row(&mut ord_images, u, chunk_bits, |i| {
+                    ord_bit[perm[i] as usize]
+                });
             }
         }
 
@@ -172,12 +212,12 @@ impl CanonicalFamily {
             delta,
             num_labels,
             universe,
-            perm_tables,
-            low_images,
-            config_label_bits,
-            packed_id,
-            packed_order,
-            ord_bit,
+            chunk_bits,
+            row_len,
+            mask_images,
+            ord_images,
+            chunk_labels,
+            rank_words,
         }
     }
 
@@ -201,79 +241,119 @@ impl CanonicalFamily {
         1u64 << self.universe.len()
     }
 
-    /// The image of a configuration mask under one precomputed permutation.
-    fn apply(table: &[u32], mask: u64) -> u64 {
-        let mut out = 0u64;
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            out |= 1u64 << table[i];
-            bits &= bits - 1;
+    /// The table entries of `mask`'s non-zero chunks, lowest chunk first.
+    fn entries(&self, mask: u64) -> impl Iterator<Item = usize> {
+        let bits = self.chunk_bits;
+        let span = (1usize << bits) - 1;
+        let (mut rest, mut at) = (mask, 0usize);
+        std::iter::from_fn(move || {
+            while rest != 0 {
+                let value = rest as usize & span;
+                rest >>= bits;
+                at += span;
+                if value != 0 {
+                    return Some(at - span + value - 1);
+                }
+            }
+            None
+        })
+    }
+
+    /// [`Self::entries`], collected for lookups under many permutations.
+    fn chunk_entries(&self, mask: u64) -> ChunkEntries {
+        let mut entries = ChunkEntries {
+            at: [0; 64],
+            len: 0,
+        };
+        for e in self.entries(mask) {
+            entries.at[entries.len] = e as u16;
+            entries.len += 1;
         }
-        out
+        entries
     }
 
     /// `true` iff `mask` is its orbit's canonical representative (the numeric
-    /// minimum over all label permutations). A few word operations per
-    /// permutation, early exit on the first smaller image.
+    /// minimum over all label permutations). One lookup per non-zero chunk
+    /// per permutation, early exit on the first smaller image.
     pub fn is_canonical(&self, mask: u64) -> bool {
-        self.perm_tables
-            .iter()
-            .all(|table| Self::apply(table, mask) >= mask)
+        let entries = self.chunk_entries(mask);
+        self.mask_images
+            .chunks_exact(self.row_len)
+            .all(|row| entries.image(row) >= mask)
     }
 
     /// Batched canonicity test: the bitmap of offsets `j` (bit `j` set) such
     /// that `base + j` is canonical, over the 64-mask window starting at the
     /// 64-aligned `base`. Offsets past the family's end are clear.
-    ///
-    /// This is the enumeration front of the wide-lane sweeps: instead of up
-    /// to `|Σ|! − 1` table walks per candidate mask, each permutation walks
-    /// the table once for the shared high bits (`apply(table, base)`) and
-    /// tests the surviving offsets with one precomputed-OR and one compare
-    /// each, retiring a permutation early once every lane of the window is
-    /// dead. Equivalent to 64 [`Self::is_canonical`] calls.
+    /// Equivalent to 64 [`Self::is_canonical`] calls.
     ///
     /// # Panics
     ///
     /// Panics (in debug) if `base` is not 64-aligned.
     pub fn canonical_survivors(&self, base: u64) -> u64 {
+        self.window(base).survivors
+    }
+
+    /// The enumeration front of the wide-lane sweeps: the canonical masks of
+    /// the 64-mask window at the 64-aligned `base`, with their orbit sizes.
+    ///
+    /// `base` and an offset `j < 64` share no bit, so the image of `base + j`
+    /// is the image of `base` OR the image of `j`: each permutation looks
+    /// `base` up once and each surviving offset in the ⌈6 / w⌉ chunks it
+    /// spans (one at w ≥ 6), and is retired early once every lane of the
+    /// window is dead. A surviving lane has met every permutation, so
+    /// counting the images equal to it on the way gives its stabilizer, and
+    /// so its orbit size, for one compare per permutation.
+    fn window(&self, base: u64) -> Window {
         debug_assert_eq!(base & 63, 0, "window base must be 64-aligned");
-        if base >= self.family_size() {
-            return 0;
-        }
-        let window = (self.family_size() - base).min(64);
-        let mut surviving = if window == 64 {
-            !0u64
-        } else {
-            (1u64 << window) - 1
+        let mut window = Window {
+            survivors: 0,
+            fixed: [0; 64],
         };
-        for (table, low_images) in self.perm_tables.iter().zip(&self.low_images) {
-            let hi_image = Self::apply(table, base);
-            let mut lanes = surviving;
+        if base >= self.family_size() {
+            return window;
+        }
+        let len = (self.family_size() - base).min(64);
+        window.survivors = if len == 64 { !0u64 } else { (1u64 << len) - 1 };
+        let base_entries = self.chunk_entries(base);
+        for row in self.mask_images.chunks_exact(self.row_len) {
+            let hi_image = base_entries.image(row);
+            let mut lanes = window.survivors;
             while lanes != 0 {
                 let j = lanes.trailing_zeros() as usize;
                 lanes &= lanes - 1;
-                if hi_image | low_images[j] < base + j as u64 {
-                    surviving &= !(1u64 << j);
+                let mask = base + j as u64;
+                let image = self
+                    .entries(j as u64)
+                    .fold(hi_image, |image, e| image | row[e]);
+                if image < mask {
+                    window.survivors &= !(1u64 << j);
                 }
+                window.fixed[j] += u16::from(image == mask);
             }
-            if surviving == 0 {
+            if window.survivors == 0 {
                 break;
             }
         }
-        surviving
+        window
+    }
+
+    /// `|Σ|!`, the number of label permutations.
+    fn permutations(&self) -> usize {
+        self.mask_images.len() / self.row_len + 1
     }
 
     /// The number of distinct problems in the orbit of `mask`, via
     /// orbit–stabilizer: `|Σ|!` divided by the number of permutations fixing
     /// the mask.
     pub fn orbit_size(&self, mask: u64) -> u64 {
+        let entries = self.chunk_entries(mask);
         let stabilizer = 1 + self
-            .perm_tables
-            .iter()
-            .filter(|table| Self::apply(table, mask) == mask)
+            .mask_images
+            .chunks_exact(self.row_len)
+            .filter(|row| entries.image(row) == mask)
             .count();
-        ((self.perm_tables.len() + 1) / stabilizer) as u64
+        (self.permutations() / stabilizer) as u64
     }
 
     /// Materializes the problem with the given configuration mask (identical
@@ -375,7 +455,10 @@ impl CanonicalFamily {
             hi: range.hi,
             lanes,
             window_base: u64::MAX,
-            window_bits: 0,
+            window: Window {
+                survivors: 0,
+                fixed: [0; 64],
+            },
         }
     }
 
@@ -393,69 +476,135 @@ impl CanonicalFamily {
     /// `1 << (63 − rank)`, and the OR of a mask's bits compares masks exactly
     /// as their ascending packed-row lists compare lexicographically — the
     /// list whose first differing row is *smaller* owns the *higher* bit, so
-    /// lex-smallest list ⟺ numerically greatest ordered mask. The key is then
-    /// unpacked from the winning mask's rows in packed order. Masks that leave
-    /// some label unused (rare: their configurations all avoid one label) fall
-    /// back to materializing the problem.
+    /// lex-smallest list ⟺ numerically greatest ordered mask. The tables hold
+    /// every permutation's images in that order, so the search is one lookup
+    /// per non-zero chunk per permutation, and the key is spelled from the
+    /// winning ordered mask's set bits, highest first, one row of words per
+    /// rank. Masks that leave some label unused (rare: their configurations
+    /// all avoid one label) fall back to materializing the problem.
     pub fn canonical_key_of(&self, mask: u64) -> CanonicalKey {
-        let used = {
-            let mut bits = mask;
-            let mut used = 0u16;
-            while bits != 0 {
-                used |= self.config_label_bits[bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-            }
-            used
-        };
-        let full_used = (1u16 << self.num_labels) - 1;
-        if self.packed_id.is_empty() || used != full_used {
+        let entries = self.chunk_entries(mask);
+        let used = entries
+            .as_slice()
+            .iter()
+            .fold(0u16, |used, &e| used | self.chunk_labels[e as usize]);
+        if self.ord_images.is_empty() || used != (1u16 << self.num_labels) - 1 {
             return canonical_form(&self.problem_at(mask));
         }
-        let ordkey = |m: u64| {
-            let mut bits = m;
-            let mut key = 0u64;
-            while bits != 0 {
-                key |= self.ord_bit[bits.trailing_zeros() as usize];
-                bits &= bits - 1;
-            }
-            key
-        };
-        let mut best_mask = mask;
-        let mut best_key = ordkey(mask);
-        for table in &self.perm_tables {
-            let image = Self::apply(table, mask);
-            let key = ordkey(image);
-            if key > best_key {
-                best_key = key;
-                best_mask = image;
+        let best = self
+            .ord_images
+            .chunks_exact(self.row_len)
+            .map(|row| entries.image(row))
+            .max()
+            .expect("the identity row");
+        let slots = self.delta + 1;
+        let mut words = Vec::with_capacity(2 + slots * best.count_ones() as usize);
+        words.extend([self.delta as u16, self.num_labels as u16]);
+        let mut bits = best;
+        while bits != 0 {
+            let rank = bits.leading_zeros() as usize;
+            words.extend_from_slice(&self.rank_words[rank * slots..][..slots]);
+            bits ^= 1u64 << (63 - rank);
+        }
+        CanonicalKey::from_words(words)
+    }
+}
+
+/// For every non-identity label permutation, the induced permutation of
+/// universe indices: `table[i]` is the image of configuration `i`.
+fn index_permutations(universe: &[(usize, Vec<usize>)], num_labels: usize) -> Vec<Vec<u32>> {
+    // A configuration's base-|Σ| code: parent, then children ascending.
+    let code = |parent: usize, children: &[usize]| {
+        children.iter().fold(parent as u64, |code, &c| {
+            code * num_labels as u64 + c as u64
+        })
+    };
+    let mut index_of: Vec<(u64, u32)> = universe
+        .iter()
+        .enumerate()
+        .map(|(i, (parent, children))| (code(*parent, children), i as u32))
+        .collect();
+    index_of.sort_unstable();
+    let mut tables = Vec::new();
+    let mut image_children = Vec::new();
+    let mut perm: Vec<usize> = (0..num_labels).collect();
+    permute(&mut perm, 0, &mut |perm| {
+        if perm.iter().enumerate().all(|(i, &p)| i == p) {
+            return; // identity fixes every mask; skip it
+        }
+        let table: Vec<u32> = universe
+            .iter()
+            .map(|(parent, children)| {
+                image_children.clear();
+                image_children.extend(children.iter().map(|&c| perm[c]));
+                image_children.sort_unstable();
+                let image = code(perm[*parent], &image_children);
+                let at = index_of
+                    .binary_search_by_key(&image, |&(code, _)| code)
+                    .expect("the image of a configuration is a configuration");
+                index_of[at].1
+            })
+            .collect();
+        tables.push(table);
+    });
+    tables
+}
+
+/// Bytes of `rows` image-table rows of 8-byte entries over a `u`-bit mask cut
+/// into `bits`-bit chunks.
+fn table_bytes(u: usize, bits: usize, rows: usize) -> usize {
+    rows * u.div_ceil(bits) * ((1 << bits) - 1) * 8
+}
+
+/// The chunk width of a family with a `u`-bit mask and `rows` image-table
+/// rows: the widest, up to [`MAX_CHUNK_BITS`] and `u`, within
+/// [`TABLE_BUDGET_BYTES`], else one bit.
+fn chunk_bits(u: usize, rows: usize) -> u32 {
+    (1..=MAX_CHUNK_BITS.min(u))
+        .rev()
+        .find(|&bits| table_bytes(u, bits, rows) <= TABLE_BUDGET_BYTES)
+        .unwrap_or(1) as u32
+}
+
+/// Appends one table row over a `u`-bit mask in `bits`-bit chunks: for every
+/// chunk position and non-zero chunk value, in [`CanonicalFamily::entries`]
+/// order, the OR of `image(i)` over the configurations `i` the value holds.
+/// One OR per entry: the values with highest bit `b` are that bit alone, then
+/// the values below `b`, already in the row, each ORed with it.
+fn push_row<T>(row: &mut Vec<T>, u: usize, bits: u32, image: impl Fn(usize) -> T)
+where
+    T: Copy + Default + BitOr<Output = T>,
+{
+    for chunk in 0..u.div_ceil(bits as usize) {
+        let start = row.len();
+        for b in 0..bits as usize {
+            let i = chunk * bits as usize + b;
+            let bit = if i < u { image(i) } else { T::default() };
+            let below = (1 << b) - 1;
+            row.push(bit);
+            row.extend_from_within(start..start + below);
+            let end = row.len();
+            for entry in &mut row[end - below..] {
+                *entry = *entry | bit;
             }
         }
-        // Ascending packed rows of the winning mask: walk the configurations
-        // in packed order, keeping the ones the mask contains.
-        let mut rows: Vec<u128> = Vec::with_capacity(best_mask.count_ones() as usize);
-        for &i in &self.packed_order {
-            if best_mask & (1u64 << i) != 0 {
-                rows.push(self.packed_id[i as usize]);
-            }
-        }
-        canonical_key_from_packed_rows(self.delta, self.num_labels, &rows)
     }
 }
 
 /// Iterator of [`MaskBlock`]s over one shard's canonical masks; see
-/// [`CanonicalFamily::blocks`]. Candidates are filtered through the batched
-/// [`CanonicalFamily::canonical_survivors`] window (cached across blocks, so
-/// a window split by a block boundary is not re-filtered).
+/// [`CanonicalFamily::blocks_in`]. Candidates and their orbit sizes come from
+/// the batched [`CanonicalFamily::window`] (cached across blocks, so a window
+/// split by a block boundary is not re-filtered).
 struct BlockIter<'a> {
     family: &'a CanonicalFamily,
     next: u64,
     hi: u64,
     /// Maximum number of masks per block (the sweep's lane count).
     lanes: usize,
-    /// 64-aligned base of the cached survivor window (`u64::MAX` = none).
+    /// 64-aligned base of the cached window (`u64::MAX` = none).
     window_base: u64,
-    /// Survivor bitmap of the cached window.
-    window_bits: u64,
+    /// The cached window.
+    window: Window,
 }
 
 impl Iterator for BlockIter<'_> {
@@ -467,22 +616,26 @@ impl Iterator for BlockIter<'_> {
             let base = self.next & !63;
             if base != self.window_base {
                 self.window_base = base;
-                self.window_bits = self.family.canonical_survivors(base);
+                self.window = self.family.window(base);
             }
             let off = (self.next - base) as u32;
-            let remaining = self.window_bits >> off;
+            let remaining = self.window.survivors >> off;
             if remaining == 0 {
                 // Window exhausted: skip to the next one in a single step.
                 self.next = (base + 64).min(self.hi);
                 continue;
             }
-            let candidate = base + u64::from(remaining.trailing_zeros() + off);
+            let lane = remaining.trailing_zeros() + off;
+            let candidate = base + u64::from(lane);
             if candidate >= self.hi {
                 self.next = self.hi;
                 break;
             }
+            let stabilizer = 1 + self.window.fixed[lane as usize] as usize;
             block.masks.push(candidate);
-            block.orbit_sizes.push(self.family.orbit_size(candidate));
+            block
+                .orbit_sizes
+                .push((self.family.permutations() / stabilizer) as u64);
             self.next = candidate + 1;
         }
         block.next_mask = self.next;
@@ -511,11 +664,29 @@ fn permute(items: &mut [usize], at: usize, visit: &mut impl FnMut(&[usize])) {
 mod tests {
     use super::*;
 
+    /// The per-bit reference the image tables replace: the image of a
+    /// configuration mask under one index permutation, bit by bit.
+    fn apply(table: &[u32], mask: u64) -> u64 {
+        let mut out = 0u64;
+        let mut bits = mask;
+        while bits != 0 {
+            out |= 1u64 << table[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        out
+    }
+
+    /// The family's non-identity index permutations, for [`apply`].
+    fn perm_tables(family: &CanonicalFamily) -> Vec<Vec<u32>> {
+        index_permutations(&family.universe, family.num_labels)
+    }
+
     #[test]
     fn permutation_tables_are_permutations() {
         let family = CanonicalFamily::new(2, 3);
-        assert_eq!(family.perm_tables.len(), 5); // 3! − 1
-        for table in &family.perm_tables {
+        let tables = perm_tables(&family);
+        assert_eq!(tables.len(), 5); // 3! − 1
+        for table in &tables {
             let mut seen = vec![false; family.universe_len()];
             for &i in table {
                 assert!(!seen[i as usize]);
@@ -548,12 +719,12 @@ mod tests {
         // For every mask of the (2, 2) family, the minimum over its permuted
         // images is canonical, and exactly one member of each orbit is.
         let family = CanonicalFamily::new(2, 2);
+        let tables = perm_tables(&family);
         let mut canonical_members = 0u64;
         for mask in 0..family.family_size() {
-            let min = family
-                .perm_tables
+            let min = tables
                 .iter()
-                .map(|t| CanonicalFamily::apply(t, mask))
+                .map(|t| apply(t, mask))
                 .chain(std::iter::once(mask))
                 .min()
                 .unwrap();
@@ -753,6 +924,138 @@ mod tests {
                 canonical_form(&family.problem_at(mask)),
                 "mask {mask}"
             );
+        }
+        // The (2, 4) campaign window — 4,096 masks from 2^27 — and seeded
+        // random masks of the whole (2, 4) family.
+        let family = CanonicalFamily::new(2, 4);
+        let window = (1u64 << 27)..(1u64 << 27) + 4096;
+        let random: Vec<u64> = (0..2000)
+            .map(|_| rng.next_u64() & (family.family_size() - 1))
+            .collect();
+        for mask in window.chain(random) {
+            assert_eq!(
+                family.canonical_key_of(mask),
+                canonical_form(&family.problem_at(mask)),
+                "(δ=2, k=4) mask {mask}"
+            );
+        }
+    }
+
+    /// `|Σ| · C(δ + |Σ| − 1, δ)`: the size of the (δ, |Σ|) configuration
+    /// universe, without building it.
+    fn universe_len(delta: usize, labels: usize) -> usize {
+        (1..labels).fold(labels, |n, i| n * (delta + i) / i)
+    }
+
+    /// Every (δ, |Σ|) that [`CanonicalFamily::new`] accepts with δ ≤
+    /// `max_delta`, with its universe size.
+    fn accepted_families(max_delta: usize) -> Vec<(usize, usize, usize)> {
+        let mut families = Vec::new();
+        for labels in 1..=MAX_CANONICAL_ENUM_LABELS {
+            for delta in 1..=max_delta {
+                let u = universe_len(delta, labels);
+                if u > 63 {
+                    break;
+                }
+                families.push((delta, labels, u));
+            }
+        }
+        families
+    }
+
+    #[test]
+    fn no_family_allocates_more_than_four_mib_of_image_tables() {
+        // Beyond δ = 64 only |Σ| = 1 is accepted, with one configuration.
+        for (delta, labels, u) in accepted_families(64) {
+            let perms = (1..=labels).product::<usize>() - 1;
+            let rows = perms + if delta < 8 { perms + 1 } else { 0 };
+            let bits = chunk_bits(u, rows);
+            let bytes = table_bytes(u, bits as usize, rows) + table_bytes(u, bits as usize, 1) / 4;
+            assert!(bytes <= 4 << 20, "(δ={delta}, k={labels}): {bytes} bytes");
+            if delta > 7 {
+                continue; // building the universe walks |Σ|^δ child tuples
+            }
+            let family = CanonicalFamily::new(delta, labels);
+            assert_eq!(family.universe_len(), u);
+            assert_eq!(family.chunk_bits, bits);
+            let allocated = 8 * (family.mask_images.len() + family.ord_images.len())
+                + 2 * family.chunk_labels.len();
+            assert_eq!(allocated, bytes, "(δ={delta}, k={labels})");
+        }
+        // The widths the module documentation names.
+        for (delta, labels, bits) in [(2, 4, 8), (1, 5, 5), (1, 6, 1), (1, 7, 1)] {
+            assert_eq!(CanonicalFamily::new(delta, labels).chunk_bits, bits);
+        }
+    }
+
+    #[test]
+    fn image_tables_match_the_per_bit_reference_at_every_chunk_width() {
+        // Per chunk width the budget selects, the family with the most
+        // permutations (then the widest mask).
+        let mut by_width: Vec<(u32, usize, usize, usize, usize)> = Vec::new();
+        for (delta, labels, u) in accepted_families(7) {
+            let family = CanonicalFamily::new(delta, labels);
+            let perms = family.mask_images.len() / family.row_len;
+            let candidate = (family.chunk_bits, perms, u, delta, labels);
+            match by_width.iter_mut().find(|c| c.0 == family.chunk_bits) {
+                Some(best) if (best.1, best.2) >= (perms, u) => {}
+                Some(best) => *best = candidate,
+                None => by_width.push(candidate),
+            }
+        }
+        assert!(by_width.len() >= 4, "widths {by_width:?}");
+        let mut rng = lcl_rand::SplitMix64::seed_from_u64(0x7AB1E5);
+        for (bits, perms, _, delta, labels) in by_width {
+            let family = CanonicalFamily::new(delta, labels);
+            let tables = perm_tables(&family);
+            let at = format!("(δ={delta}, k={labels}, w={bits})");
+            // Fewer samples where every check walks thousands of permutations.
+            let samples = if perms > 1000 { 8 } else { 200 };
+            let masks: Vec<u64> = (0..samples)
+                .map(|_| rng.next_u64() & (family.family_size() - 1))
+                .chain([0, family.family_size() - 1])
+                .collect();
+            for mask in masks {
+                let images: Vec<u64> = tables.iter().map(|t| apply(t, mask)).collect();
+                assert_eq!(
+                    family.is_canonical(mask),
+                    images.iter().all(|&image| image >= mask),
+                    "{at} mask {mask}"
+                );
+                let fixed = images.iter().filter(|&&image| image == mask).count();
+                assert_eq!(
+                    family.orbit_size(mask),
+                    ((perms + 1) / (fixed + 1)) as u64,
+                    "{at} mask {mask}"
+                );
+                assert_eq!(
+                    family.canonical_key_of(mask),
+                    canonical_form(&family.problem_at(mask)),
+                    "{at} mask {mask}"
+                );
+                // The mask's window, through the batched filter and through
+                // the blocks that carry its orbit sizes.
+                let base = mask & !63;
+                let survivors = family.canonical_survivors(base);
+                let hi = (base + 64).min(family.family_size());
+                let blocked: Vec<(u64, u64)> = family
+                    .blocks_in(MaskRange { next: base, hi }, 64)
+                    .flat_map(|block| block.masks.into_iter().zip(block.orbit_sizes))
+                    .collect();
+                let mut expected_blocks = Vec::new();
+                for m in base..hi {
+                    let images: Vec<u64> = tables.iter().map(|t| apply(t, m)).collect();
+                    let canonical = images.iter().all(|&image| image >= m);
+                    assert_eq!(survivors >> (m - base) & 1 == 1, canonical, "{at} mask {m}");
+                    if canonical {
+                        let fixed = images.iter().filter(|&&image| image == m).count();
+                        expected_blocks.push((m, ((perms + 1) / (fixed + 1)) as u64));
+                    }
+                }
+                let past_end = survivors.checked_shr((hi - base) as u32).unwrap_or(0);
+                assert_eq!(past_end, 0, "{at} window {base}");
+                assert_eq!(blocked, expected_blocks, "{at} window {base}");
+            }
         }
     }
 }
