@@ -117,6 +117,7 @@
 
 use std::path::Path;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use lcl_algorithms::flat::solve_greedy_flat;
@@ -134,13 +135,22 @@ use lcl_sim::IdAssignment;
 use lcl_trees::{generators, DynamicTree, EditScriptGen, FlatTree};
 use lcl_verify::{fuzz_classifier_vs_solvers, LabelingValidator};
 
-/// Writes to stdout. A reader that has gone away (`BrokenPipe`, as when
-/// `head` or `grep -q` stops reading) ends the run quietly with exit status
-/// 0; any other write error panics, as `print!` does.
+/// Set once a stdout write met `BrokenPipe`; later writes are dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout. Once the reader has gone away (`BrokenPipe`, as when
+/// `head` or `grep -q` stops reading), this and every later write are
+/// dropped quietly, so the command still finishes its work (a labeling file,
+/// a snapshot flush) and returns its own exit status. Any other write error
+/// panics, as `print!` does.
 fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout().lock(), args) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+            return;
         }
         panic!("failed printing to stdout: {e}");
     }
@@ -1390,7 +1400,7 @@ fn wait_for_shutdown() {
     #[cfg(unix)]
     {
         let shutdown = lcl_serve::signal::install_shutdown_handler();
-        while !shutdown.load(std::sync::atomic::Ordering::Relaxed) {
+        while !shutdown.load(Ordering::Relaxed) {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
     }
@@ -1437,11 +1447,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
     wait_for_shutdown();
     outln!("shutdown requested; draining in-flight requests");
-    let requests = server
-        .state()
-        .metrics
-        .requests
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let requests = server.state().metrics.requests.load(Ordering::Relaxed);
     let report = server.join();
     outln!("served {requests} requests");
     if let Some(e) = report.flush_error {

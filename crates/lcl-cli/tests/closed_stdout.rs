@@ -1,6 +1,8 @@
 //! `rtlcl` against a stdout whose reader has gone away: as a producer in a
-//! pipeline (`rtlcl … | head`, `rtlcl … | grep -q`), it stops quietly with
-//! exit status 0 instead of panicking, so `set -o pipefail` scripts pass.
+//! pipeline (`rtlcl … | head`, `rtlcl … | grep -q`), it drops the rest of
+//! its output quietly instead of panicking, finishes its work and returns its
+//! own exit status, so `set -o pipefail` scripts pass on success and still see
+//! a failure.
 
 use std::path::Path;
 use std::process::{Command, Output, Stdio};
@@ -51,6 +53,47 @@ fn a_closed_stdout_ends_the_run_quietly() {
             "rtlcl {args:?} wrote to stderr"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_keeps_each_commands_own_outcome() {
+    let dir = std::env::temp_dir().join(format!("rtlcl-closed-outcome-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // `solve` still writes its labeling after the `rounds:` line is dropped.
+    let labeling = dir.join("c.labels");
+    let labeling = labeling.to_str().unwrap();
+    let output = run_with_closed_stdout(&[
+        "solve",
+        "3-coloring",
+        "--nodes",
+        "20",
+        "--emit-labeling",
+        labeling,
+    ]);
+    assert!(output.status.success(), "solve: {:?}", output.status);
+    assert_eq!(String::from_utf8_lossy(&output.stderr), "");
+    let labels = std::fs::read_to_string(labeling).expect("solve wrote its labeling");
+    let nodes = labels.split_whitespace().count();
+    assert!(nodes > 0);
+
+    // `verify` still fails on an invalid labeling: one colour everywhere.
+    let invalid = dir.join("bad.labels");
+    std::fs::write(&invalid, "1\n".repeat(nodes)).unwrap();
+    let output = run_with_closed_stdout(&[
+        "verify",
+        "3-coloring",
+        invalid.to_str().unwrap(),
+        "--nodes",
+        "20",
+    ]);
+    assert!(
+        !output.status.success(),
+        "verify accepted an invalid labeling: {:?}",
+        output.status
+    );
+    assert_eq!(String::from_utf8_lossy(&output.stderr), "");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -41,7 +41,7 @@
 //! alone OR the entry of the value without that bit, built before it.
 //!
 //! The sweep's canonical filter takes 64-mask windows at once
-//! ([`CanonicalFamily::canonical_survivors`]): a lane that survives has met
+//! ([`CanonicalFamily::blocks_in`]): a lane that survives has met
 //! every permutation, so the filter counts its stabilizer on the way and the
 //! blocks it feeds carry orbit sizes at no extra lookup.
 //!
@@ -88,7 +88,7 @@ pub struct CanonicalFamily {
     chunk_bits: u32,
     /// Entries per table row: ⌈u / w⌉ chunk positions times 2^w − 1 non-zero
     /// chunk values. Chunk value `v` at position `c` is entry
-    /// `c · (2^w − 1) + v − 1` (see [`CanonicalFamily::entries`]).
+    /// `c · (2^w − 1) + v − 1` (see [`chunk_entries`]).
     row_len: usize,
     /// One row per non-identity label permutation: each entry is the image
     /// of its chunk value as a configuration mask.
@@ -106,6 +106,12 @@ pub struct CanonicalFamily {
     /// children ascending, as `canonical_form` spells rows. Empty iff
     /// `ord_images` is.
     rank_words: Vec<u16>,
+    /// The table entries of every window offset `j < 64` (see
+    /// [`Self::window`]), computed once: offset `j`'s are
+    /// `lane_entries[lane_starts[j]..lane_starts[j + 1]]`, one per non-zero
+    /// chunk of `j` (up to six at one-bit chunks).
+    lane_entries: Vec<u16>,
+    lane_starts: [u16; 65],
 }
 
 /// One 64-mask window of the canonical filter (see
@@ -208,6 +214,12 @@ impl CanonicalFamily {
             }
         }
 
+        let (mut lane_entries, mut lane_starts) = (Vec::new(), [0u16; 65]);
+        for j in 0..64 {
+            lane_entries.extend(chunk_entries(chunk_bits, j as u64).map(|e| e as u16));
+            lane_starts[j + 1] = lane_entries.len() as u16;
+        }
+
         CanonicalFamily {
             delta,
             num_labels,
@@ -218,6 +230,8 @@ impl CanonicalFamily {
             ord_images,
             chunk_labels,
             rank_words,
+            lane_entries,
+            lane_starts,
         }
     }
 
@@ -241,31 +255,14 @@ impl CanonicalFamily {
         1u64 << self.universe.len()
     }
 
-    /// The table entries of `mask`'s non-zero chunks, lowest chunk first.
-    fn entries(&self, mask: u64) -> impl Iterator<Item = usize> {
-        let bits = self.chunk_bits;
-        let span = (1usize << bits) - 1;
-        let (mut rest, mut at) = (mask, 0usize);
-        std::iter::from_fn(move || {
-            while rest != 0 {
-                let value = rest as usize & span;
-                rest >>= bits;
-                at += span;
-                if value != 0 {
-                    return Some(at - span + value - 1);
-                }
-            }
-            None
-        })
-    }
-
-    /// [`Self::entries`], collected for lookups under many permutations.
+    /// The table entries of `mask`'s non-zero chunks, collected for lookups
+    /// under many permutations.
     fn chunk_entries(&self, mask: u64) -> ChunkEntries {
         let mut entries = ChunkEntries {
             at: [0; 64],
             len: 0,
         };
-        for e in self.entries(mask) {
+        for e in chunk_entries(self.chunk_bits, mask) {
             entries.at[entries.len] = e as u16;
             entries.len += 1;
         }
@@ -282,28 +279,23 @@ impl CanonicalFamily {
             .all(|row| entries.image(row) >= mask)
     }
 
-    /// Batched canonicity test: the bitmap of offsets `j` (bit `j` set) such
-    /// that `base + j` is canonical, over the 64-mask window starting at the
-    /// 64-aligned `base`. Offsets past the family's end are clear.
-    /// Equivalent to 64 [`Self::is_canonical`] calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug) if `base` is not 64-aligned.
-    pub fn canonical_survivors(&self, base: u64) -> u64 {
-        self.window(base).survivors
-    }
-
-    /// The enumeration front of the wide-lane sweeps: the canonical masks of
-    /// the 64-mask window at the 64-aligned `base`, with their orbit sizes.
+    /// The enumeration front of the wide-lane sweeps, a batched canonicity
+    /// test: the canonical masks of the 64-mask window at the 64-aligned
+    /// `base` (equivalent to 64 [`Self::is_canonical`] calls; offsets past
+    /// the family's end are clear), with their orbit sizes.
     ///
     /// `base` and an offset `j < 64` share no bit, so the image of `base + j`
     /// is the image of `base` OR the image of `j`: each permutation looks
     /// `base` up once and each surviving offset in the ⌈6 / w⌉ chunks it
-    /// spans (one at w ≥ 6), and is retired early once every lane of the
-    /// window is dead. A surviving lane has met every permutation, so
-    /// counting the images equal to it on the way gives its stabilizer, and
-    /// so its orbit size, for one compare per permutation.
+    /// spans (one at w ≥ 6; the offsets' entries are computed once, in
+    /// [`Self::new`]), and is retired early once every lane of the window is
+    /// dead. A surviving lane has met every permutation, so counting the
+    /// images equal to it on the way gives its stabilizer, and so its orbit
+    /// size, for one compare per permutation.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug) if `base` is not 64-aligned.
     fn window(&self, base: u64) -> Window {
         debug_assert_eq!(base & 63, 0, "window base must be 64-aligned");
         let mut window = Window {
@@ -323,9 +315,11 @@ impl CanonicalFamily {
                 let j = lanes.trailing_zeros() as usize;
                 lanes &= lanes - 1;
                 let mask = base + j as u64;
-                let image = self
-                    .entries(j as u64)
-                    .fold(hi_image, |image, e| image | row[e]);
+                let lane = &self.lane_entries
+                    [self.lane_starts[j] as usize..self.lane_starts[j + 1] as usize];
+                let image = lane
+                    .iter()
+                    .fold(hi_image, |image, &e| image | row[e as usize]);
                 if image < mask {
                     window.survivors &= !(1u64 << j);
                 }
@@ -433,7 +427,7 @@ impl CanonicalFamily {
     /// of `ClassificationEngine::sweep_resumable_bitsliced`, which takes
     /// `lanes = 64`. No problem is materialized; lanes carry only the mask
     /// and its orbit size, and candidate masks are canonicity-filtered in
-    /// 64-mask windows through [`Self::canonical_survivors`]. Block formation
+    /// 64-mask windows through [`Self::window`]. Block formation
     /// is a function of the starting mask and `lanes` alone (≤ `lanes`
     /// canonical masks are taken in ascending order), so resuming from a
     /// committed block's [`MaskBlock::next_mask`] at the same lane count
@@ -550,6 +544,24 @@ fn index_permutations(universe: &[(usize, Vec<usize>)], num_labels: usize) -> Ve
     tables
 }
 
+/// The table entries of `mask`'s non-zero `bits`-bit chunks, lowest chunk
+/// first: chunk value `v` at position `c` is entry `c · (2^bits − 1) + v − 1`.
+fn chunk_entries(bits: u32, mask: u64) -> impl Iterator<Item = usize> {
+    let span = (1usize << bits) - 1;
+    let (mut rest, mut at) = (mask, 0usize);
+    std::iter::from_fn(move || {
+        while rest != 0 {
+            let value = rest as usize & span;
+            rest >>= bits;
+            at += span;
+            if value != 0 {
+                return Some(at - span + value - 1);
+            }
+        }
+        None
+    })
+}
+
 /// Bytes of `rows` image-table rows of 8-byte entries over a `u`-bit mask cut
 /// into `bits`-bit chunks.
 fn table_bytes(u: usize, bits: usize, rows: usize) -> usize {
@@ -567,7 +579,7 @@ fn chunk_bits(u: usize, rows: usize) -> u32 {
 }
 
 /// Appends one table row over a `u`-bit mask in `bits`-bit chunks: for every
-/// chunk position and non-zero chunk value, in [`CanonicalFamily::entries`]
+/// chunk position and non-zero chunk value, in [`chunk_entries`]
 /// order, the OR of `image(i)` over the configurations `i` the value holds.
 /// One OR per entry: the values with highest bit `b` are that bit alone, then
 /// the values below `b`, already in the row, each ORed with it.
@@ -799,12 +811,12 @@ mod tests {
     }
 
     #[test]
-    fn canonical_survivors_match_is_canonical_windows() {
+    fn window_survivors_match_is_canonical() {
         for (delta, labels) in [(2, 1), (1, 2), (2, 2), (1, 3), (2, 3)] {
             let family = CanonicalFamily::new(delta, labels);
             let mut base = 0u64;
             while base < family.family_size() {
-                let batched = family.canonical_survivors(base);
+                let batched = family.window(base).survivors;
                 for j in 0..64u64 {
                     let expected = base + j < family.family_size() && family.is_canonical(base + j);
                     assert_eq!(
@@ -817,7 +829,7 @@ mod tests {
             }
             // Past the family's end the window is empty.
             let past = family.family_size().div_ceil(64) * 64;
-            assert_eq!(family.canonical_survivors(past), 0);
+            assert_eq!(family.window(past).survivors, 0);
         }
     }
 
@@ -1036,7 +1048,7 @@ mod tests {
                 // The mask's window, through the batched filter and through
                 // the blocks that carry its orbit sizes.
                 let base = mask & !63;
-                let survivors = family.canonical_survivors(base);
+                let survivors = family.window(base).survivors;
                 let hi = (base + 64).min(family.family_size());
                 let blocked: Vec<(u64, u64)> = family
                     .blocks_in(MaskRange { next: base, hi }, 64)
