@@ -4,8 +4,9 @@
 //! exact-exponent overhead guard: the trim/flexible-SCC exponent decision must
 //! add less than 20% to a batch sweep over a poly-heavy family (asserted; the
 //! measured ratio is committed in `BENCH_classifier.json`), and the report-path
-//! guard: a full `mis-ternary` report must cost under 3x its decision
-//! (asserted; ratio `mis_ternary_report_over_decision`).
+//! guards: full `mis-ternary` and `pi-3` reports must each cost under 3x their
+//! decision (asserted; ratios `mis_ternary_report_over_decision` and
+//! `pi_3_report_over_decision`).
 
 use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::constant::decide_constant_subset;
@@ -144,13 +145,15 @@ fn main() {
     );
     report.add_group(bench);
 
-    // Report-path guard: a full report is the decision plus certificate
-    // extraction from the same Algorithm 3 runs (plus Algorithm 2's pruning
-    // trace and the explicit restrictions), never a second subset search.
-    // Asserted on `mis-ternary`, whose δ = 3 constant search dominated the
-    // report before extraction; minima again, as for the exponent guard.
+    // Report-path guards: a full report is the decision plus certificate
+    // extraction from the same kernel runs (Algorithm 3's builders, Algorithm
+    // 2's pruning trace, the exponent DFS's chain, plus the explicit
+    // restrictions), never a second search. Asserted on `mis-ternary`, whose
+    // δ = 3 constant search dominated the report before extraction, and on
+    // `pi-3`, whose three-level chain dominated the poly report; minima
+    // again, as for the exponent guard.
     let mut bench = Bench::new("report_vs_decision");
-    for name in ["mis-ternary", "3-coloring-ternary", "mis"] {
+    for name in ["mis-ternary", "3-coloring-ternary", "mis", "pi-3"] {
         let problem = catalog::by_name(name).expect("catalog problem").problem;
         bench.case(&format!("{name}: classify"), || {
             classify(black_box(&problem))
@@ -160,26 +163,29 @@ fn main() {
         });
     }
     report.add_group(bench);
-    let problem = catalog::by_name("mis-ternary")
-        .expect("catalog problem")
-        .problem;
-    let mut report_min = std::time::Duration::MAX;
-    let mut decision_min = std::time::Duration::MAX;
-    for _ in 0..4 {
-        report_min = report_min.min(min_of(&mut || {
-            black_box(classify(&problem));
-        }));
-        decision_min = decision_min.min(min_of(&mut || {
-            black_box(classify_complexity(&problem));
-        }));
+    for (name, ratio_name) in [
+        ("mis-ternary", "mis_ternary_report_over_decision"),
+        ("pi-3", "pi_3_report_over_decision"),
+    ] {
+        let problem = catalog::by_name(name).expect("catalog problem").problem;
+        let mut report_min = std::time::Duration::MAX;
+        let mut decision_min = std::time::Duration::MAX;
+        for _ in 0..4 {
+            report_min = report_min.min(min_of(&mut || {
+                black_box(classify(&problem));
+            }));
+            decision_min = decision_min.min(min_of(&mut || {
+                black_box(classify_complexity(&problem));
+            }));
+        }
+        let ratio = report.add_ratio(ratio_name, report_min, decision_min);
+        println!("{name} report / decision (minima): {ratio:.3}x\n");
+        assert!(
+            ratio < 3.0,
+            "a {name} report must cost under 3x its decision \
+             (report {report_min:?}, decision {decision_min:?})"
+        );
     }
-    let ratio = report.add_ratio("mis_ternary_report_over_decision", report_min, decision_min);
-    println!("mis-ternary report / decision (minima): {ratio:.3}x\n");
-    assert!(
-        ratio < 3.0,
-        "a mis-ternary report must cost under 3x its decision \
-         (report {report_min:?}, decision {decision_min:?})"
-    );
 
     report.write().expect("bench report written");
 }

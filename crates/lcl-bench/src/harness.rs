@@ -367,10 +367,13 @@ mod tests {
         assert_eq!(case.samples, 3);
         assert!(case.min <= case.median && case.median <= case.max);
         let mut report = BenchReport::new("selftest");
-        let d = group.median_of("fast").unwrap();
         report.add_group(group);
-        let ratio = report.add_ratio("speedup", d * 2, d.max(Duration::from_nanos(1)));
-        assert!(ratio > 1.0);
+        let ratio = report.add_ratio(
+            "speedup",
+            Duration::from_nanos(200),
+            Duration::from_nanos(100),
+        );
+        assert_eq!(ratio, 2.0);
         report.add_metric("p99_us", 123.456);
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"selftest\""));

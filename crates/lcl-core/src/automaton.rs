@@ -11,7 +11,7 @@
 //! edges (Definition 4.12).
 //!
 //! State sets are [`LabelSet`] bitsets throughout, so the reachability iterations
-//! (`closed_walk_lengths`, `find_walk`) advance whole frontiers with a handful of
+//! (`primitive_flexibility`, `find_walk`) advance whole frontiers with a handful of
 //! word operations per step.
 
 use crate::label::Label;
@@ -27,6 +27,8 @@ pub struct Automaton {
     state_set: LabelSet,
     /// Successors of each state, indexed parallel to `states`.
     successors: Vec<LabelSet>,
+    /// Predecessors of each state, same indexing.
+    predecessors: Vec<LabelSet>,
 }
 
 /// A strongly connected component of the automaton, with its period.
@@ -51,16 +53,19 @@ impl Automaton {
         let state_set = problem.labels();
         let states: Vec<Label> = state_set.iter().collect();
         let mut successors = vec![LabelSet::EMPTY; states.len()];
+        let mut predecessors = vec![LabelSet::EMPTY; states.len()];
         for c in problem.configurations() {
             let from = state_set.rank(c.parent());
             for &child in c.children() {
                 successors[from].insert(child);
+                predecessors[state_set.rank(child)].insert(c.parent());
             }
         }
         Automaton {
             states,
             state_set,
             successors,
+            predecessors,
         }
     }
 
@@ -95,89 +100,34 @@ impl Automaton {
         self.successors.iter().map(|s| s.len()).sum()
     }
 
-    /// Decomposes the automaton into strongly connected components (Kosaraju's
-    /// two-pass algorithm), returning one [`Component`] per SCC.
+    /// Decomposes the automaton into strongly connected components, returning
+    /// one [`Component`] per SCC in order of their least labels. Each SCC is
+    /// the intersection of the forward and backward closures of its least
+    /// label, the same bitset construction as the masked kernels of
+    /// [`crate::scratch`].
     pub fn components(&self) -> Vec<Component> {
-        let n = self.states.len();
-        // Forward adjacency as indices.
-        let forward: Vec<Vec<usize>> = (0..n)
-            .map(|i| {
-                self.successors[i]
-                    .iter()
-                    .map(|l| self.state_set.rank(l))
-                    .collect()
-            })
-            .collect();
-        let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (u, succs) in forward.iter().enumerate() {
-            for &v in succs {
-                reverse[v].push(u);
-            }
-        }
-        // Pass 1: finishing order on the forward graph (iterative DFS).
-        let mut visited = vec![false; n];
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        for start in 0..n {
-            if visited[start] {
+        let mut assigned = LabelSet::EMPTY;
+        let mut components = Vec::new();
+        for &v in &self.states {
+            if assigned.contains(v) {
                 continue;
             }
-            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-            visited[start] = true;
-            while let Some((v, child_pos)) = stack.pop() {
-                if child_pos < forward[v].len() {
-                    stack.push((v, child_pos + 1));
-                    let w = forward[v][child_pos];
-                    if !visited[w] {
-                        visited[w] = true;
-                        stack.push((w, 0));
-                    }
-                } else {
-                    order.push(v);
-                }
-            }
-        }
-        // Pass 2: DFS on the reverse graph in reverse finishing order.
-        let mut comp_id = vec![usize::MAX; n];
-        let mut num_components = 0usize;
-        for &start in order.iter().rev() {
-            if comp_id[start] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![start];
-            comp_id[start] = num_components;
-            while let Some(v) = stack.pop() {
-                for &w in &reverse[v] {
-                    if comp_id[w] == usize::MAX {
-                        comp_id[w] = num_components;
-                        stack.push(w);
-                    }
-                }
-            }
-            num_components += 1;
-        }
-
-        let mut members: Vec<LabelSet> = vec![LabelSet::EMPTY; num_components];
-        for (i, &label) in self.states.iter().enumerate() {
-            members[comp_id[i]].insert(label);
-        }
-        members
-            .into_iter()
-            .map(|states| {
-                let has_cycle = self.component_has_cycle(states);
-                let period = if has_cycle {
+            let states = reach(v, &self.successors, self.state_set)
+                & reach(v, &self.predecessors, self.state_set);
+            assigned |= states;
+            let has_cycle = self.component_has_cycle(states);
+            components.push(Component {
+                states,
+                has_cycle,
+                period: if has_cycle {
                     self.component_period(states)
                 } else {
                     0
-                };
-                let is_sink = states.iter().all(|s| self.successors(s).is_subset(states));
-                Component {
-                    states,
-                    has_cycle,
-                    period,
-                    is_sink,
-                }
-            })
-            .collect()
+                },
+                is_sink: states.iter().all(|s| self.successors(s).is_subset(states)),
+            });
+        }
+        components
     }
 
     fn component_has_cycle(&self, states: LabelSet) -> bool {
@@ -230,10 +180,6 @@ impl Automaton {
     /// Definition 4.8: the flexibility of a state — the smallest `K` such that for
     /// every `k ≥ K` there is a closed walk of length exactly `k` from the state to
     /// itself. Returns `None` for inflexible states.
-    ///
-    /// Closed walks through a state stay inside its SCC, so the Wielandt bound
-    /// `(s − 1)² + 1` on the primitivity index of its SCC (of size `s`) bounds the
-    /// flexibility; a DP over walk lengths up to that bound finds the exact value.
     pub fn flexibility(&self, state: Label) -> Option<usize> {
         let comp = self
             .components()
@@ -242,35 +188,9 @@ impl Automaton {
         if !comp.has_cycle || comp.period != 1 {
             return None;
         }
-        let s = comp.states.len();
-        let wielandt = (s.saturating_sub(1)).pow(2) + 1;
-        let achievable = self.closed_walk_lengths(state, comp.states, wielandt);
-        // All lengths >= wielandt are achievable (primitive component); find the
-        // smallest K such that everything in [K, wielandt] is achievable, i.e. keep
-        // lowering K while the length just below it is still achievable.
-        let mut k = wielandt;
-        while k >= 2 && achievable[k - 2] {
-            k -= 1;
-        }
-        Some(k)
-    }
-
-    /// For each length `1..=max_len`, whether a closed walk of that length from
-    /// `state` back to itself exists using only states of `within`.
-    fn closed_walk_lengths(&self, state: Label, within: LabelSet, max_len: usize) -> Vec<bool> {
-        // reachable = set of states reachable from `state` by a walk of length l.
-        let mut reachable = LabelSet::singleton(state);
-        let mut result = vec![false; max_len];
-        for entry in result.iter_mut() {
-            let mut next = LabelSet::EMPTY;
-            for u in reachable {
-                next |= self.successors(u);
-            }
-            next &= within;
-            *entry = next.contains(state);
-            reachable = next;
-        }
-        result
+        Some(primitive_flexibility(state, comp.states, |u| {
+            self.successors(u)
+        }))
     }
 
     /// Returns `true` if a walk of length exactly `len` from `from` to `to` exists.
@@ -353,6 +273,56 @@ impl Automaton {
         sinks.sort_by_key(|c| (!c.has_cycle, c.states.first().expect("non-empty")));
         sinks.first().map(|c| c.states)
     }
+}
+
+/// Reflexive-transitive closure of `start` under `adj` (dense over `allowed`),
+/// staying inside `allowed`. Pure bitset frontier expansion, no allocation.
+pub(crate) fn reach(start: Label, adj: &[LabelSet], allowed: LabelSet) -> LabelSet {
+    let mut seen = LabelSet::singleton(start);
+    let mut frontier = seen;
+    while !frontier.is_empty() {
+        let mut next = LabelSet::EMPTY;
+        for u in frontier {
+            next |= adj[allowed.rank(u)];
+        }
+        next &= allowed;
+        frontier = next - seen;
+        seen |= frontier;
+    }
+    seen
+}
+
+/// The flexibility of `state` in the primitive (period-1, cycle-containing)
+/// component `comp` of an automaton with successor sets `successors`.
+///
+/// Closed walks through a state stay inside its component, and the Wielandt
+/// bound `(s − 1)² + 1` on the primitivity index of a component of size `s`
+/// means closed walks of every length from that bound on exist, so the
+/// flexibility is one more than the longest missing closed-walk length below
+/// it. The walk stops early once it covers the whole component, which every
+/// longer walk covers too.
+pub(crate) fn primitive_flexibility(
+    state: Label,
+    comp: LabelSet,
+    successors: impl Fn(Label) -> LabelSet,
+) -> usize {
+    let wielandt = (comp.len().saturating_sub(1)).pow(2) + 1;
+    let mut reachable = LabelSet::singleton(state);
+    let mut last_gap = 0;
+    for len in 1..wielandt {
+        let mut next = LabelSet::EMPTY;
+        for u in reachable {
+            next |= successors(u);
+        }
+        reachable = next & comp;
+        if reachable == comp {
+            break;
+        }
+        if !reachable.contains(state) {
+            last_gap = len;
+        }
+    }
+    last_gap + 1
 }
 
 fn gcd_i64(a: i64, b: i64) -> i64 {

@@ -14,6 +14,10 @@
 //! 3. Algorithm 4 — no certificate ⇒ `Log` (Θ(log n), Theorem 5.1 + Lemma 6.7);
 //! 4. Algorithm 5 — no certificate ⇒ `LogStar` (Θ(log* n), Theorem 6.3 +
 //!    Theorem 7.7), otherwise `Constant` (Theorem 7.2).
+//!
+//! Each stage has one implementation, a masked kernel of [`crate::scratch`];
+//! the full report runs the same kernels once each and reads its certificates
+//! off those runs.
 
 use std::fmt;
 
@@ -21,10 +25,11 @@ use crate::builder::CertificateBuildError;
 use crate::certificate::{ConstantCertificate, LogStarCertificate};
 use crate::constant::ConstantSearchResult;
 use crate::label_set::LabelSet;
-use crate::log_certificate::{find_log_certificate, LogCertificate, LogCertificateAnalysis};
+use crate::log_certificate::{extract_log_analysis, LogCertificate, LogCertificateAnalysis};
 use crate::log_star::LogStarSearchResult;
-use crate::poly::{find_poly_certificate, PolyCertificate};
+use crate::poly::{poly_certificate_within, PolyCertificate};
 use crate::problem::LclProblem;
+use crate::scratch::{poly_exponent_masked, prune_fixpoint_masked, with_thread_scratch};
 use crate::solvability::solvable_labels;
 
 /// The four complexity classes of the paper, plus `Unsolvable` for problems that
@@ -253,7 +258,7 @@ pub fn classify(problem: &LclProblem) -> ClassificationReport {
 /// workers that want explicit buffer ownership use
 /// [`classify_complexity_with`].
 pub fn classify_complexity(problem: &LclProblem) -> Complexity {
-    crate::scratch::with_thread_scratch(|scratch| classify_complexity_with(problem, scratch))
+    with_thread_scratch(|scratch| classify_complexity_with(problem, scratch))
 }
 
 /// [`classify_complexity`] with an explicit scratch: the zero-allocation hot
@@ -270,7 +275,7 @@ pub fn classify_complexity_with(
     if sustaining.is_empty() {
         return Complexity::Unsolvable;
     }
-    let (fixpoint, iterations) = crate::scratch::prune_fixpoint_masked(problem, scratch);
+    let (fixpoint, iterations) = prune_fixpoint_masked(problem, scratch);
     if fixpoint.is_empty() {
         // The exponent never exceeds the pruning iteration count (every chain
         // level survives one more pruning round than the next), so a problem
@@ -279,7 +284,7 @@ pub fn classify_complexity_with(
         let exponent = if iterations <= 1 {
             1
         } else {
-            crate::scratch::poly_exponent_masked(problem, sustaining, scratch)
+            poly_exponent_masked(problem, sustaining, scratch)
         };
         return Complexity::Polynomial { exponent };
     }
@@ -296,30 +301,34 @@ pub fn classify_complexity_with(
 /// Classifies a problem. The configuration is threaded into the report, where it
 /// bounds certificate materialization; it cannot change the resulting class.
 ///
-/// Each stage runs exactly once: the solvability fixed point is computed once
-/// and threaded into the certificate searches
-/// ([`crate::log_star::find_log_star_certificate_within`],
-/// [`crate::constant::find_constant_certificate_within`]), and the problem is
-/// stored into the report through a single clone at the end.
+/// The report is the decision path plus extraction: the solvability fixed
+/// point, the masked pruning loop, the exponent DFS and the subset searches
+/// each run at most once, and every certificate is read off the run that
+/// decided it. The problem is stored into the report through a single clone
+/// at the end.
 pub fn classify_with_config(
     problem: &LclProblem,
     config: &ClassifierConfig,
 ) -> ClassificationReport {
     let config = *config;
     let solvable = solvable_labels(problem);
-    let log_analysis = find_log_certificate(problem);
+    let (log_analysis, poly) = with_thread_scratch(|scratch| {
+        let (fixpoint, iterations) = prune_fixpoint_masked(problem, scratch);
+        let log_analysis = extract_log_analysis(problem, fixpoint, scratch);
+        let poly = (!solvable.is_empty() && fixpoint.is_empty())
+            .then(|| poly_certificate_within(problem, solvable, iterations, scratch));
+        (log_analysis, poly)
+    });
     let mut log_star = None;
     let mut constant = None;
-    let mut poly = None;
 
+    // The log* and O(1) searches borrow the thread scratch themselves.
     let complexity = if solvable.is_empty() {
         Complexity::Unsolvable
-    } else if !log_analysis.has_certificate() {
-        let cert = find_poly_certificate(problem)
-            .expect("solvable problems without a log certificate are polynomial");
-        let exponent = cert.exponent();
-        poly = Some(cert);
-        Complexity::Polynomial { exponent }
+    } else if let Some(cert) = &poly {
+        Complexity::Polynomial {
+            exponent: cert.exponent(),
+        }
     } else {
         log_star = crate::log_star::find_log_star_certificate_within(problem, solvable);
         if log_star.is_none() {

@@ -1,26 +1,27 @@
 //! Section 5: the super-logarithmic region.
 //!
-//! Implements Algorithm 1 (`removePathInflexibleConfigurations`) and Algorithm 2
-//! (`findLogCertificate`), which together decide in polynomial time whether a
+//! Algorithm 1 (`removePathInflexibleConfigurations`) and Algorithm 2
+//! (`findLogCertificate`) together decide in polynomial time whether a
 //! problem's round complexity is O(log n) or n^{Ω(1)} (Theorem 5.3). When a
 //! certificate exists it is the restriction Π_pf of the problem to the labels of a
 //! minimal absorbing subgraph of the pruned automaton; Theorem 5.1 turns it into an
 //! O(log n) CONGEST algorithm (implemented in `lcl-algorithms`), and when it does
 //! not exist the pruning sequence Σ₁, …, Σ_k witnesses an Ω(n^{1/k}) lower bound
 //! (Theorem 5.2).
+//!
+//! The pruning loop has one implementation, the masked kernel
+//! [`crate::scratch::prune_fixpoint_masked`], which records Σ₁, …, Σ_k in its
+//! scratch. [`find_log_certificate`] is that run plus extraction: the trace is
+//! read off the scratch, the fixed point is one restriction of the problem,
+//! and Π_pf's flexibility comes from the masked `max_flexibility_masked`. The
+//! `reference` module keeps the materializing loop as a test oracle.
 
 use crate::automaton::Automaton;
 use crate::label_set::LabelSet;
 use crate::problem::LclProblem;
-
-/// Algorithm 1: the restriction of `problem` to its path-flexible labels.
-///
-/// Note that labels which were path-flexible in the input can become path-inflexible
-/// in the output; Algorithm 2 therefore iterates this procedure to a fixed point.
-pub fn remove_path_inflexible(problem: &LclProblem) -> LclProblem {
-    let automaton = Automaton::of(problem);
-    problem.restrict_to(automaton.flexible_states())
-}
+use crate::scratch::{
+    max_flexibility_masked, prune_fixpoint_masked, with_thread_scratch, ClassifyScratch,
+};
 
 /// The certificate for O(log n) solvability produced by Algorithm 2: a non-empty
 /// path-flexible restriction Π_pf whose automaton is strongly connected.
@@ -113,66 +114,100 @@ impl LogCertificateAnalysis {
     }
 }
 
-/// Iterates Algorithm 1 to its fixed point, returning the fixed point and the
-/// non-empty label sets removed along the way (Σ₁, …, Σ_k). This is the
-/// report-building form that materializes each restriction; the decision-only
-/// fast path [`crate::classifier::classify_complexity`] runs the allocation-free
-/// masked twin [`crate::scratch::prune_fixpoint_masked`] instead, and the
-/// `scratch` module's differential tests assert the two agree on both the
-/// fixpoint labels and the iteration count `k`.
-pub(crate) fn prune_to_fixpoint(problem: &LclProblem) -> (LclProblem, Vec<LabelSet>) {
-    let mut current = problem.clone();
-    let mut pruned_sets = Vec::new();
-    loop {
-        let next = remove_path_inflexible(&current);
-        if next == current {
-            break;
-        }
-        let removed = current.labels() - next.labels();
-        if !removed.is_empty() {
-            pruned_sets.push(removed);
-        }
-        current = next;
-    }
-    (current, pruned_sets)
-}
-
 /// Algorithm 2: `findLogCertificate`. Iterates Algorithm 1 to a fixed point; if the
 /// fixed point is empty the problem requires n^{Ω(1)} rounds, otherwise the
 /// restriction to a minimal absorbing subgraph of the fixed point's automaton is a
 /// certificate for O(log n) solvability.
 pub fn find_log_certificate(problem: &LclProblem) -> LogCertificateAnalysis {
-    let (current, pruned_sets) = prune_to_fixpoint(problem);
+    with_thread_scratch(|scratch| {
+        let (fixpoint, _) = prune_fixpoint_masked(problem, scratch);
+        extract_log_analysis(problem, fixpoint, scratch)
+    })
+}
 
-    let certificate = if current.is_empty() {
-        None
-    } else {
-        let automaton = Automaton::of(&current);
-        let absorbing = automaton
+/// Algorithm 2's outcome, read off the [`prune_fixpoint_masked`] run in
+/// `scratch` that stopped at `fixpoint`.
+pub(crate) fn extract_log_analysis(
+    problem: &LclProblem,
+    fixpoint: LabelSet,
+    scratch: &mut ClassifyScratch,
+) -> LogCertificateAnalysis {
+    let pruned_sets = scratch.pruned_sets.clone();
+    let fixpoint = problem.restrict_to(fixpoint);
+    let certificate = (!fixpoint.is_empty()).then(|| {
+        let absorbing = Automaton::of(&fixpoint)
             .minimal_absorbing_component()
             .expect("non-empty automaton has a minimal absorbing subgraph");
-        let problem_pf = current.restrict_to(absorbing);
-        let pf_automaton = Automaton::of(&problem_pf);
-        let max_flexibility = problem_pf
-            .labels()
-            .iter()
-            .map(|l| {
-                pf_automaton
-                    .flexibility(l)
-                    .expect("labels of the absorbing component stay flexible (Lemma 5.5)")
-            })
-            .max()
-            .unwrap_or(0);
-        Some(LogCertificate {
-            problem_pf,
-            max_flexibility,
-        })
-    };
-
+        LogCertificate {
+            problem_pf: fixpoint.restrict_to(absorbing),
+            // The absorbing component is one flexible SCC (Lemma 5.5).
+            max_flexibility: max_flexibility_masked(problem, absorbing, absorbing, scratch),
+        }
+    });
     LogCertificateAnalysis {
         pruned_sets,
-        fixpoint: current,
+        fixpoint,
         certificate,
+    }
+}
+
+/// Algorithm 2 over materialized restrictions, kept as a test oracle for the
+/// masked pruning kernel: every iteration builds the restriction and its
+/// [`Automaton`].
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use super::{LogCertificate, LogCertificateAnalysis};
+    use crate::automaton::Automaton;
+    use crate::problem::LclProblem;
+
+    /// Algorithm 1: the restriction of `problem` to its path-flexible labels.
+    ///
+    /// Labels which were path-flexible in the input can become
+    /// path-inflexible in the output; Algorithm 2 therefore iterates this
+    /// procedure to a fixed point.
+    pub fn remove_path_inflexible(problem: &LclProblem) -> LclProblem {
+        problem.restrict_to(Automaton::of(problem).flexible_states())
+    }
+
+    /// Algorithm 2: iterates [`remove_path_inflexible`] to its fixed point,
+    /// recording the non-empty removed label sets, then restricts the fixed
+    /// point to a minimal absorbing subgraph of its automaton.
+    pub fn find_log_certificate(problem: &LclProblem) -> LogCertificateAnalysis {
+        let mut current = problem.clone();
+        let mut pruned_sets = Vec::new();
+        loop {
+            let next = remove_path_inflexible(&current);
+            if next == current {
+                break;
+            }
+            let removed = current.labels() - next.labels();
+            if !removed.is_empty() {
+                pruned_sets.push(removed);
+            }
+            current = next;
+        }
+        let certificate = (!current.is_empty()).then(|| {
+            let absorbing = Automaton::of(&current)
+                .minimal_absorbing_component()
+                .expect("non-empty automaton has a minimal absorbing subgraph");
+            let problem_pf = current.restrict_to(absorbing);
+            let automaton = Automaton::of(&problem_pf);
+            let max_flexibility = absorbing
+                .iter()
+                .map(|l| automaton.flexibility(l).expect("flexible (Lemma 5.5)"))
+                .max()
+                .unwrap_or(0);
+            LogCertificate {
+                problem_pf,
+                max_flexibility,
+            }
+        });
+        LogCertificateAnalysis {
+            pruned_sets,
+            fixpoint: current,
+            certificate,
+        }
     }
 }
 
@@ -193,7 +228,7 @@ mod tests {
     fn algorithm_1_on_pi0_removes_a_and_b() {
         // Figure 2d: Π₁ is the restriction to {1, 2}.
         let p = pi0();
-        let pruned = remove_path_inflexible(&p);
+        let pruned = reference::remove_path_inflexible(&p);
         assert_eq!(pruned.num_labels(), 2);
         assert!(pruned.label_by_name("1").is_some());
         assert!(pruned.label_by_name("2").is_some());

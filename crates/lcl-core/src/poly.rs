@@ -30,15 +30,20 @@
 //! certificate for O(log n) solvability (Lemma 5.5), contradicting the region.
 //! Hence the descent strictly shrinks and its depth is at most `|Σ|`.
 //!
-//! [`find_poly_certificate`] materializes the maximal chain as a
-//! [`PolyCertificate`]; the allocation-free decision twin used by the batch
-//! hot path is [`crate::scratch::poly_exponent_masked`], and differential
-//! tests assert the two always agree.
+//! The descent has one implementation, the allocation-free DFS
+//! [`crate::scratch::poly_exponent_masked`], which records its deepest chain
+//! in its scratch. [`find_poly_certificate`] is that run plus extraction: it
+//! reads the chain `(S_i, C_i)` off the scratch and computes each level's
+//! flexibility. The `reference` module keeps the recursive descent over
+//! materialized restrictions as a test oracle.
 
 use crate::automaton::Automaton;
 use crate::label_set::LabelSet;
 use crate::problem::LclProblem;
-use crate::scratch::{poly_exponent_masked, trim_masked};
+use crate::scratch::{
+    max_flexibility_masked, poly_exponent_masked, prune_fixpoint_masked, trim_masked,
+    with_thread_scratch, ClassifyScratch,
+};
 use crate::solvability::solvable_labels;
 
 /// One level of the trim/flexible-SCC descent witnessing Θ(n^{1/k}).
@@ -151,9 +156,8 @@ impl PolyCertificate {
         }
         // Maximality (the Ω(n^{1/k}) side): the chain must realize the exact
         // exponent, re-derived by the independent masked decision procedure.
-        let exact = crate::scratch::with_thread_scratch(|scratch| {
-            poly_exponent_masked(problem, sustaining, scratch)
-        });
+        let exact =
+            with_thread_scratch(|scratch| poly_exponent_masked(problem, sustaining, scratch));
         if exact != k {
             return Err(format!(
                 "chain has length {k} but the exact exponent is {exact}"
@@ -171,67 +175,121 @@ pub fn find_poly_certificate(problem: &LclProblem) -> Option<PolyCertificate> {
     if sustaining.is_empty() {
         return None;
     }
-    let fixpoint_empty = crate::scratch::with_thread_scratch(|scratch| {
-        crate::scratch::prune_fixpoint_masked(problem, scratch)
-            .0
+    with_thread_scratch(|scratch| {
+        let (fixpoint, iterations) = prune_fixpoint_masked(problem, scratch);
+        fixpoint
             .is_empty()
-    });
-    if !fixpoint_empty {
-        return None;
-    }
-    Some(PolyCertificate {
-        levels: best_chain(problem, sustaining),
+            .then(|| poly_certificate_within(problem, sustaining, iterations, scratch))
     })
 }
 
-/// The deepest descent below the trimmed non-empty set `s`, materialized
-/// levels-first. Deterministic: SCCs are visited in the automaton's component
-/// order and ties keep the first maximum.
-fn best_chain(problem: &LclProblem, s: LabelSet) -> Vec<PolyLevel> {
-    let restricted = problem.restrict_to(s);
-    let automaton = Automaton::of(&restricted);
-    let mut best_below: Vec<PolyLevel> = Vec::new();
-    let mut best_scc = LabelSet::EMPTY;
-    for comp in automaton.components() {
-        if !comp.has_cycle || comp.period != 1 || comp.states == s {
-            continue;
-        }
-        let trimmed = trim_masked(problem, comp.states);
-        if trimmed.is_empty() {
-            continue;
-        }
-        let below = best_chain(problem, trimmed);
-        if below.len() > best_below.len() {
-            best_below = below;
-            best_scc = comp.states;
-        }
-    }
-    if best_scc.is_empty() {
-        return vec![PolyLevel {
-            labels: s,
-            scc: LabelSet::EMPTY,
-            flexibility: 0,
-            chain_threshold: 0,
-        }];
-    }
-    let flexibility = best_scc
-        .iter()
-        .map(|l| {
-            automaton
-                .flexibility(l)
-                .expect("states of a flexible SCC are flexible")
+/// The certificate of a polynomial-region problem whose pruning loop ran
+/// `iterations` non-empty rounds: one [`poly_exponent_masked`] run, then the
+/// chain read off the scratch. The exponent never exceeds the iteration count,
+/// so with `iterations ≤ 1` the chain is the single level `sustaining` and the
+/// DFS is skipped, as on the decision path. An empty SCC has flexibility 0, so
+/// the last level carries a zero flexibility and threshold.
+pub(crate) fn poly_certificate_within(
+    problem: &LclProblem,
+    sustaining: LabelSet,
+    iterations: usize,
+    scratch: &mut ClassifyScratch,
+) -> PolyCertificate {
+    let exponent = if iterations <= 1 {
+        scratch.poly_chain.clear();
+        scratch.poly_chain.push((sustaining, LabelSet::EMPTY));
+        1
+    } else {
+        poly_exponent_masked(problem, sustaining, scratch)
+    };
+    let levels = (0..exponent)
+        .map(|i| {
+            let (labels, scc) = scratch.poly_chain[i];
+            let flexibility = max_flexibility_masked(problem, labels, scc, scratch);
+            PolyLevel {
+                labels,
+                scc,
+                flexibility,
+                chain_threshold: scc.len() + flexibility,
+            }
         })
-        .max()
-        .expect("flexible SCCs are non-empty");
-    let mut levels = Vec::with_capacity(1 + best_below.len());
-    levels.push(PolyLevel {
-        labels: s,
-        scc: best_scc,
-        flexibility,
-        chain_threshold: best_scc.len() + flexibility,
-    });
-    levels.extend(best_below);
-    levels
+        .collect();
+    PolyCertificate { levels }
+}
+
+/// The descent over materialized restrictions, kept as a test oracle for the
+/// masked DFS: every level builds its restriction, its [`Automaton`] and the
+/// trims of its flexible SCCs by [`solvable_labels`] on restrictions.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use super::{PolyCertificate, PolyLevel};
+    use crate::automaton::Automaton;
+    use crate::label_set::LabelSet;
+    use crate::problem::LclProblem;
+    use crate::solvability::solvable_labels;
+
+    /// The exact-exponent certificate, or `None` outside the polynomial
+    /// region, with Algorithm 2 run by
+    /// [`crate::log_certificate::reference::find_log_certificate`].
+    pub fn find_poly_certificate(problem: &LclProblem) -> Option<PolyCertificate> {
+        let sustaining = solvable_labels(problem);
+        if sustaining.is_empty()
+            || crate::log_certificate::reference::find_log_certificate(problem).has_certificate()
+        {
+            return None;
+        }
+        Some(PolyCertificate {
+            levels: best_chain(problem, sustaining),
+        })
+    }
+
+    /// The deepest descent below the trimmed non-empty set `s`, levels-first.
+    /// Flexible SCCs are visited in least-label order and ties keep the first
+    /// maximum.
+    pub fn best_chain(problem: &LclProblem, s: LabelSet) -> Vec<PolyLevel> {
+        let automaton = Automaton::of(&problem.restrict_to(s));
+        let mut components = automaton.components();
+        components.sort_by_key(|c| c.states.first());
+        let mut best_below: Vec<PolyLevel> = Vec::new();
+        let mut best_scc = LabelSet::EMPTY;
+        for comp in components {
+            if !comp.has_cycle || comp.period != 1 || comp.states == s {
+                continue;
+            }
+            let trimmed = solvable_labels(&problem.restrict_to(comp.states));
+            if trimmed.is_empty() {
+                continue;
+            }
+            let below = best_chain(problem, trimmed);
+            if below.len() > best_below.len() {
+                best_below = below;
+                best_scc = comp.states;
+            }
+        }
+        let flexibility = best_scc
+            .iter()
+            .map(|l| {
+                automaton
+                    .flexibility(l)
+                    .expect("states of a flexible SCC are flexible")
+            })
+            .max()
+            .unwrap_or(0);
+        let chain_threshold = if best_scc.is_empty() {
+            0
+        } else {
+            best_scc.len() + flexibility
+        };
+        let mut levels = vec![PolyLevel {
+            labels: s,
+            scc: best_scc,
+            flexibility,
+            chain_threshold,
+        }];
+        levels.extend(best_below);
+        levels
+    }
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //! *parent* problem's dense configuration tables, restricted by **masking** with a
 //! [`LabelSet`] instead of materializing a restricted [`LclProblem`]. The only
 //! mutable state the kernels need — dense successor/predecessor tables for the
-//! masked path-form automaton, BFS queues, and the entry and derivation lists
-//! of Algorithm 3's fixed point — lives in a [`ClassifyScratch`] that callers
-//! thread through the stages.
+//! masked path-form automaton, BFS queues, the pruning trace, the exponent
+//! DFS's frames and chain, and the entry and derivation lists of Algorithm 3's
+//! fixed point — lives in a [`ClassifyScratch`] that callers thread through
+//! the stages.
 //!
 //! The contract is *amortized* zero allocation: the buffers grow to a
 //! high-water mark on the first classifications and are then reused (`clear()`
@@ -29,7 +30,7 @@
 //!   no locks);
 //! * [`with_thread_scratch`] — borrow the calling thread's lazily initialized
 //!   scratch (what the plain [`crate::classify_complexity`] wrapper and the
-//!   full-report certificate searches use);
+//!   full report's kernel runs use);
 //! * implicitly via [`crate::classify`] / [`crate::classify_complexity`], which
 //!   route through the thread-local.
 //!
@@ -39,9 +40,10 @@
 //!   restriction to `allowed`) without building the restriction or an
 //!   [`crate::automaton::Automaton`];
 //! * [`prune_fixpoint_masked`] — Algorithm 2's pruning loop as a pure
-//!   [`LabelSet`] iteration; agrees with
-//!   [`crate::log_certificate::find_log_certificate`] on the fixpoint labels and
-//!   the iteration count `k` (asserted by differential tests below);
+//!   [`LabelSet`] iteration, the one implementation. It records the removed
+//!   sets Σ₁, …, Σ_k in the scratch, so
+//!   [`crate::log_certificate::find_log_certificate`] extracts the pruning
+//!   trace from the decision run;
 //! * [`exists_builder_masked`] — Algorithm 3, the one implementation: does
 //!   the restriction to `subset` admit a certificate builder (optionally
 //!   producing the special label on a leaf)? It stops at the first success
@@ -54,16 +56,23 @@
 //!   (equals `solvable_labels(problem.restrict_to(allowed))` without the
 //!   restriction);
 //! * [`poly_exponent_masked`] — the exact Θ(n^{1/k}) exponent of a
-//!   polynomial-region problem: the depth of the longest trim/flexible-SCC
-//!   descent (Lemma 5.29), run as an explicit DFS over [`LabelSet`] frames so
-//!   the batch hot path stays allocation-free. The report path's
-//!   [`crate::poly::find_poly_certificate`] materializes the witnessing chain;
-//!   differential tests assert the two agree on the exponent.
+//!   polynomial-region problem, the one implementation of the
+//!   trim/flexible-SCC descent (Lemma 5.29): an explicit DFS over
+//!   [`LabelSet`] frames, so the batch hot path stays allocation-free. It
+//!   records its deepest chain in the scratch, from which
+//!   [`crate::poly::find_poly_certificate`] extracts the certificate;
+//! * `max_flexibility_masked` — Definition 4.8's flexibility of a flexible
+//!   SCC, for the certificates the report extracts.
+//!
+//! The `reference` modules of [`crate::log_certificate`], [`crate::poly`] and
+//! [`crate::builder`] keep the naive materializing versions of Algorithms 2
+//! and 3 and of the descent as test oracles (feature `reference`).
 
 use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
 
+use crate::automaton::{primitive_flexibility, reach};
 use crate::builder::{CertificateBuilder, Derivation, RootSetEntry};
 use crate::configuration::children_match_slots;
 use crate::label::Label;
@@ -103,24 +112,35 @@ pub struct ClassifyScratch {
     /// Flexible SCCs collected by [`flexible_sccs_masked`] (arena-style: the
     /// exponent DFS truncates back to each call's start index).
     sccs: Vec<LabelSet>,
+    /// The pruning trace of the last [`prune_fixpoint_masked`] run: the
+    /// non-empty label sets Σ₁, …, Σ_k its iterations removed, in order.
+    pub(crate) pruned_sets: Vec<LabelSet>,
     /// Open frames of the exponent DFS.
     poly_frames: Vec<PolyFrame>,
-    /// Trimmed child sets of the open frames (arena-style, truncated on pop).
-    poly_children: Vec<LabelSet>,
+    /// Children of the open frames as `(trim(C), C)` pairs, one per flexible
+    /// SCC `C` with a non-empty trim (arena-style, truncated on pop).
+    poly_children: Vec<(LabelSet, LabelSet)>,
+    /// The chain of the last [`poly_exponent_masked`] run: the levels
+    /// `(S_i, C_i)` of its deepest descent, outermost first, with `C_k` empty.
+    /// Its length is the exponent.
+    pub(crate) poly_chain: Vec<(LabelSet, LabelSet)>,
 }
 
-/// One open frame of the exponent DFS: the trimmed child sets it still has to
-/// descend into, and the best depth found below it so far.
+/// One open frame of the exponent DFS: its trimmed label set and the child
+/// sets it still has to descend into.
 #[derive(Debug, Clone, Copy)]
 struct PolyFrame {
+    /// The trimmed label set `S` of this frame.
+    labels: LabelSet,
+    /// The flexible SCC whose trim the frame is descending into (empty
+    /// before the first descent).
+    scc: LabelSet,
     /// Start of this frame's children in `poly_children`.
     children_start: u32,
     /// End of this frame's children in `poly_children`.
     children_end: u32,
     /// Next child to descend into.
     next: u32,
-    /// `max(1, 1 + depth(child))` over the children processed so far.
-    best: u32,
 }
 
 impl ClassifyScratch {
@@ -140,23 +160,6 @@ thread_local! {
 /// explicit parameter).
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ClassifyScratch) -> R) -> R {
     THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// Reflexive-transitive closure of `start` under `adj` (dense over `allowed`),
-/// staying inside `allowed`. Pure bitset frontier expansion, no allocation.
-fn reach(start: Label, adj: &[LabelSet], allowed: LabelSet) -> LabelSet {
-    let mut seen = LabelSet::singleton(start);
-    let mut frontier = seen;
-    while !frontier.is_empty() {
-        let mut next = LabelSet::EMPTY;
-        for u in frontier {
-            next |= adj[allowed.rank(u)];
-        }
-        next &= allowed;
-        frontier = next - seen;
-        seen |= frontier;
-    }
-    seen
 }
 
 fn gcd_i64(a: i64, b: i64) -> i64 {
@@ -231,27 +234,11 @@ pub fn flexible_states_masked(
     allowed: LabelSet,
     scratch: &mut ClassifyScratch,
 ) -> LabelSet {
-    if allowed.is_empty() {
-        return LabelSet::EMPTY;
-    }
-    build_masked_tables(problem, allowed, scratch);
-
-    let mut assigned = LabelSet::EMPTY;
-    let mut flexible = LabelSet::EMPTY;
-    for v in allowed {
-        if assigned.contains(v) {
-            continue;
-        }
-        let fwd = reach(v, &scratch.succ, allowed);
-        let bwd = reach(v, &scratch.pred, allowed);
-        let comp = fwd & bwd;
-        assigned |= comp;
-        let has_cycle = comp.len() > 1 || scratch.succ[allowed.rank(v)].contains(v);
-        if has_cycle && component_period(comp, allowed, scratch) == 1 {
-            flexible |= comp;
-        }
-    }
-    flexible
+    let range = flexible_sccs_masked(problem, allowed, scratch);
+    scratch
+        .sccs
+        .drain(range)
+        .fold(LabelSet::EMPTY, |flexible, comp| flexible | comp)
 }
 
 /// Lemma 5.29's flexible-SCC enumeration, masked: appends every flexible
@@ -265,9 +252,6 @@ fn flexible_sccs_masked(
     scratch: &mut ClassifyScratch,
 ) -> Range<usize> {
     let start = scratch.sccs.len();
-    if allowed.is_empty() {
-        return start..start;
-    }
     build_masked_tables(problem, allowed, scratch);
     let mut assigned = LabelSet::EMPTY;
     for v in allowed {
@@ -284,6 +268,28 @@ fn flexible_sccs_masked(
         }
     }
     start..scratch.sccs.len()
+}
+
+/// Definition 4.8, masked: the maximum flexibility over the states of `scc`,
+/// a flexible SCC of the masked automaton of the restriction to `allowed`
+/// (0 when `scc` is empty). Equals the maximum of
+/// `Automaton::of(&problem.restrict_to(allowed)).flexibility(l)` over
+/// `l ∈ scc` without building either.
+pub(crate) fn max_flexibility_masked(
+    problem: &LclProblem,
+    allowed: LabelSet,
+    scc: LabelSet,
+    scratch: &mut ClassifyScratch,
+) -> usize {
+    if scc.is_empty() {
+        return 0;
+    }
+    build_masked_tables(problem, allowed, scratch);
+    let succ = &scratch.succ;
+    scc.iter()
+        .map(|state| primitive_flexibility(state, scc, |u| succ[allowed.rank(u)]))
+        .max()
+        .expect("scc is non-empty")
 }
 
 /// Lemma 5.28's `trim`, masked: the greatest subset `T ⊆ allowed` such that
@@ -321,8 +327,11 @@ pub fn trim_masked(problem: &LclProblem, allowed: LabelSet) -> LabelSet {
 /// certificate for O(log n)), so the descent strictly shrinks and terminates.
 ///
 /// Runs as an explicit DFS over scratch frames: no recursion, no allocation
-/// once the arenas are warm. Agrees with the chain materialized by
-/// [`crate::poly::find_poly_certificate`].
+/// once the arenas are warm. Children are visited in least-label order of
+/// their SCCs, and whenever the frame stack grows past the deepest chain seen
+/// so far it is copied into the scratch's chain. The recorded chain is thus
+/// the first deepest descent, the first maximum at every level, which
+/// [`crate::poly::find_poly_certificate`] turns into the certificate.
 pub fn poly_exponent_masked(
     problem: &LclProblem,
     sustaining: LabelSet,
@@ -332,30 +341,30 @@ pub fn poly_exponent_masked(
     debug_assert_eq!(sustaining, trim_masked(problem, problem.labels()));
     scratch.poly_frames.clear();
     scratch.poly_children.clear();
+    scratch.poly_chain.clear();
     scratch.sccs.clear();
     push_poly_frame(problem, sustaining, scratch);
-    loop {
-        let frame = *scratch.poly_frames.last().expect("frame stack non-empty");
+    while let Some(frame) = scratch.poly_frames.last().copied() {
         if frame.next < frame.children_end {
-            scratch.poly_frames.last_mut().expect("checked").next += 1;
-            let child = scratch.poly_children[frame.next as usize];
+            let (child, scc) = scratch.poly_children[frame.next as usize];
+            let top = scratch.poly_frames.last_mut().expect("checked");
+            top.next += 1;
+            top.scc = scc;
             push_poly_frame(problem, child, scratch);
-            continue;
-        }
-        scratch.poly_frames.pop();
-        scratch
-            .poly_children
-            .truncate(frame.children_start as usize);
-        match scratch.poly_frames.last_mut() {
-            Some(parent) => parent.best = parent.best.max(1 + frame.best),
-            None => return frame.best as usize,
+        } else {
+            scratch.poly_frames.pop();
+            scratch
+                .poly_children
+                .truncate(frame.children_start as usize);
         }
     }
+    scratch.poly_chain.len()
 }
 
 /// Opens a DFS frame for the trimmed non-empty set `set`: enumerates the
 /// flexible SCCs of its masked automaton and stores the non-empty trims of the
-/// proper ones as the frame's children.
+/// proper ones as the frame's children. A stack deeper than the recorded chain
+/// becomes the new chain.
 fn push_poly_frame(problem: &LclProblem, set: LabelSet, scratch: &mut ClassifyScratch) {
     let scc_range = flexible_sccs_masked(problem, set, scratch);
     let children_start = scratch.poly_children.len();
@@ -378,38 +387,42 @@ fn push_poly_frame(problem: &LclProblem, set: LabelSet, scratch: &mut ClassifySc
         }
         let trimmed = trim_masked(problem, comp);
         if !trimmed.is_empty() {
-            scratch.poly_children.push(trimmed);
+            scratch.poly_children.push((trimmed, comp));
         }
     }
     scratch.sccs.truncate(scc_range.start);
     scratch.poly_frames.push(PolyFrame {
+        labels: set,
+        scc: LabelSet::EMPTY,
         children_start: children_start as u32,
         children_end: scratch.poly_children.len() as u32,
         next: children_start as u32,
-        best: 1,
     });
+    if scratch.poly_frames.len() > scratch.poly_chain.len() {
+        scratch.poly_chain.clear();
+        let chain = scratch.poly_frames.iter().map(|f| (f.labels, f.scc));
+        scratch.poly_chain.extend(chain);
+    }
 }
 
 /// Algorithm 2's pruning loop, masked: iterates [`flexible_states_masked`] to a
 /// fixed point and returns `(fixpoint labels, number of non-empty pruning
-/// iterations)`. Agrees with [`crate::log_certificate::find_log_certificate`]
-/// on both components (the restriction of a problem is fully determined by the
-/// surviving label set, so comparing label sets is equivalent to comparing
-/// restricted problems).
+/// iterations)`. The removed sets Σ₁, …, Σ_k stay in the scratch, so
+/// [`crate::log_certificate::find_log_certificate`] reads the pruning trace
+/// off this run (the restriction of a problem is fully determined by the
+/// surviving label set).
 pub fn prune_fixpoint_masked(
     problem: &LclProblem,
     scratch: &mut ClassifyScratch,
 ) -> (LabelSet, usize) {
+    scratch.pruned_sets.clear();
     let mut allowed = problem.labels();
-    let mut iterations = 0usize;
     loop {
         let flexible = flexible_states_masked(problem, allowed, scratch);
         if flexible == allowed {
-            return (allowed, iterations);
+            return (allowed, scratch.pruned_sets.len());
         }
-        if !(allowed - flexible).is_empty() {
-            iterations += 1;
-        }
+        scratch.pruned_sets.push(allowed - flexible);
         allowed = flexible;
     }
 }
@@ -575,7 +588,7 @@ mod tests {
     use crate::automaton::Automaton;
     use crate::builder::reference::find_unrestricted_certificate_cut;
     use crate::classifier::{classify, classify_complexity_with};
-    use crate::log_certificate::find_log_certificate;
+    use crate::log_certificate::reference::find_log_certificate;
     use crate::problem::ProblemBuilder;
 
     fn problem(text: &str) -> LclProblem {
@@ -623,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn masked_prune_matches_find_log_certificate() {
+    fn masked_prune_matches_reference_log_certificate() {
         let mut scratch = ClassifyScratch::new();
         let extra = [
             "a : b b\nb : a a\n1 : 1 2\n2 : 1 1\n",
@@ -637,6 +650,7 @@ mod tests {
             let analysis = find_log_certificate(&p);
             assert_eq!(fixpoint, analysis.fixpoint.labels(), "{}", p.to_text());
             assert_eq!(iterations, analysis.iterations(), "{}", p.to_text());
+            assert_eq!(scratch.pruned_sets, analysis.pruned_sets, "{}", p.to_text());
         }
     }
 
@@ -741,7 +755,49 @@ mod tests {
     }
 
     #[test]
-    fn masked_exponent_matches_certificate_chain_on_deep_problems() {
+    fn masked_max_flexibility_matches_automaton() {
+        let mut scratch = ClassifyScratch::new();
+        let mut all = full_two_label_family();
+        all.extend(
+            [
+                "a : b b\nb : a a\n1 : 1 2\n2 : 1 1\n",
+                "1:22\n1:23\n1:33\n2:11\n2:13\n2:33\n3:11\n3:12\n3:22\n",
+                crate::test_fixtures::SECTION_8_DEPTH_TWO,
+            ]
+            .iter()
+            .map(|t| problem(t)),
+        );
+        for p in all {
+            for allowed in p.labels().subsets() {
+                let automaton = Automaton::of(&p.restrict_to(allowed));
+                for comp in automaton.components() {
+                    if !comp.has_cycle || comp.period != 1 {
+                        continue;
+                    }
+                    let expected = comp
+                        .states
+                        .iter()
+                        .map(|l| automaton.flexibility(l).expect("flexible"))
+                        .max();
+                    assert_eq!(
+                        Some(max_flexibility_masked(
+                            &p,
+                            allowed,
+                            comp.states,
+                            &mut scratch
+                        )),
+                        expected,
+                        "problem {:?}, allowed {allowed}, scc {}",
+                        p.to_text(),
+                        comp.states
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_exponent_matches_reference_chain_on_deep_problems() {
         let mut scratch = ClassifyScratch::new();
         let deep = [
             // Θ(n): 2-coloring on trees and paths.
@@ -752,13 +808,16 @@ mod tests {
         ];
         for text in deep {
             let p = problem(text);
-            let cert = crate::poly::find_poly_certificate(&p).expect("polynomial problem");
+            let cert = crate::poly::reference::find_poly_certificate(&p).expect("polynomial");
             let sustaining = crate::solvability::solvable_labels(&p);
             assert_eq!(
                 poly_exponent_masked(&p, sustaining, &mut scratch),
                 cert.exponent(),
                 "{text}"
             );
+            let chain: Vec<(LabelSet, LabelSet)> =
+                cert.levels.iter().map(|l| (l.labels, l.scc)).collect();
+            assert_eq!(scratch.poly_chain, chain, "{text}");
         }
     }
 }

@@ -91,52 +91,17 @@ fn pi_k_exact_exponent_matches_k() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Brute-force reference for the exact exponent: the same trim/flexible-SCC
-// recursion, but over *materialized* restrictions (`restrict_to` +
-// `solvable_labels` + `Automaton::components`) instead of the masked kernels.
-// ---------------------------------------------------------------------------
+// The brute-force reference for the exact exponent: the same trim/flexible-SCC
+// descent, but over *materialized* restrictions (`restrict_to` +
+// `solvable_labels` + `Automaton::components`) instead of the masked kernels,
+// after Algorithm 2 run over materialized restrictions too.
 
-use rooted_tree_lcl::core::automaton::Automaton;
-use rooted_tree_lcl::core::{solvable_labels, LabelSet, LclProblem};
+use rooted_tree_lcl::core::poly::reference::find_poly_certificate as reference_certificate;
+use rooted_tree_lcl::core::LclProblem;
 
-fn reference_depth(problem: &LclProblem, s: LabelSet) -> usize {
-    // `s` is trimmed and non-empty.
-    let restricted = problem.restrict_to(s);
-    let automaton = Automaton::of(&restricted);
-    let mut best = 1;
-    for comp in automaton.components() {
-        if !comp.has_cycle || comp.period != 1 || comp.states == s {
-            continue;
-        }
-        let trimmed = solvable_labels(&problem.restrict_to(comp.states));
-        if !trimmed.is_empty() {
-            best = best.max(1 + reference_depth(problem, trimmed));
-        }
-    }
-    best
-}
-
-/// `Some(k)` iff the problem is in the polynomial region, decided and
-/// recursed entirely through materialized restrictions.
+/// `Some(k)` iff the reference places the problem in the polynomial region.
 fn reference_exponent(problem: &LclProblem) -> Option<usize> {
-    let sustaining = solvable_labels(problem);
-    if sustaining.is_empty() {
-        return None;
-    }
-    // Algorithm 2 via materialized restrictions.
-    let mut current = problem.clone();
-    loop {
-        let flexible = Automaton::of(&current).flexible_states();
-        if flexible == current.labels() {
-            break;
-        }
-        current = current.restrict_to(flexible);
-    }
-    if !current.labels().is_empty() {
-        return None; // a log certificate exists
-    }
-    Some(reference_depth(problem, sustaining))
+    reference_certificate(problem).map(|cert| cert.exponent())
 }
 
 fn assert_exponent_matches_reference(problem: &LclProblem, context: &str) {
