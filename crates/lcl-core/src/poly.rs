@@ -276,16 +276,11 @@ pub mod reference {
             })
             .max()
             .unwrap_or(0);
-        let chain_threshold = if best_scc.is_empty() {
-            0
-        } else {
-            best_scc.len() + flexibility
-        };
         let mut levels = vec![PolyLevel {
             labels: s,
             scc: best_scc,
             flexibility,
-            chain_threshold,
+            chain_threshold: best_scc.len() + flexibility,
         }];
         levels.extend(best_below);
         levels

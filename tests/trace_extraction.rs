@@ -45,28 +45,13 @@ fn extracted_trace_and_chain_match_the_reference() {
     }
 }
 
-/// The Section 8 text with every label renamed through `rename`.
-fn section_8_text(rename: impl Fn(&str) -> String) -> String {
-    extras::section_8_depth_two()
-        .to_text()
-        .lines()
-        .map(|line| {
-            let tokens: Vec<String> = line
-                .split_whitespace()
-                .map(|t| if t == ":" { t.to_string() } else { rename(t) })
-                .collect();
-            tokens.join(" ") + "\n"
-        })
-        .collect()
-}
-
 #[test]
 fn chain_ties_descend_through_the_least_label_scc() {
     // Two disjoint Section 8 copies: both top-level flexible SCCs descend
     // equally deep, so the chain must take the one with the smaller least
     // label, which is the copy written first.
-    let a_copy = section_8_text(|t| t.to_string());
-    let c_copy = section_8_text(|t| t.replace('a', "c").replace('b', "d").replace('x', "y"));
+    let a_copy = extras::section_8_depth_two().to_text();
+    let c_copy = a_copy.replace('a', "c").replace('b', "d").replace('x', "y");
     let a_names = ["a1", "b1", "a2", "b2", "x1"];
     let c_names = ["c1", "d1", "c2", "d2", "y1"];
     for (text, leading, trailing) in [
