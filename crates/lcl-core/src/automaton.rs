@@ -333,6 +333,152 @@ fn gcd_i64(a: i64, b: i64) -> i64 {
     }
 }
 
+/// Kosaraju's SCC decomposition and the closed-walk flexibility DP, kept as
+/// test oracles for [`Automaton::components`], [`Automaton::flexibility`] and
+/// the masked kernels of [`crate::scratch`], which all build components from
+/// bitset closures and stop the flexibility walk early.
+#[cfg(any(test, feature = "reference"))]
+#[doc(hidden)]
+pub mod reference {
+    use super::{Automaton, Component};
+    use crate::label::Label;
+    use crate::label_set::LabelSet;
+
+    /// The strongly connected components of `automaton` by Kosaraju's two
+    /// passes, in the order the second pass finds them.
+    pub fn components(automaton: &Automaton) -> Vec<Component> {
+        let n = automaton.states.len();
+        let forward: Vec<Vec<usize>> = (0..n)
+            .map(|i| {
+                automaton.successors[i]
+                    .iter()
+                    .map(|l| automaton.state_set.rank(l))
+                    .collect()
+            })
+            .collect();
+        let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (u, succs) in forward.iter().enumerate() {
+            for &v in succs {
+                reverse[v].push(u);
+            }
+        }
+        // Pass 1: finishing order on the forward graph (iterative DFS).
+        let mut visited = vec![false; n];
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        for start in 0..n {
+            if visited[start] {
+                continue;
+            }
+            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            visited[start] = true;
+            while let Some((v, child_pos)) = stack.pop() {
+                if child_pos < forward[v].len() {
+                    stack.push((v, child_pos + 1));
+                    let w = forward[v][child_pos];
+                    if !visited[w] {
+                        visited[w] = true;
+                        stack.push((w, 0));
+                    }
+                } else {
+                    order.push(v);
+                }
+            }
+        }
+        // Pass 2: DFS on the reverse graph in reverse finishing order.
+        let mut comp_id = vec![usize::MAX; n];
+        let mut num_components = 0usize;
+        for &start in order.iter().rev() {
+            if comp_id[start] != usize::MAX {
+                continue;
+            }
+            let mut stack = vec![start];
+            comp_id[start] = num_components;
+            while let Some(v) = stack.pop() {
+                for &w in &reverse[v] {
+                    if comp_id[w] == usize::MAX {
+                        comp_id[w] = num_components;
+                        stack.push(w);
+                    }
+                }
+            }
+            num_components += 1;
+        }
+
+        let mut members: Vec<LabelSet> = vec![LabelSet::EMPTY; num_components];
+        for (i, &label) in automaton.states.iter().enumerate() {
+            members[comp_id[i]].insert(label);
+        }
+        members
+            .into_iter()
+            .map(|states| {
+                let has_cycle = automaton.component_has_cycle(states);
+                Component {
+                    states,
+                    has_cycle,
+                    period: if has_cycle {
+                        automaton.component_period(states)
+                    } else {
+                        0
+                    },
+                    is_sink: states
+                        .iter()
+                        .all(|s| automaton.successors(s).is_subset(states)),
+                }
+            })
+            .collect()
+    }
+
+    /// The union of the flexible (period-1, cycle-containing) components.
+    pub fn flexible_states(automaton: &Automaton) -> LabelSet {
+        components(automaton)
+            .into_iter()
+            .filter(|c| c.has_cycle && c.period == 1)
+            .fold(LabelSet::EMPTY, |flexible, c| flexible | c.states)
+    }
+
+    /// Definition 4.12's choice rule over [`components`]: among sink
+    /// components, the cycle-containing ones first, then the least label.
+    pub fn minimal_absorbing_component(automaton: &Automaton) -> Option<LabelSet> {
+        components(automaton)
+            .into_iter()
+            .filter(|c| c.is_sink)
+            .min_by_key(|c| (!c.has_cycle, c.states.first()))
+            .map(|c| c.states)
+    }
+
+    /// Definition 4.8 by a DP over every closed-walk length up to the
+    /// Wielandt bound `(s − 1)² + 1` of the state's component (of size `s`),
+    /// with no early stop.
+    pub fn flexibility(automaton: &Automaton, state: Label) -> Option<usize> {
+        let comp = components(automaton)
+            .into_iter()
+            .find(|c| c.states.contains(state))?;
+        if !comp.has_cycle || comp.period != 1 {
+            return None;
+        }
+        let wielandt = (comp.states.len().saturating_sub(1)).pow(2) + 1;
+        // achievable[l - 1]: a closed walk of length l exists inside the component.
+        let mut reachable = LabelSet::singleton(state);
+        let mut achievable = vec![false; wielandt];
+        for entry in achievable.iter_mut() {
+            let mut next = LabelSet::EMPTY;
+            for u in reachable {
+                next |= automaton.successors(u);
+            }
+            next &= comp.states;
+            *entry = next.contains(state);
+            reachable = next;
+        }
+        // Every length from the bound on is achievable; lower K while the
+        // length just below it still is.
+        let mut k = wielandt;
+        while k >= 2 && achievable[k - 2] {
+            k -= 1;
+        }
+        Some(k)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,5 +645,62 @@ mod tests {
         let m = Automaton::of(&p);
         let x = p.label_by_name("x").unwrap();
         assert_eq!(m.flexibility(x), Some(2));
+    }
+
+    /// Path-form problems (δ = 1) over `n` labels whose edge sets are the
+    /// bits of `edges`, bit `i * n + j` standing for `i → j`.
+    fn digraph(n: usize, edges: u64) -> LclProblem {
+        let names: Vec<String> = (0..n).map(|i| format!("s{i}")).collect();
+        let mut b = crate::problem::ProblemBuilder::new(1);
+        for name in &names {
+            b.label(name);
+        }
+        for i in 0..n {
+            for j in 0..n {
+                if edges & (1 << (i * n + j)) != 0 {
+                    b.configuration(&names[i], &[names[j].as_str()]);
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn components_and_flexibility_match_reference() {
+        // Every digraph on three states, then seeded random ones on up to
+        // eight states, dense enough for large primitive components.
+        let mut problems: Vec<LclProblem> = (0..1u64 << 9).map(|e| digraph(3, e)).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..600 {
+            let n = 4 + i % 5;
+            let mut edges = 0u64;
+            for bit in 0..n * n {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                if (state >> 33).is_multiple_of(4) {
+                    edges |= 1 << bit;
+                }
+            }
+            problems.push(digraph(n, edges));
+        }
+        for p in problems {
+            let m = Automaton::of(&p);
+            let mut expected = reference::components(&m);
+            expected.sort_by_key(|c| c.states.first());
+            assert_eq!(m.components(), expected, "problem {:?}", p.to_text());
+            assert_eq!(
+                m.minimal_absorbing_component(),
+                reference::minimal_absorbing_component(&m)
+            );
+            for l in p.labels() {
+                assert_eq!(
+                    m.flexibility(l),
+                    reference::flexibility(&m, l),
+                    "problem {:?}, state {l:?}",
+                    p.to_text()
+                );
+            }
+        }
     }
 }

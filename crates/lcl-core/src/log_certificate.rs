@@ -158,7 +158,7 @@ pub(crate) fn extract_log_analysis(
 #[doc(hidden)]
 pub mod reference {
     use super::{LogCertificate, LogCertificateAnalysis};
-    use crate::automaton::Automaton;
+    use crate::automaton::{reference as automaton_reference, Automaton};
     use crate::problem::LclProblem;
 
     /// Algorithm 1: the restriction of `problem` to its path-flexible labels.
@@ -167,7 +167,8 @@ pub mod reference {
     /// path-inflexible in the output; Algorithm 2 therefore iterates this
     /// procedure to a fixed point.
     pub fn remove_path_inflexible(problem: &LclProblem) -> LclProblem {
-        problem.restrict_to(Automaton::of(problem).flexible_states())
+        let flexible = automaton_reference::flexible_states(&Automaton::of(problem));
+        problem.restrict_to(flexible)
     }
 
     /// Algorithm 2: iterates [`remove_path_inflexible`] to its fixed point,
@@ -188,14 +189,16 @@ pub mod reference {
             current = next;
         }
         let certificate = (!current.is_empty()).then(|| {
-            let absorbing = Automaton::of(&current)
-                .minimal_absorbing_component()
-                .expect("non-empty automaton has a minimal absorbing subgraph");
+            let absorbing =
+                automaton_reference::minimal_absorbing_component(&Automaton::of(&current))
+                    .expect("non-empty automaton has a minimal absorbing subgraph");
             let problem_pf = current.restrict_to(absorbing);
             let automaton = Automaton::of(&problem_pf);
             let max_flexibility = absorbing
                 .iter()
-                .map(|l| automaton.flexibility(l).expect("flexible (Lemma 5.5)"))
+                .map(|l| {
+                    automaton_reference::flexibility(&automaton, l).expect("flexible (Lemma 5.5)")
+                })
                 .max()
                 .unwrap_or(0);
             LogCertificate {

@@ -224,7 +224,7 @@ pub(crate) fn poly_certificate_within(
 #[doc(hidden)]
 pub mod reference {
     use super::{PolyCertificate, PolyLevel};
-    use crate::automaton::Automaton;
+    use crate::automaton::{reference as automaton_reference, Automaton};
     use crate::label_set::LabelSet;
     use crate::problem::LclProblem;
     use crate::solvability::solvable_labels;
@@ -249,7 +249,9 @@ pub mod reference {
     /// maximum.
     pub fn best_chain(problem: &LclProblem, s: LabelSet) -> Vec<PolyLevel> {
         let automaton = Automaton::of(&problem.restrict_to(s));
-        let mut components = automaton.components();
+        // Kosaraju's order is not the masked DFS's, so the reference fixes the
+        // tie-break itself: least label first.
+        let mut components = automaton_reference::components(&automaton);
         components.sort_by_key(|c| c.states.first());
         let mut best_below: Vec<PolyLevel> = Vec::new();
         let mut best_scc = LabelSet::EMPTY;
@@ -270,8 +272,7 @@ pub mod reference {
         let flexibility = best_scc
             .iter()
             .map(|l| {
-                automaton
-                    .flexibility(l)
+                automaton_reference::flexibility(&automaton, l)
                     .expect("states of a flexible SCC are flexible")
             })
             .max()

@@ -585,7 +585,7 @@ pub fn extract_builder(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::automaton::Automaton;
+    use crate::automaton::{reference as automaton_reference, Automaton};
     use crate::builder::reference::find_unrestricted_certificate_cut;
     use crate::classifier::{classify, classify_complexity_with};
     use crate::log_certificate::reference::find_log_certificate;
@@ -624,7 +624,8 @@ mod tests {
         for p in full_two_label_family() {
             for allowed in p.labels().subsets() {
                 let masked = flexible_states_masked(&p, allowed, &mut scratch);
-                let rebuilt = Automaton::of(&p.restrict_to(allowed)).flexible_states();
+                let rebuilt =
+                    automaton_reference::flexible_states(&Automaton::of(&p.restrict_to(allowed)));
                 assert_eq!(
                     masked,
                     rebuilt,
@@ -737,8 +738,8 @@ mod tests {
                 let mut masked: Vec<LabelSet> = scratch.sccs[range.clone()].to_vec();
                 scratch.sccs.truncate(range.start);
                 masked.sort_by_key(|s| s.first());
-                let mut rebuilt: Vec<LabelSet> = Automaton::of(&p.restrict_to(allowed))
-                    .components()
+                let automaton = Automaton::of(&p.restrict_to(allowed));
+                let mut rebuilt: Vec<LabelSet> = automaton_reference::components(&automaton)
                     .into_iter()
                     .filter(|c| c.has_cycle && c.period == 1)
                     .map(|c| c.states)
@@ -770,14 +771,14 @@ mod tests {
         for p in all {
             for allowed in p.labels().subsets() {
                 let automaton = Automaton::of(&p.restrict_to(allowed));
-                for comp in automaton.components() {
+                for comp in automaton_reference::components(&automaton) {
                     if !comp.has_cycle || comp.period != 1 {
                         continue;
                     }
                     let expected = comp
                         .states
                         .iter()
-                        .map(|l| automaton.flexibility(l).expect("flexible"))
+                        .map(|l| automaton_reference::flexibility(&automaton, l).expect("flexible"))
                         .max();
                     assert_eq!(
                         Some(max_flexibility_masked(
