@@ -234,11 +234,27 @@ pub fn flexible_states_masked(
     allowed: LabelSet,
     scratch: &mut ClassifyScratch,
 ) -> LabelSet {
-    let range = flexible_sccs_masked(problem, allowed, scratch);
-    scratch
-        .sccs
-        .drain(range)
-        .fold(LabelSet::EMPTY, |flexible, comp| flexible | comp)
+    if allowed.is_empty() {
+        return LabelSet::EMPTY;
+    }
+    // The same SCC walk as `flexible_sccs_masked`, OR-ing the flexible SCCs
+    // in place: the pruning loop's hot path, where a push and drain per call
+    // cost about 3% of a batch decision.
+    build_masked_tables(problem, allowed, scratch);
+    let mut assigned = LabelSet::EMPTY;
+    let mut flexible = LabelSet::EMPTY;
+    for v in allowed {
+        if assigned.contains(v) {
+            continue;
+        }
+        let comp = reach(v, &scratch.succ, allowed) & reach(v, &scratch.pred, allowed);
+        assigned |= comp;
+        let has_cycle = comp.len() > 1 || scratch.succ[allowed.rank(v)].contains(v);
+        if has_cycle && component_period(comp, allowed, scratch) == 1 {
+            flexible |= comp;
+        }
+    }
+    flexible
 }
 
 /// Lemma 5.29's flexible-SCC enumeration, masked: appends every flexible
