@@ -11,8 +11,11 @@
 //! edges (Definition 4.12).
 //!
 //! State sets are [`LabelSet`] bitsets throughout, so the reachability iterations
-//! (`primitive_flexibility`, `find_walk`) advance whole frontiers with a handful of
-//! word operations per step.
+//! (`reach`, `primitive_flexibility`, `find_walk`) advance whole frontiers with a
+//! handful of word operations per step. `reach` and `primitive_flexibility` are
+//! shared with the masked kernels of [`crate::scratch`]; the `reference` module
+//! (feature `reference`) keeps Kosaraju's decomposition and the full
+//! closed-walk DP as their independent test oracle.
 
 use crate::label::Label;
 use crate::label_set::LabelSet;

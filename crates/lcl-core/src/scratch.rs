@@ -66,7 +66,10 @@
 //!
 //! The `reference` modules of [`crate::log_certificate`], [`crate::poly`] and
 //! [`crate::builder`] keep the naive materializing versions of Algorithms 2
-//! and 3 and of the descent as test oracles (feature `reference`).
+//! and 3 and of the descent as test oracles (feature `reference`), and
+//! [`crate::automaton`]'s keeps Kosaraju's SCCs and the full closed-walk
+//! flexibility DP, the oracle for the SCC walk and the flexibility routine
+//! the masked kernels share with [`crate::automaton::Automaton`].
 
 use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
