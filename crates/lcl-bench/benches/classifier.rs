@@ -8,6 +8,8 @@
 //! decision (asserted; ratios `mis_ternary_report_over_decision` and
 //! `pi_3_report_over_decision`).
 
+use std::time::{Duration, Instant};
+
 use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::constant::decide_constant_subset;
 use lcl_core::log_star::decide_log_star_subset;
@@ -43,6 +45,31 @@ fn classify_lower_bound_only(problem: &LclProblem, scratch: &mut ClassifyScratch
     } else {
         Complexity::LogStar
     }
+}
+
+/// Samples per variant of the asserted guards.
+const GUARD_SAMPLES: usize = 40;
+
+/// The minimum time of `a` and of `b` over [`GUARD_SAMPLES`] samples each,
+/// taken in turn, one `a` then one `b`, both on the shared `state`. The
+/// host's speed can switch between modes mid-run; alternating sample by
+/// sample lets both variants see every mode, where two back-to-back blocks
+/// could each see only one.
+fn alternating_minima<S>(
+    state: &mut S,
+    mut a: impl FnMut(&mut S),
+    mut b: impl FnMut(&mut S),
+) -> (Duration, Duration) {
+    let (mut a_min, mut b_min) = (Duration::MAX, Duration::MAX);
+    for _ in 0..GUARD_SAMPLES {
+        let start = Instant::now();
+        a(state);
+        a_min = a_min.min(start.elapsed());
+        let start = Instant::now();
+        b(state);
+        b_min = b_min.min(start.elapsed());
+    }
+    (a_min, b_min)
 }
 
 fn main() {
@@ -114,30 +141,19 @@ fn main() {
     // scheduling noise only ever inflates a sample, so the minimum tracks the
     // intrinsic cost and the guard stays stable on loaded CI runners (the
     // medians above are reported but carry the jitter).
-    let min_of = |f: &mut dyn FnMut()| {
-        (0..10)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                f();
-                start.elapsed()
-            })
-            .min()
-            .expect("samples taken")
-    };
-    let mut lower_min = std::time::Duration::MAX;
-    let mut exact_min = std::time::Duration::MAX;
-    for _ in 0..4 {
-        lower_min = lower_min.min(min_of(&mut || {
+    let (lower_min, exact_min) = alternating_minima(
+        &mut scratch,
+        |scratch| {
             for p in &family {
-                black_box(classify_lower_bound_only(p, &mut scratch));
+                black_box(classify_lower_bound_only(p, scratch));
             }
-        }));
-        exact_min = exact_min.min(min_of(&mut || {
+        },
+        |scratch| {
             for p in &family {
-                black_box(classify_complexity_with(p, &mut scratch));
+                black_box(classify_complexity_with(p, scratch));
             }
-        }));
-    }
+        },
+    );
     assert!(
         exact_min.as_secs_f64() < 1.2 * lower_min.as_secs_f64(),
         "the exponent decision must add < 20% to the batch sweep \
@@ -150,8 +166,8 @@ fn main() {
     // 2's pruning trace, the exponent DFS's chain, plus the explicit
     // restrictions), never a second search. Asserted on `mis-ternary`, whose
     // δ = 3 constant search dominated the report before extraction, and on
-    // `pi-3`, whose three-level chain dominated the poly report; minima
-    // again, as for the exponent guard.
+    // `pi-3`, whose three-level chain dominated the poly report; minima over
+    // alternating samples again, as for the exponent guard.
     let mut bench = Bench::new("report_vs_decision");
     for name in ["mis-ternary", "3-coloring-ternary", "mis", "pi-3"] {
         let problem = catalog::by_name(name).expect("catalog problem").problem;
@@ -168,16 +184,15 @@ fn main() {
         ("pi-3", "pi_3_report_over_decision"),
     ] {
         let problem = catalog::by_name(name).expect("catalog problem").problem;
-        let mut report_min = std::time::Duration::MAX;
-        let mut decision_min = std::time::Duration::MAX;
-        for _ in 0..4 {
-            report_min = report_min.min(min_of(&mut || {
+        let (report_min, decision_min) = alternating_minima(
+            &mut (),
+            |()| {
                 black_box(classify(&problem));
-            }));
-            decision_min = decision_min.min(min_of(&mut || {
+            },
+            |()| {
                 black_box(classify_complexity(&problem));
-            }));
-        }
+            },
+        );
         let ratio = report.add_ratio(ratio_name, report_min, decision_min);
         println!("{name} report / decision (minima): {ratio:.3}x\n");
         assert!(

@@ -51,8 +51,8 @@ use std::time::Instant;
 use lcl_bench::harness::{black_box, Bench, BenchReport};
 use lcl_core::engine::ComplexityHistogram;
 use lcl_core::{
-    CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth, MaskRange,
-    SlicedUniverse, SweepCheckpoint, SweepOutcome, SweepSnapshot,
+    CanonicalKey, ClassificationEngine, Complexity, EngineKind, MaskRange, SweepCheckpoint,
+    SweepOutcome, SweepSnapshot, LANES,
 };
 use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::random::enumerate_problems;
@@ -127,23 +127,9 @@ fn campaign(
         every_orbits: CHECKPOINT_EVERY,
         orbit_limit: None,
     };
-    let (snap, completed) = match kind {
-        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
-        EngineKind::Bitsliced => {
-            let universe = family.sliced_universe();
-            let width = LaneWidth::default();
-            engine.sweep_resumable_bitsliced(
-                &universe,
-                width,
-                state,
-                |r| family.blocks_in(r, width.lanes()),
-                |mask| family.problem_at(mask),
-                |mask| family.canonical_key_of(mask),
-                &ckpt,
-            )
-        }
-    }
-    .expect("campaign checkpoint written");
+    let (snap, completed) = family
+        .sweep(&engine, state, &ckpt)
+        .expect("campaign checkpoint written");
     assert!(completed, "an unlimited campaign runs to completion");
     snap
 }
@@ -259,28 +245,14 @@ const RESUMED_SLICE_DIVISOR: usize = 4;
 /// Sweeps the cursor of `state` on a fresh engine with the bit-sliced
 /// engine, writing a checkpoint to `checkpoint` every [`CHECKPOINT_EVERY`]
 /// orbits and at the end.
-fn sweep_leg(
-    family: &CanonicalFamily,
-    universe: &SlicedUniverse,
-    state: SweepSnapshot,
-    checkpoint: &Path,
-) -> SweepSnapshot {
-    let width = LaneWidth::default();
+fn sweep_leg(family: &CanonicalFamily, state: SweepSnapshot, checkpoint: &Path) -> SweepSnapshot {
     let ckpt = SweepCheckpoint {
         path: Some(checkpoint),
         every_orbits: CHECKPOINT_EVERY,
         orbit_limit: None,
     };
-    let (snap, completed) = ClassificationEngine::new()
-        .sweep_resumable_bitsliced(
-            universe,
-            width,
-            state,
-            |r| family.blocks_in(r, width.lanes()),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
-            &ckpt,
-        )
+    let (snap, completed) = family
+        .sweep(&ClassificationEngine::new(), state, &ckpt)
         .expect("campaign checkpoint written");
     assert!(completed, "an unlimited leg runs to completion");
     snap
@@ -303,10 +275,9 @@ fn sweep_leg(
 /// committed ratio reaches 2.0.
 fn run_resumed_leg(report: &mut BenchReport, delta: usize, labels: usize, samples: usize) {
     let family = CanonicalFamily::new(delta, labels);
-    let universe = family.sliced_universe();
     let whole = family.ranges(1)[0];
     let representatives: Vec<u64> = family
-        .blocks_in(whole, LaneWidth::default().lanes())
+        .blocks_in(whole, LANES)
         .flat_map(|block| block.masks)
         .collect();
     let slice = MaskRange {
@@ -332,18 +303,18 @@ fn run_resumed_leg(report: &mut BenchReport, delta: usize, labels: usize, sample
         next: whole.next,
         hi: slice.next,
     };
-    let mut near_complete = sweep_leg(&family, &universe, state_over(below), &path);
+    let mut near_complete = sweep_leg(&family, state_over(below), &path);
     near_complete.cursor.ranges = vec![slice];
     let pristine = near_complete.to_bytes();
 
     let resumed_leg = || {
         std::fs::write(&path, &pristine).expect("checkpoint restored");
         let state = SweepSnapshot::load(&path).expect("the checkpoint loads");
-        sweep_leg(&family, &universe, state, &path)
+        sweep_leg(&family, state, &path)
     };
     let fresh_leg = || {
         std::fs::write(&path, &pristine).expect("checkpoint restored");
-        sweep_leg(&family, &universe, state_over(slice), &path)
+        sweep_leg(&family, state_over(slice), &path)
     };
     let fresh = fresh_leg();
     let resumed = resumed_leg();
@@ -391,9 +362,8 @@ fn run_canonical_stream(report: &mut BenchReport, samples: usize) {
         next: 1 << 27,
         hi: (1 << 27) + (1 << 16),
     };
-    let lanes = LaneWidth::default().lanes();
     let representatives: Vec<u64> = family
-        .blocks_in(slice, lanes)
+        .blocks_in(slice, LANES)
         .flat_map(|block| block.masks)
         .collect();
 
@@ -405,7 +375,7 @@ fn run_canonical_stream(report: &mut BenchReport, samples: usize) {
     );
     bench.case_samples(filter_label, samples, || {
         family
-            .blocks_in(slice, lanes)
+            .blocks_in(slice, LANES)
             .map(|block| block.masks.len())
             .sum::<usize>()
     });
@@ -453,7 +423,8 @@ fn run_universe(
 
     let mut bench = Bench::new(&format!(
         "exhaustive (δ={delta}, {labels}-label) universe ({} problems)",
-        1u64 << lcl_problems::random::universe_size(delta, labels)
+        1u64 << lcl_problems::canonical::family_universe_len(delta, labels)
+            .expect("a sweepable family")
     ));
     let baseline_label = "enumerate_problems + classify_batch";
     let sweep_label = "canonical-first sweep";

@@ -123,17 +123,17 @@ use std::time::Instant;
 use lcl_algorithms::flat::solve_greedy_flat;
 use lcl_algorithms::{solve_flat, SolveError, SolveScratch};
 use lcl_core::{
-    classify, ClassificationEngine, EngineKind, LaneWidth, LclProblem, LoadOutcome, MaskRange,
-    SnapshotLayout, SweepCheckpoint, SweepSnapshot,
+    classify, ClassificationEngine, ComplexityHistogram, EngineKind, LclProblem, LoadOutcome,
+    MaskRange, SnapshotLayout, SweepCheckpoint, SweepSnapshot,
 };
-use lcl_problems::canonical::CanonicalFamily;
+use lcl_problems::canonical::{family_universe_len, CanonicalFamily};
 use lcl_problems::catalog;
 use lcl_problems::random::{enumerate_problems, random_family, RandomProblemSpec};
 use lcl_rand::SplitMix64;
 use lcl_serve::{histogram_json, report_to_json, Json, ServeConfig, Server};
 use lcl_sim::IdAssignment;
 use lcl_trees::{generators, DynamicTree, EditScriptGen, FlatTree};
-use lcl_verify::{fuzz_classifier_vs_solvers, LabelingValidator};
+use lcl_verify::{fuzz_classifier_vs_solvers, EditError, EditSession, LabelingValidator};
 
 /// Set once a stdout write met `BrokenPipe`; later writes are dropped.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
@@ -228,10 +228,7 @@ fn cmd_catalog() -> ExitCode {
 fn cmd_classify(spec: &str, json: bool) -> ExitCode {
     let problem = match load_problem(spec) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = classify(&problem);
     if json {
@@ -245,10 +242,7 @@ fn cmd_classify(spec: &str, json: bool) -> ExitCode {
 fn cmd_explain(spec: &str) -> ExitCode {
     let problem = match load_problem(spec) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = classify(&problem);
     out!("{}", report.describe());
@@ -278,10 +272,7 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
     let (n, emit_labeling) = (opts.nodes, opts.emit.as_deref());
     let problem = match load_problem(&opts.spec) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let report = classify(&problem);
     outln!("complexity: {}", report.complexity);
@@ -290,8 +281,9 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
         if let Some(path) = emit_labeling {
             // Fail rather than exit 0 with nothing written: a `solve … &&
             // verify …` chain would otherwise validate a stale file.
-            eprintln!("--emit-labeling {path}: no labeling exists for an unsolvable problem");
-            return ExitCode::FAILURE;
+            return fail(format!(
+                "--emit-labeling {path}: no labeling exists for an unsolvable problem"
+            ));
         }
         return ExitCode::SUCCESS;
     }
@@ -305,17 +297,12 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
     } else {
         solve_flat(problem, report, &tree, &idx, &ids, &mut scratch)
     };
-    let validator = LabelingValidator::new(problem);
-    let mut outcome = match solved {
+    let outcome = match solved {
         Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("solver error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("solver error: {e}")),
     };
-    if let Err(e) = validator.validate_parallel(&tree, &outcome.labels) {
-        eprintln!("internal error: produced an invalid solution: {e}");
-        return ExitCode::FAILURE;
+    if let Err(e) = LabelingValidator::new(problem).validate_parallel(&tree, &outcome.labels) {
+        return fail(format!("internal error: produced an invalid solution: {e}"));
     }
     outln!(
         "solved and verified on a {}-node random full {}-ary tree",
@@ -327,107 +314,80 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
 
     // The dynamic-tree path: drive seeded edit batches through the
     // incremental repair engine, validating each batch's dirty ranges.
-    if let Some(spec) = opts.edits {
-        let base_len = tree.len();
-        let mut dt = DynamicTree::new(tree, problem.delta());
-        if let Err(e) = drive_edit_batches(
-            problem,
-            report,
-            spec,
-            &mut dt,
-            &mut outcome.labels,
-            ids,
-            &validator,
-        ) {
-            eprintln!("edit replay failed: {e}");
-            return ExitCode::FAILURE;
+    let session;
+    let labels = match opts.edits {
+        None => &outcome.labels,
+        Some(spec) => {
+            let base_len = tree.len();
+            let tree = DynamicTree::new(tree, problem.delta());
+            session = match drive_edit_batches(problem, report, spec, tree, outcome.labels, ids) {
+                Ok(session) => session,
+                Err(e) => return fail(format!("edit replay failed: {e}")),
+            };
+            outln!(
+                "edits: {} batches x {} edits (seed {}), tree {} -> {} nodes, every batch validated",
+                spec.batches,
+                spec.per_batch,
+                spec.seed,
+                base_len,
+                session.tree().len()
+            );
+            session.labels()
         }
-        outln!(
-            "edits: {} batches x {} edits (seed {}), tree {} -> {} nodes, every batch validated",
-            spec.batches,
-            spec.per_batch,
-            spec.seed,
-            base_len,
-            dt.len()
-        );
-    }
+    };
     if let Some(path) = emit_labeling {
-        let mut out = String::with_capacity(outcome.labels.len() * 2);
-        for &label in &outcome.labels {
+        let mut out = String::with_capacity(labels.len() * 2);
+        for &label in labels {
             out.push_str(problem.label_name(label));
             out.push('\n');
         }
         if let Err(e) = std::fs::write(path, out) {
-            eprintln!("cannot write labeling to `{path}`: {e}");
-            return ExitCode::FAILURE;
+            return fail(format!("cannot write labeling to `{path}`: {e}"));
         }
         outln!("labeling written to {path} (validate with `rtlcl verify`)");
     }
     ExitCode::SUCCESS
 }
 
-/// Applies `spec.batches` seeded edit batches to `dtree`, repairing the
-/// labeling incrementally after each and validating the dirty ranges the
-/// repair reports (plus a final full validation). The solve's identifier
-/// assignment rides along via [`IdAssignment::apply_journal`], so surviving
-/// nodes keep their identifiers across every batch.
+/// Applies `spec.batches` seeded edit batches to `tree` through an
+/// [`EditSession`], which repairs the labeling incrementally after each and
+/// validates the dirty ranges the repair reports; then validates the whole
+/// tree once more. The solve's identifiers ride along, so surviving nodes
+/// keep their identifiers across every batch.
 fn drive_edit_batches(
     problem: &LclProblem,
     report: &lcl_core::ClassificationReport,
     spec: EditSpec,
-    dtree: &mut DynamicTree,
-    labels: &mut Vec<lcl_core::Label>,
-    mut ids: IdAssignment,
-    validator: &LabelingValidator,
-) -> Result<(), String> {
-    let plan = lcl_algorithms::RepairPlan::new(problem, report)
+    tree: DynamicTree,
+    labels: Vec<lcl_core::Label>,
+    ids: IdAssignment,
+) -> Result<EditSession, String> {
+    let mut gen = EditScriptGen::new(spec.seed, tree.len());
+    let mut session = EditSession::new(problem.clone(), report.clone(), tree, labels, ids)
         .map_err(|e| format!("cannot build a repair plan: {e}"))?;
-    let mut repair_scratch = lcl_algorithms::RepairScratch::new();
-    let mut gen = EditScriptGen::new(spec.seed, dtree.len());
     let mut rng = SplitMix64::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
-    let active: Vec<lcl_core::Label> = problem.labels().iter().collect();
-    let mut edits = Vec::new();
     let (mut sites, mut relabeled, mut escalations) = (0usize, 0usize, 0usize);
     for batch in 0..spec.batches {
-        edits.clear();
-        gen.apply_batch(dtree, spec.per_batch, &mut edits);
-        // Identifier maintenance must run before repair clears the journal.
-        ids.apply_journal(dtree.journal());
-        let perturbations: Vec<lcl_algorithms::LabelPerturbation> = dtree
-            .relabel_sites()
-            .iter()
-            .map(|&node| lcl_algorithms::LabelPerturbation {
-                node,
-                label: active[rng.gen_index(active.len())],
-            })
-            .collect();
-        let out = lcl_algorithms::repair_labeling(
-            problem,
-            report,
-            &plan,
-            dtree,
-            labels,
-            &perturbations,
-            &mut repair_scratch,
-        )
-        .map_err(|e| format!("batch {batch}: repair failed: {e}"))?;
+        let out = match session.apply_batch(&mut gen, spec.per_batch, &mut rng) {
+            Ok(out) => out.repair,
+            Err(EditError::Repair(e)) => return Err(format!("batch {batch}: repair failed: {e}")),
+            Err(EditError::Invalid(e)) => {
+                return Err(format!("batch {batch}: dirty-range validation failed: {e}"))
+            }
+        };
         sites += out.sites;
         relabeled += out.relabeled;
         escalations += usize::from(out.escalated);
-        for range in repair_scratch.dirty_ranges().collect::<Vec<_>>() {
-            validator
-                .validate_range(dtree.tree(), labels, range)
-                .map_err(|e| format!("batch {batch}: dirty-range validation failed: {e}"))?;
-        }
     }
-    validator
-        .validate_parallel(dtree.tree(), labels)
+    session
+        .validate()
         .map_err(|e| format!("final full validation failed: {e}"))?;
-    if ids.len() != dtree.len() {
+    let ids = session.ids();
+    if ids.len() != session.tree().len() {
         return Err(format!(
             "identifier maintenance diverged: {} ids for {} nodes",
             ids.len(),
-            dtree.len()
+            session.tree().len()
         ));
     }
     outln!("repair: {sites} sites, {relabeled} labels written, {escalations} escalations");
@@ -436,7 +396,7 @@ fn drive_edit_batches(
         ids.len(),
         ids.id_bits()
     );
-    Ok(())
+    Ok(session)
 }
 
 /// Shared `--flag value` cursor for the subcommand option parsers: fetches the
@@ -473,6 +433,34 @@ impl<'a> FlagCursor<'a> {
             .parse()
             .map_err(|e| format!("{name}: {e}"))
     }
+}
+
+/// The arguments of `classify`, `explain` and `snapshot info`: exactly one
+/// `operand` and, where `json_ok`, `--json` before or after it.
+fn parse_operand<'a>(
+    cmd: &str,
+    operand: &str,
+    json_ok: bool,
+    args: &'a [String],
+) -> Result<(&'a str, bool), String> {
+    let (mut found, mut json) = (None, false);
+    let mut cur = FlagCursor::new(args);
+    while let Some(arg) = cur.next_arg() {
+        match arg.as_str() {
+            "--json" if json_ok => json = true,
+            other if other.starts_with("--") => {
+                return Err(format!("unknown {cmd} option `{other}`"))
+            }
+            other if found.is_some() => {
+                return Err(format!(
+                    "{cmd} expects one {operand}, got the extra `{other}`"
+                ))
+            }
+            other => found = Some(other),
+        }
+    }
+    let found = found.ok_or_else(|| format!("{cmd} expects a {operand}"))?;
+    Ok((found, json))
 }
 
 /// Generates the tree a `verify` invocation checks against: deterministic in
@@ -530,10 +518,7 @@ fn parse_verify_options(args: &[String]) -> Result<VerifyOptions, String> {
 fn cmd_verify(args: &[String]) -> ExitCode {
     let opts = match parse_verify_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+        Err(e) => return usage_error(e),
     };
     let VerifyOptions {
         shape,
@@ -545,41 +530,30 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     } = opts;
     let (problem_spec, labeling_path) = match positional.as_slice() {
         [p, l] => (p.as_str(), l.as_str()),
-        _ => {
-            eprintln!("verify expects a problem and a labeling file");
-            return usage();
-        }
+        _ => return usage_error("verify expects a problem and a labeling file"),
     };
     let problem = match load_problem(problem_spec) {
         Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     let text = match std::fs::read_to_string(labeling_path) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read labeling file `{labeling_path}`: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("cannot read labeling file `{labeling_path}`: {e}")),
     };
     let mut labels = Vec::new();
     for (i, name) in text.split_whitespace().enumerate() {
         match problem.label_by_name(name) {
             Some(l) => labels.push(l),
             None => {
-                eprintln!("labeling entry {i} (`{name}`) is not an active label of the problem");
-                return ExitCode::FAILURE;
+                return fail(format!(
+                    "labeling entry {i} (`{name}`) is not an active label of the problem"
+                ))
             }
         }
     }
     let mut tree = match build_tree(&shape, problem.delta(), nodes, seed) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     if let Some(spec) = edits {
         // Structure-only replay of the edit script a `solve --edits`
@@ -650,10 +624,7 @@ fn parse_fuzz_options(args: &[String]) -> Result<(usize, u64, bool), String> {
 fn cmd_fuzz(args: &[String]) -> ExitCode {
     let (iters, seed, json) = match parse_fuzz_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+        Err(e) => return usage_error(e),
     };
     let start = Instant::now();
     let report = fuzz_classifier_vs_solvers(seed, iters);
@@ -803,10 +774,7 @@ fn parse_batch_options(args: &[String]) -> Result<BatchOptions, String> {
 fn cmd_classify_batch(args: &[String]) -> ExitCode {
     let opts = match parse_batch_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+        Err(e) => return usage_error(e),
     };
     let problems: Vec<LclProblem> = if opts.enumerate {
         enumerate_problems(opts.delta, opts.labels)
@@ -832,24 +800,9 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
     let elapsed = start.elapsed();
     let stats = engine.stats();
 
-    // Histogram over the four classes + unsolvable, in complexity order.
-    let mut histogram: Vec<(&str, usize)> = vec![
-        ("O(1)", 0),
-        ("log*", 0),
-        ("log", 0),
-        ("poly", 0),
-        ("unsolvable", 0),
-    ];
-    for c in &results {
-        // Invariant: the rows above are exactly the short names
-        // `Complexity::short_name` can return (exact poly exponents pool
-        // into "poly"); a miss means a class was added to the enum without
-        // extending this histogram — a compile-time-adjacent bug, not input.
-        let slot = histogram
-            .iter_mut()
-            .find(|(name, _)| *name == c.short_name())
-            .expect("short names cover every class");
-        slot.1 += 1;
+    let mut histogram = ComplexityHistogram::default();
+    for &c in &results {
+        histogram.add(c, 1);
     }
 
     if opts.json {
@@ -874,8 +827,9 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
                 "histogram".into(),
                 Json::Obj(
                     histogram
+                        .entries()
                         .iter()
-                        .map(|&(name, n)| (name.to_string(), Json::int(n)))
+                        .map(|&(name, n)| (name.to_string(), Json::uint(n)))
                         .collect(),
                 ),
             ),
@@ -920,7 +874,7 @@ fn cmd_classify_batch(args: &[String]) -> ExitCode {
             stats.cache_hits,
             stats.cache_misses
         );
-        for (name, n) in histogram {
+        for (name, n) in histogram.entries() {
             if n > 0 {
                 outln!("{name:>12}: {n}");
             }
@@ -997,34 +951,6 @@ fn parse_sweep_options(args: &[String]) -> Result<SweepOptions, String> {
     Ok(opts)
 }
 
-/// Validates resolved (δ, labels) sweep parameters — after `--resume` has had
-/// a chance to pull them out of the snapshot instead of the flags.
-fn validate_sweep_family(delta: usize, labels: usize) -> Result<(), String> {
-    if labels == 0 || delta == 0 {
-        return Err("the sweep family needs positive δ and label count".into());
-    }
-    if labels > lcl_problems::canonical::MAX_CANONICAL_ENUM_LABELS {
-        return Err(format!(
-            "{labels} labels exceeds the canonical enumeration limit of {}",
-            lcl_problems::canonical::MAX_CANONICAL_ENUM_LABELS
-        ));
-    }
-    // Universe size computed arithmetically (k · C(k+δ−1, δ), saturating), NOT
-    // by materializing the universe: a huge --delta must fail fast, not OOM.
-    let universe = sweep_universe_size(delta, labels);
-    if universe > 63 {
-        return Err(format!(
-            "the (δ={delta}, {labels} labels) universe has {universe} possible configurations; \
-             at most 63 fit an exhaustive sweep"
-        ));
-    }
-    debug_assert_eq!(
-        universe as usize,
-        lcl_problems::random::universe_size(delta, labels)
-    );
-    Ok(())
-}
-
 /// A wall-time estimate in the largest sensible unit, for the sweep ETA line.
 fn format_eta(secs: f64) -> String {
     if secs < 120.0 {
@@ -1038,35 +964,24 @@ fn format_eta(secs: f64) -> String {
     }
 }
 
-/// `labels · C(labels + delta − 1, delta)` with saturation — the number of
-/// possible configurations of a (δ, Σ) universe, without building it.
-fn sweep_universe_size(delta: usize, labels: usize) -> u128 {
-    // Multisets of size δ over `labels` symbols: C(labels + δ − 1, δ), built
-    // multiplicatively as prod_{i=1..m-1} (δ + i) / i with m = labels − 1
-    // factors (exact at every step since prefixes are binomials).
-    let mut multisets: u128 = 1;
-    for i in 1..labels as u128 {
-        multisets = multisets.saturating_mul(delta as u128 + i) / i;
-        if multisets > u64::MAX as u128 {
-            return u128::MAX;
-        }
-    }
-    multisets.saturating_mul(labels as u128)
-}
-
 fn cmd_sweep(args: &[String]) -> ExitCode {
     let opts = match parse_sweep_options(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+        Err(e) => return usage_error(e),
     };
     match run_sweep(&opts) {
         Ok(code) => code,
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
+        Err(e) => fail(e),
+    }
+}
+
+/// Prints the per-class table of a sweep's orbit and problem histograms,
+/// skipping the classes with neither.
+fn print_class_table(orbits: &ComplexityHistogram, problems: &ComplexityHistogram) {
+    outln!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
+    for (&(name, o), &(_, p)) in orbits.entries().iter().zip(problems.entries().iter()) {
+        if o > 0 || p > 0 {
+            outln!("{name:<12} {o:>12} {p:>12}");
         }
     }
 }
@@ -1151,9 +1066,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
         .map(|s| s.cursor.engine)
         .or(opts.engine)
         .unwrap_or(EngineKind::Bitsliced);
-    validate_sweep_family(delta, labels)?;
-
-    let family = CanonicalFamily::new(delta, labels);
+    let family = CanonicalFamily::try_new(delta, labels)?;
     let engine = ClassificationEngine::new();
 
     // Empty shards are clamped away up front: the family only has
@@ -1186,23 +1099,9 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
         },
         None => SweepCheckpoint::default(),
     };
-    let width = LaneWidth::default();
-    let (snap, completed) = match engine_kind {
-        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
-        EngineKind::Bitsliced => {
-            let universe = family.sliced_universe();
-            engine.sweep_resumable_bitsliced(
-                &universe,
-                width,
-                state,
-                |r| family.blocks_in(r, width.lanes()),
-                |mask| family.problem_at(mask),
-                |mask| family.canonical_key_of(mask),
-                &ckpt,
-            )
-        }
-    }
-    .map_err(|e| format!("sweep checkpointing failed: {e}"))?;
+    let (snap, completed) = family
+        .sweep(&engine, state, &ckpt)
+        .map_err(|e| format!("sweep checkpointing failed: {e}"))?;
     let masks_remaining = snap.cursor.remaining_masks();
     let outcome = snap.outcome;
     let elapsed = start.elapsed();
@@ -1248,7 +1147,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
         if engine_kind == EngineKind::Bitsliced {
             // `lane_`-prefixed on purpose: CI's golden diffs strip the
             // engine/width-dependent keys by that prefix.
-            entries.push(("lane_width".into(), Json::int(width.lanes())));
+            entries.push(("lane_width".into(), Json::int(lcl_core::LANES)));
             entries.push((
                 "lane_blocks".into(),
                 Json::int(outcome.lanes.blocks as usize),
@@ -1336,17 +1235,7 @@ fn run_sweep(opts: &SweepOptions) -> Result<ExitCode, String> {
                 outcome.lanes.scalar_fallbacks
             );
         }
-        outln!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
-        for (&(name, orbits), &(_, problems)) in outcome
-            .orbits
-            .entries()
-            .iter()
-            .zip(outcome.problems.entries().iter())
-        {
-            if orbits > 0 || problems > 0 {
-                outln!("{name:<12} {orbits:>12} {problems:>12}");
-            }
-        }
+        print_class_table(&outcome.orbits, &outcome.problems);
         // Per-exponent breakdown of the pooled `poly` row.
         for (&(name, orbits), &(_, problems)) in outcome
             .orbits
@@ -1415,18 +1304,12 @@ fn wait_for_shutdown() {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let config = match parse_serve_options(args) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
+        Err(e) => return usage_error(e),
     };
     let snapshot_path = config.snapshot_path.clone();
     let server = match Server::start(config) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(e),
     };
     if let Some((to, error)) = &server.boot.quarantined {
         eprintln!(
@@ -1451,8 +1334,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let report = server.join();
     outln!("served {requests} requests");
     if let Some(e) = report.flush_error {
-        eprintln!("snapshot flush failed: {e} (earlier snapshot, if any, is intact)");
-        return ExitCode::FAILURE;
+        return fail(format!(
+            "snapshot flush failed: {e} (earlier snapshot, if any, is intact)"
+        ));
     }
     if let Some(n) = report.flushed_entries {
         outln!(
@@ -1470,28 +1354,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// file, validated exactly like a `--resume` load (magic, digest, version).
 fn cmd_snapshot(args: &[String]) -> ExitCode {
     if args.first().map(String::as_str) != Some("info") {
-        eprintln!("snapshot expects the `info` subcommand");
-        return usage();
+        return usage_error("snapshot expects the `info` subcommand");
     }
-    let mut json = false;
-    let mut path: Option<&String> = None;
-    for arg in &args[1..] {
-        match arg.as_str() {
-            "--json" => json = true,
-            other if other.starts_with("--") => {
-                eprintln!("unknown snapshot option `{other}`");
-                return usage();
-            }
-            _ if path.is_some() => {
-                eprintln!("snapshot info expects exactly one file");
-                return usage();
-            }
-            _ => path = Some(arg),
-        }
-    }
-    let Some(path) = path else {
-        eprintln!("snapshot info expects a snapshot file");
-        return usage();
+    let (path, json) = match parse_operand("snapshot info", "snapshot file", true, &args[1..]) {
+        Ok(parsed) => parsed,
+        Err(e) => return usage_error(e),
     };
     // The version comes from the file, which may predate the current format.
     let read = || -> Result<(SweepSnapshot, SnapshotLayout), lcl_core::SnapshotError> {
@@ -1499,10 +1366,7 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
     };
     let (snap, layout) = match read() {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("cannot read snapshot `{path}`: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(format!("cannot read snapshot `{path}`: {e}")),
     };
     let version = layout.version;
     let segments = format!(
@@ -1514,9 +1378,8 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
     let delta = snap.cursor.delta as usize;
     let labels = snap.cursor.num_labels as usize;
     // Family size recomputed from the header, not stored: the universe size is
-    // a pure function of (δ, labels) and any valid snapshot fits 63 bits.
-    let universe = sweep_universe_size(delta, labels);
-    let family_size = if universe <= 63 { 1u64 << universe } else { 0 };
+    // a pure function of (δ, labels), and 0 for a family no sweep admits.
+    let family_size = family_universe_len(delta, labels).map_or(0, |u| 1u64 << u);
     let remaining = snap.cursor.remaining_masks();
     let done = family_size.saturating_sub(remaining);
     let complete = snap.cursor.is_complete();
@@ -1576,18 +1439,7 @@ fn cmd_snapshot(args: &[String]) -> ExitCode {
             snap.outcome.orbits.total(),
             snap.outcome.problems.total()
         );
-        outln!("{:<12} {:>12} {:>12}", "class", "orbits", "problems");
-        for (&(name, orbits), &(_, problems)) in snap
-            .outcome
-            .orbits
-            .entries()
-            .iter()
-            .zip(snap.outcome.problems.entries().iter())
-        {
-            if orbits > 0 || problems > 0 {
-                outln!("{name:<12} {orbits:>12} {problems:>12}");
-            }
-        }
+        print_class_table(&snap.outcome.orbits, &snap.outcome.problems);
     }
     ExitCode::SUCCESS
 }
@@ -1646,6 +1498,18 @@ fn parse_solve_options(args: &[String]) -> Result<SolveOptions, String> {
     })
 }
 
+/// Reports `error` on stderr and fails the command (exit 1).
+fn fail(error: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{error}");
+    ExitCode::FAILURE
+}
+
+/// Reports `error` and the usage on stderr and fails the command (exit 1).
+fn usage_error(error: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{error}");
+    usage()
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  rtlcl catalog\n  rtlcl classify <file|name> [--json]\n  rtlcl explain <file|name>\n  rtlcl solve <file|name> <tree size | --nodes n> [--baseline] [--edits BxE[@seed]] [--emit-labeling path] [--flat (accepted, no effect)]\n  rtlcl classify-batch [--count n] [--labels k] [--delta d] [--density p] [--seed s] [--enumerate] [--sequential] [--no-memo] [--json]\n  rtlcl sweep [--delta d] [--labels k] [--shards n] [--engine bitsliced|scalar] [--checkpoint file] [--checkpoint-every n] [--max-orbits n] [--resume] [--json]\n  rtlcl serve [--addr host:port] [--workers n] [--queue n] [--deadline-ms n] [--read-timeout-ms n] [--snapshot file] [--debug-endpoints]\n  rtlcl snapshot info <file> [--json]\n  rtlcl verify <file|name> <labeling-file> [--tree random|balanced|hairy] [--nodes n] [--seed s] [--edits BxE[@seed]] [--json]\n  rtlcl fuzz [--iters n] [--seed s] [--json]"
@@ -1657,20 +1521,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("catalog") => cmd_catalog(),
-        Some("classify") => match args.get(1) {
-            Some(spec) => cmd_classify(spec, args.iter().any(|a| a == "--json")),
-            None => usage(),
-        },
-        Some("explain") => match args.get(1) {
-            Some(spec) => cmd_explain(spec),
-            None => usage(),
-        },
+        Some(cmd @ ("classify" | "explain")) => {
+            let operand = "problem file or catalog name";
+            match parse_operand(cmd, operand, cmd == "classify", &args[1..]) {
+                Ok((spec, json)) if cmd == "classify" => cmd_classify(spec, json),
+                Ok((spec, _)) => cmd_explain(spec),
+                Err(e) => usage_error(e),
+            }
+        }
         Some("solve") => match parse_solve_options(&args[1..]) {
             Ok(opts) => cmd_solve(&opts),
-            Err(e) => {
-                eprintln!("{e}");
-                usage()
-            }
+            Err(e) => usage_error(e),
         },
         Some("classify-batch") => cmd_classify_batch(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),

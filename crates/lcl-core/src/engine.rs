@@ -851,6 +851,11 @@ impl ClassificationEngine {
 
 /// Checkpoint policy of a resumable sweep ([`ClassificationEngine::sweep_resumable`],
 /// [`ClassificationEngine::sweep_resumable_bitsliced`]).
+///
+/// A resumed campaign ends with the histograms, lane statistics and memo
+/// entries of an uninterrupted one, but the file's bytes repeat only for a
+/// cursor with one range: the memo entries are written in commit order, and
+/// workers on several ranges commit in an order that varies between runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepCheckpoint<'a> {
     /// Snapshot file. The sweep's first write appends to it when the

@@ -49,13 +49,18 @@
 //! (`lcl_core::engine::ClassificationEngine::sweep_resumable`) partitions the
 //! mask space into contiguous ranges ([`CanonicalFamily::ranges`]); the
 //! canonicity filter runs inside each range, so no pass over the universe is
-//! needed up front.
+//! needed up front. [`CanonicalFamily::sweep`] wires the family's streams,
+//! problems and keys into the driver, and [`CanonicalFamily::try_new`]
+//! checks the bounds a family and its sweep snapshot need before building
+//! anything, so every front-end admits the same families.
 
 use std::ops::BitOr;
 
-use lcl_core::bitslice::SlicedUniverse;
-use lcl_core::engine::{canonical_form, CanonicalKey, MaskBlock, OrbitProblem};
-use lcl_core::snapshot::MaskRange;
+use lcl_core::bitslice::{LaneWidth, SlicedUniverse};
+use lcl_core::engine::{
+    canonical_form, CanonicalKey, ClassificationEngine, MaskBlock, OrbitProblem, SweepCheckpoint,
+};
+use lcl_core::snapshot::{EngineKind, MaskRange, SnapshotError, SweepSnapshot};
 use lcl_core::LclProblem;
 
 use crate::random::{configuration_universe, problem_from_universe};
@@ -143,28 +148,69 @@ impl ChunkEntries {
     }
 }
 
+/// The number of configurations of the (δ, `num_labels`) family, once every
+/// bound a [`CanonicalFamily`] and its sweep snapshot need holds: positive δ
+/// and |Σ|, |Σ| ≤ [`MAX_CANONICAL_ENUM_LABELS`], at most 63 configurations
+/// (a mask is a `u64`) and δ within the snapshot cursor's `u16`. The count,
+/// `|Σ| · C(δ + |Σ| − 1, δ)`, saturates: a huge δ fails without building
+/// anything.
+///
+/// # Errors
+///
+/// The first bound the family breaks.
+pub fn family_universe_len(delta: usize, num_labels: usize) -> Result<usize, String> {
+    if delta == 0 || num_labels == 0 {
+        return Err("a family needs positive δ and label count".into());
+    }
+    if num_labels > MAX_CANONICAL_ENUM_LABELS {
+        return Err(format!(
+            "{num_labels} labels exceeds the canonical enumeration limit of \
+             {MAX_CANONICAL_ENUM_LABELS}"
+        ));
+    }
+    // Multisets of size δ over |Σ| symbols, built as the product of
+    // (δ + i) / i for i < |Σ|: every prefix is a binomial, so each division
+    // is exact until the product saturates.
+    let mut multisets: u128 = 1;
+    for i in 1..num_labels as u128 {
+        multisets = multisets.saturating_mul(delta as u128 + i) / i;
+        if multisets > u64::MAX as u128 {
+            multisets = u128::MAX;
+            break;
+        }
+    }
+    let universe = multisets.saturating_mul(num_labels as u128);
+    if universe > 63 {
+        return Err(format!(
+            "the (δ={delta}, {num_labels} labels) universe has {universe} possible \
+             configurations; at most 63 fit an exhaustive sweep"
+        ));
+    }
+    if delta > u16::MAX as usize {
+        return Err(format!(
+            "δ = {delta} exceeds the sweep snapshot's limit of {}",
+            u16::MAX
+        ));
+    }
+    Ok(universe as usize)
+}
+
 impl CanonicalFamily {
     /// Builds the orbit view of the (δ, `num_labels`) family.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration universe exceeds 63 entries (the family
-    /// would not fit a `u64` mask; same bound as
-    /// [`crate::random::enumerate_problems`]) or if `num_labels` exceeds
-    /// [`MAX_CANONICAL_ENUM_LABELS`].
+    /// Panics if [`Self::try_new`] rejects the family.
     pub fn new(delta: usize, num_labels: usize) -> Self {
-        assert!(delta >= 1 && num_labels >= 1);
-        assert!(
-            num_labels <= MAX_CANONICAL_ENUM_LABELS,
-            "canonical enumeration tries all {num_labels}! label permutations; \
-             {MAX_CANONICAL_ENUM_LABELS} labels is the supported limit"
-        );
+        Self::try_new(delta, num_labels).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the orbit view of the (δ, `num_labels`) family, or names the
+    /// first bound of [`family_universe_len`] it breaks.
+    pub fn try_new(delta: usize, num_labels: usize) -> Result<Self, String> {
+        let u = family_universe_len(delta, num_labels)?;
         let universe = configuration_universe(delta, num_labels);
-        let u = universe.len();
-        assert!(
-            u <= 63,
-            "family over {u} possible configurations is too large to enumerate"
-        );
+        debug_assert_eq!(universe.len(), u);
         let perms = index_permutations(&universe, num_labels);
         // Rows pack into a u128 (δ + 1 ≤ 8 slots): the key has a fast path.
         let packs = delta < 8;
@@ -220,7 +266,7 @@ impl CanonicalFamily {
             lane_starts[j + 1] = lane_entries.len() as u16;
         }
 
-        CanonicalFamily {
+        Ok(CanonicalFamily {
             delta,
             num_labels,
             universe,
@@ -232,7 +278,7 @@ impl CanonicalFamily {
             rank_words,
             lane_entries,
             lane_starts,
-        }
+        })
     }
 
     /// The family's δ.
@@ -501,6 +547,44 @@ impl CanonicalFamily {
             bits ^= 1u64 << (63 - rank);
         }
         CanonicalKey::from_words(words)
+    }
+
+    /// Runs one leg of a sweep campaign over this family from `state` on
+    /// `engine`, with the engine its cursor names: `sweep_resumable` over
+    /// [`Self::orbits_in`], or `sweep_resumable_bitsliced` over
+    /// [`Self::blocks_in`] at 64 lanes with [`Self::problem_at`] and
+    /// [`Self::canonical_key_of`]. `ClassificationEngine::sweep_resumable`
+    /// states the checkpoint, budget and resume contract; the error is a
+    /// failed checkpoint write.
+    pub fn sweep(
+        &self,
+        engine: &ClassificationEngine,
+        state: SweepSnapshot,
+        ckpt: &SweepCheckpoint<'_>,
+    ) -> Result<(SweepSnapshot, bool), SnapshotError> {
+        assert_eq!(
+            (
+                state.cursor.delta as usize,
+                state.cursor.num_labels as usize
+            ),
+            (self.delta, self.num_labels),
+            "the cursor sweeps another family"
+        );
+        match state.cursor.engine {
+            EngineKind::Scalar => engine.sweep_resumable(state, |r| self.orbits_in(r), ckpt),
+            EngineKind::Bitsliced => {
+                let width = LaneWidth::default();
+                engine.sweep_resumable_bitsliced(
+                    &self.sliced_universe(),
+                    width,
+                    state,
+                    |r| self.blocks_in(r, width.lanes()),
+                    |mask| self.problem_at(mask),
+                    |mask| self.canonical_key_of(mask),
+                    ckpt,
+                )
+            }
+        }
     }
 }
 
@@ -782,9 +866,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "too large to enumerate")]
+    #[should_panic(expected = "at most 63 fit an exhaustive sweep")]
     fn oversized_universe_panics() {
         CanonicalFamily::new(2, 5); // 5 · C(6,2) = 75 > 63 configurations
+    }
+
+    #[test]
+    fn try_new_names_the_first_broken_bound() {
+        let err = |delta, labels| CanonicalFamily::try_new(delta, labels).unwrap_err();
+        assert_eq!(err(0, 2), "a family needs positive δ and label count");
+        assert_eq!(err(2, 0), "a family needs positive δ and label count");
+        assert_eq!(
+            err(1, 9),
+            "9 labels exceeds the canonical enumeration limit of 8"
+        );
+        assert_eq!(
+            err(2, 5),
+            "the (δ=2, 5 labels) universe has 75 possible configurations; \
+             at most 63 fit an exhaustive sweep"
+        );
+        // Saturating: no universe is built, however large δ is.
+        assert_eq!(
+            err(usize::MAX, 8),
+            format!(
+                "the (δ={}, 8 labels) universe has {} possible configurations; \
+                 at most 63 fit an exhaustive sweep",
+                usize::MAX,
+                u128::MAX
+            )
+        );
+        // One label has one configuration at every δ, so only the snapshot
+        // cursor's u16 bounds δ.
+        assert_eq!(
+            err(65_536, 1),
+            "δ = 65536 exceeds the sweep snapshot's limit of 65535"
+        );
+        assert_eq!(family_universe_len(65_535, 1), Ok(1));
+        assert_eq!(family_universe_len(2, 4), Ok(40));
+        assert_eq!(family_universe_len(1, 7), Ok(49));
+        let family = CanonicalFamily::try_new(2, 3).expect("(2, 3) fits");
+        assert_eq!(family.universe_len(), 18);
     }
 
     #[test]

@@ -67,12 +67,6 @@ pub(crate) fn configuration_universe(delta: usize, num_labels: usize) -> Vec<(us
     universe
 }
 
-/// Number of distinct configurations possible for a (δ, Σ) family; the complete
-/// family has `2^this` members.
-pub fn universe_size(delta: usize, num_labels: usize) -> usize {
-    configuration_universe(delta, num_labels).len()
-}
-
 pub(crate) fn problem_from_universe(
     delta: usize,
     num_labels: usize,
@@ -251,10 +245,15 @@ mod tests {
 
     #[test]
     fn universe_sizes() {
-        // δ=2 over k labels: k * C(k+1, 2) configurations.
-        assert_eq!(universe_size(2, 2), 2 * 3);
-        assert_eq!(universe_size(2, 3), 3 * 6);
-        assert_eq!(universe_size(1, 3), 3 * 3);
+        // δ=2 over k labels: k * C(k+1, 2) configurations; the arithmetic
+        // count of `family_universe_len` matches the built universe.
+        for (delta, labels, len) in [(2, 2, 2 * 3), (2, 3, 3 * 6), (1, 3, 3 * 3), (3, 3, 30)] {
+            assert_eq!(configuration_universe(delta, labels).len(), len);
+            assert_eq!(
+                crate::canonical::family_universe_len(delta, labels),
+                Ok(len)
+            );
+        }
     }
 
     #[test]

@@ -18,16 +18,14 @@ use std::time::{Duration, Instant};
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::render::{histogram_json, report_to_json};
-use lcl_algorithms::{repair_labeling, resolve_full, LabelPerturbation, RepairPlan, RepairScratch};
-use lcl_core::{
-    ClassificationEngine, EngineKind, Label, LaneWidth, LclProblem, SweepCheckpoint, SweepSnapshot,
-};
-use lcl_problems::canonical::{CanonicalFamily, MAX_CANONICAL_ENUM_LABELS};
+use lcl_algorithms::{resolve_full, RepairScratch, SolveError};
+use lcl_core::{ClassificationEngine, EngineKind, LclProblem, SweepCheckpoint, SweepSnapshot};
+use lcl_problems::canonical::CanonicalFamily;
 use lcl_problems::catalog;
 use lcl_rand::SplitMix64;
 use lcl_sim::IdAssignment;
 use lcl_trees::{DynamicTree, EditScriptGen, FlatTree};
-use lcl_verify::LabelingValidator;
+use lcl_verify::{EditError, EditSession, LabelingValidator};
 
 /// Everything the daemon's behavior is parameterized on. The defaults are
 /// production-shaped; tests tighten them to provoke the failure paths.
@@ -135,17 +133,8 @@ impl Metrics {
 /// The resident dynamic-tree session behind `/edit`: one solved tree whose
 /// labeling is repaired incrementally as edit batches arrive. Initializing a
 /// new session replaces the old one.
-struct EditSession {
-    problem: LclProblem,
-    report: lcl_core::ClassificationReport,
-    plan: RepairPlan,
-    tree: DynamicTree,
-    labels: Vec<Label>,
-    /// The solve's identifier assignment, maintained across batches via
-    /// [`IdAssignment::apply_journal`] so survivors keep their identifiers.
-    ids: IdAssignment,
-    scratch: RepairScratch,
-    validator: LabelingValidator,
+struct EditSlot {
+    session: EditSession,
     /// Growth target the edit generator steers the tree size toward.
     target_nodes: usize,
     batches: u64,
@@ -171,7 +160,7 @@ pub struct ServeState {
     pub metrics: Metrics,
     started: Instant,
     sweeps: Mutex<HashMap<(u16, u16), SweepSlot>>,
-    edit_session: Mutex<Option<Box<EditSession>>>,
+    edit_session: Mutex<Option<Box<EditSlot>>>,
 }
 
 impl ServeState {
@@ -500,7 +489,7 @@ impl ServeState {
         )
     }
 
-    fn edit_init(&self, body: &Json, slot: &mut Option<Box<EditSession>>) -> Response {
+    fn edit_init(&self, body: &Json, slot: &mut Option<Box<EditSlot>>) -> Response {
         let problem = match required_problem(body, "problem") {
             Ok(p) => p,
             Err(r) => return r,
@@ -525,25 +514,10 @@ impl ServeState {
                 "the problem is unsolvable; there is no labeling to maintain",
             );
         }
-        let plan = match RepairPlan::new(&problem, &report) {
-            Ok(p) => p,
-            Err(e) => {
-                return Response::error(
-                    400,
-                    "bad_request",
-                    format!("cannot build a repair plan: {e}"),
-                )
-            }
-        };
         let mut tree = DynamicTree::new(
             FlatTree::random_full(problem.delta(), nodes, seed),
             problem.delta(),
         );
-        let mut labels = Vec::new();
-        let mut scratch = RepairScratch::new();
-        if let Err(e) = resolve_full(&problem, &report, &mut tree, &mut labels, &mut scratch) {
-            return Response::error(500, "internal", format!("initial solve failed: {e}"));
-        }
         let response = Json::Obj(vec![
             ("problem".into(), Json::str(problem.to_text())),
             (
@@ -554,17 +528,32 @@ impl ServeState {
             ("seed".into(), Json::uint(seed)),
             ("session".into(), Json::str("initialized")),
         ]);
-        let validator = LabelingValidator::new(&problem);
+        let mut labels = Vec::new();
+        let solved = resolve_full(
+            &problem,
+            &report,
+            &mut tree,
+            &mut labels,
+            &mut RepairScratch::new(),
+        );
         let ids = IdAssignment::random_permutation_len(tree.len(), seed);
-        *slot = Some(Box::new(EditSession {
-            problem,
-            report,
-            plan,
-            tree,
-            labels,
-            ids,
-            scratch,
-            validator,
+        let session = match solved.map(|()| EditSession::new(problem, report, tree, labels, ids)) {
+            Ok(Ok(session)) => session,
+            // The solve needs the certificate the repair plan does, so an
+            // over-budget one fails the solve first: a fault of the problem.
+            Ok(Err(e)) | Err(e @ SolveError::CertificateTooLarge(_)) => {
+                return Response::error(
+                    400,
+                    "bad_request",
+                    format!("cannot build a repair plan: {e}"),
+                )
+            }
+            Err(e) => {
+                return Response::error(500, "internal", format!("initial solve failed: {e}"))
+            }
+        };
+        *slot = Some(Box::new(EditSlot {
+            session,
             target_nodes: nodes,
             batches: 0,
             edits_applied: 0,
@@ -575,10 +564,10 @@ impl ServeState {
     fn edit_batch(
         &self,
         body: &Json,
-        slot: &mut Option<Box<EditSession>>,
+        slot: &mut Option<Box<EditSlot>>,
         deadline: Instant,
     ) -> Response {
-        let Some(session) = slot.as_deref_mut() else {
+        let Some(current) = slot.as_deref_mut() else {
             return Response::error(
                 409,
                 "conflict",
@@ -599,7 +588,7 @@ impl ServeState {
         let seed = body
             .get("seed")
             .and_then(Json::as_u64)
-            .unwrap_or(session.batches + 1);
+            .unwrap_or(current.batches + 1);
         if Instant::now() >= deadline {
             self.metrics
                 .deadline_exceeded
@@ -608,69 +597,36 @@ impl ServeState {
                 .with_retry_after(1);
         }
 
-        let mut gen = EditScriptGen::new(seed, session.target_nodes);
-        let mut buf = Vec::new();
-        gen.apply_batch(&mut session.tree, edits, &mut buf);
-        // Identifier maintenance must run before repair clears the journal.
-        session.ids.apply_journal(session.tree.journal());
+        let mut gen = EditScriptGen::new(seed, current.target_nodes);
         let mut rng = SplitMix64::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        let active: Vec<Label> = session.problem.labels().iter().collect();
-        let perturbations: Vec<LabelPerturbation> = session
-            .tree
-            .relabel_sites()
-            .iter()
-            .map(|&node| LabelPerturbation {
-                node,
-                label: active[rng.gen_index(active.len())],
-            })
-            .collect();
-        let outcome = match repair_labeling(
-            &session.problem,
-            &session.report,
-            &session.plan,
-            &mut session.tree,
-            &mut session.labels,
-            &perturbations,
-            &mut session.scratch,
-        ) {
-            Ok(o) => o,
+        let batch = match current.session.apply_batch(&mut gen, edits, &mut rng) {
+            Ok(batch) => batch,
             Err(e) => {
-                // The labeling may be stale now; drop the session rather than
-                // serve unrepaired state.
+                // The labeling may be stale or invalid now; drop the session
+                // rather than serve it.
                 *slot = None;
-                return Response::error(500, "internal", format!("repair failed: {e}"));
+                let detail = match e {
+                    EditError::Repair(e) => format!("repair failed: {e}"),
+                    EditError::Invalid(e) => format!("repair produced an invalid labeling: {e}"),
+                };
+                return Response::error(500, "internal", detail);
             }
         };
-        let mut ranges_validated = 0usize;
-        for range in session.scratch.dirty_ranges().collect::<Vec<_>>() {
-            if let Err(e) =
-                session
-                    .validator
-                    .validate_range(session.tree.tree(), &session.labels, range)
-            {
-                *slot = None;
-                return Response::error(
-                    500,
-                    "internal",
-                    format!("repair produced an invalid labeling: {e}"),
-                );
-            }
-            ranges_validated += 1;
-        }
-        session.batches += 1;
-        session.edits_applied += edits as u64;
+        current.batches += 1;
+        current.edits_applied += edits as u64;
+        let outcome = batch.repair;
         Response::ok(Json::Obj(vec![
-            ("nodes".into(), Json::int(session.tree.len())),
+            ("nodes".into(), Json::int(current.session.tree().len())),
             ("edits".into(), Json::int(edits)),
             ("seed".into(), Json::uint(seed)),
             ("sites".into(), Json::int(outcome.sites)),
             ("relabeled".into(), Json::int(outcome.relabeled)),
             ("climbs".into(), Json::int(outcome.climbs)),
             ("escalated".into(), Json::Bool(outcome.escalated)),
-            ("ranges_validated".into(), Json::int(ranges_validated)),
-            ("id_bits".into(), Json::int(session.ids.id_bits())),
-            ("batches".into(), Json::uint(session.batches)),
-            ("edits_applied".into(), Json::uint(session.edits_applied)),
+            ("ranges_validated".into(), Json::int(batch.ranges_validated)),
+            ("id_bits".into(), Json::int(current.session.ids().id_bits())),
+            ("batches".into(), Json::uint(current.batches)),
+            ("edits_applied".into(), Json::uint(current.edits_applied)),
         ]))
     }
 
@@ -685,9 +641,15 @@ impl ServeState {
         let Some(labels) = body.get("labels").and_then(Json::as_u64) else {
             return Response::error(400, "bad_request", "missing `labels`");
         };
-        if let Err(e) = validate_sweep_family(delta, labels) {
-            return Response::error(400, "bad_request", e);
-        }
+        let family = match CanonicalFamily::try_new(
+            usize::try_from(delta).unwrap_or(usize::MAX),
+            usize::try_from(labels).unwrap_or(usize::MAX),
+        ) {
+            Ok(family) => family,
+            Err(e) => return Response::error(400, "bad_request", e),
+        };
+        // Both fit: `try_new` bounds δ by the snapshot cursor's u16 and |Σ|
+        // by the enumeration limit.
         let (delta, labels) = (delta as u16, labels as u16);
         let max_orbits = body
             .get("max_orbits")
@@ -710,7 +672,6 @@ impl ServeState {
                 }
                 Some(SweepSlot::Idle(snap)) => *snap,
                 None => {
-                    let family = CanonicalFamily::new(delta as usize, labels as usize);
                     let shards = std::thread::available_parallelism()
                         .map(|n| n.get())
                         .unwrap_or(1);
@@ -742,24 +703,12 @@ impl ServeState {
             put_back: None,
         };
 
-        let family = CanonicalFamily::new(delta as usize, labels as usize);
-        let universe = family.sliced_universe();
         let ckpt = SweepCheckpoint {
             path: None,
             every_orbits: u64::MAX,
             orbit_limit: Some(max_orbits),
         };
-        let width = LaneWidth::default();
-        let result = self.engine.sweep_resumable_bitsliced(
-            &universe,
-            width,
-            snapshot,
-            |r| family.blocks_in(r, width.lanes()),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
-            &ckpt,
-        );
-        let (snap, completed) = match result {
+        let (snap, completed) = match family.sweep(&self.engine, snapshot, &ckpt) {
             Ok(r) => r,
             // Unreachable with `path: None` (the only error source is the
             // checkpoint write), but never panic on a corner.
@@ -878,40 +827,10 @@ fn load_problem(spec: &str) -> Result<LclProblem, String> {
         .map_err(|e| format!("not a catalog problem, and not parseable as a problem: {e}"))
 }
 
-/// (δ, labels) bounds for an exhaustive sweep: canonical enumeration limit
-/// and the 63-configuration universe cap, checked arithmetically so a huge
-/// `delta` fails fast instead of materializing anything.
-fn validate_sweep_family(delta: u64, labels: u64) -> Result<(), String> {
-    if delta == 0 || labels == 0 {
-        return Err("`delta` and `labels` must be positive".into());
-    }
-    if labels > MAX_CANONICAL_ENUM_LABELS as u64 {
-        return Err(format!(
-            "{labels} labels exceeds the canonical enumeration limit of {MAX_CANONICAL_ENUM_LABELS}"
-        ));
-    }
-    // Multisets of size δ over `labels` symbols, times `labels` parents.
-    let mut multisets: u128 = 1;
-    for i in 1..labels as u128 {
-        multisets = multisets.saturating_mul(delta as u128 + i) / i;
-        if multisets > u64::MAX as u128 {
-            multisets = u128::MAX;
-            break;
-        }
-    }
-    let universe = multisets.saturating_mul(labels as u128);
-    if universe > 63 {
-        return Err(format!(
-            "the (δ={delta}, {labels} labels) universe has {universe} possible configurations; \
-             at most 63 fit an exhaustive sweep"
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_core::Label;
 
     fn state() -> ServeState {
         ServeState::new(ServeConfig::default(), ClassificationEngine::new())
@@ -1263,11 +1182,28 @@ mod tests {
             r#"{"delta": 2, "labels": 9}"#,
             r#"{"delta": 2, "labels": 5}"#,
             r#"{"delta": 999999, "labels": 2}"#,
+            r#"{"delta": 65536, "labels": 1}"#,
             r#"{"labels": 2}"#,
         ] {
             let r = s.handle(&post("/sweep", body), far_deadline());
             assert_eq!(r.status, 400, "{body}");
         }
+        // A rejected family never reaches the campaign slots: `/stats` and a
+        // valid sweep still answer.
+        let r = s.handle(
+            &Request {
+                method: "GET".into(),
+                path: "/stats".into(),
+                body: vec![],
+            },
+            far_deadline(),
+        );
+        assert_eq!(r.status, 200, "{:?}", r.body);
+        let r = s.handle(
+            &post("/sweep", r#"{"delta": 1, "labels": 2}"#),
+            far_deadline(),
+        );
+        assert_eq!(r.status, 200, "{:?}", r.body);
     }
 
     #[test]

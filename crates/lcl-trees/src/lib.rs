@@ -40,5 +40,5 @@ pub mod tree;
 
 pub use dynamic::{DynamicTree, EditScriptGen, JournalOp, TreeEdit};
 pub use flat::{FlatTree, LevelIndex};
-pub use rcp::{rcp_partition, rcp_partition_flat, FlatRcp, RcpPartition};
+pub use rcp::{rcp_partition_flat, FlatRcp};
 pub use tree::{NodeId, RootedTree, TreeBuilder};

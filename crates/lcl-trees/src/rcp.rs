@@ -6,12 +6,12 @@
 //! size at least `p` ("compress", Definition 5.7). Lemma 5.9 guarantees that a
 //! constant fraction of the remaining nodes is removed in every step, hence
 //! `L = O(log n)`; Lemma 5.10 shows the layers can be computed in `O(log n)`
-//! CONGEST rounds. The distributed version lives in `lcl-algorithms`; this module
-//! provides the sequential reference implementation used by tests, the classifier's
-//! solvers, and the experiment harness.
+//! CONGEST rounds. [`rcp_partition_flat`] computes the partition on a
+//! [`FlatTree`] for the O(log n) solver of `lcl-algorithms` and the experiment
+//! harness; the arena version in [`reference`] (tests and the `reference`
+//! feature only) is its oracle.
 
 use crate::flat::FlatTree;
-use crate::tree::{NodeId, RootedTree};
 
 /// How a node was removed by `RCP(p)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,188 +23,10 @@ pub enum RemovalKind {
     Compress,
 }
 
-/// The result of running `RCP(p)` on a rooted tree.
-#[derive(Debug, Clone)]
-pub struct RcpPartition {
-    /// The parameter `p` the partition was computed with.
-    pub p: usize,
-    /// Layer of each node (1-based, indexed by node id).
-    pub layer: Vec<usize>,
-    /// How each node was removed.
-    pub kind: Vec<RemovalKind>,
-    /// Nodes of each layer; `layers[i]` is `V_{i+1}` of Definition 5.8.
-    pub layers: Vec<Vec<NodeId>>,
-}
-
-impl RcpPartition {
-    /// Number of layers `L`.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Layer of a node (1-based).
-    pub fn layer_of(&self, v: NodeId) -> usize {
-        self.layer[v.index()]
-    }
-
-    /// The maximal vertical runs of compress nodes inside one layer.
-    ///
-    /// Each run is returned top-down (closest to the root first). During the
-    /// `O(log n)` algorithm of Theorem 5.1 these are the "long paths" whose inner
-    /// labels are completed with the help of a ruling set.
-    pub fn compress_runs(&self, tree: &RootedTree) -> Vec<Vec<NodeId>> {
-        let mut runs = Vec::new();
-        for (layer_idx, nodes) in self.layers.iter().enumerate() {
-            let layer_no = layer_idx + 1;
-            for &v in nodes {
-                if self.kind[v.index()] != RemovalKind::Compress {
-                    continue;
-                }
-                // v starts a run iff its parent is not a compress node of the same layer.
-                let parent_in_same_run = tree.parent(v).is_some_and(|p| {
-                    self.layer[p.index()] == layer_no
-                        && self.kind[p.index()] == RemovalKind::Compress
-                });
-                if parent_in_same_run {
-                    continue;
-                }
-                let mut run = vec![v];
-                let mut cur = v;
-                loop {
-                    let next = tree.children(cur).iter().copied().find(|&c| {
-                        self.layer[c.index()] == layer_no
-                            && self.kind[c.index()] == RemovalKind::Compress
-                    });
-                    match next {
-                        Some(c) => {
-                            run.push(c);
-                            cur = c;
-                        }
-                        None => break,
-                    }
-                }
-                runs.push(run);
-            }
-        }
-        runs
-    }
-}
-
-/// Runs `RCP(p)` (Definition 5.8) on `tree` and returns the layer partition.
-///
-/// # Panics
-///
-/// Panics if `p == 0`.
-pub fn rcp_partition(tree: &RootedTree, p: usize) -> RcpPartition {
-    assert!(p >= 1, "RCP parameter p must be at least 1");
-    let n = tree.len();
-    let mut removed = vec![false; n];
-    let mut layer = vec![0usize; n];
-    let mut kind = vec![RemovalKind::Rake; n];
-    let mut layers = Vec::new();
-    // Remaining indegree = number of children not yet removed.
-    let mut indegree: Vec<usize> = tree.nodes().map(|v| tree.num_children(v)).collect();
-    let mut remaining = n;
-    let mut current_layer = 0usize;
-
-    while remaining > 0 {
-        current_layer += 1;
-        let mut this_layer = Vec::new();
-
-        // Rake: current leaves.
-        for v in tree.nodes() {
-            if !removed[v.index()] && indegree[v.index()] == 0 {
-                this_layer.push(v);
-                kind[v.index()] = RemovalKind::Rake;
-            }
-        }
-
-        // Compress: indegree-1 nodes in components of size >= p.
-        let degree_one: Vec<NodeId> = tree
-            .nodes()
-            .filter(|&v| !removed[v.index()] && indegree[v.index()] == 1)
-            .collect();
-        let in_x = {
-            let mut flags = vec![false; n];
-            for &v in &degree_one {
-                flags[v.index()] = true;
-            }
-            flags
-        };
-        let mut visited = vec![false; n];
-        for &v in &degree_one {
-            if visited[v.index()] {
-                continue;
-            }
-            // Walk to the top of this component of indegree-1 nodes.
-            let mut top = v;
-            while let Some(pnode) = tree.parent(top) {
-                if in_x[pnode.index()] && !removed[pnode.index()] {
-                    top = pnode;
-                } else {
-                    break;
-                }
-            }
-            // Walk downwards collecting the component (each member has exactly one
-            // remaining child, and the component is a vertical path).
-            let mut component = vec![top];
-            visited[top.index()] = true;
-            let mut cur = top;
-            loop {
-                let next = tree
-                    .children(cur)
-                    .iter()
-                    .copied()
-                    .find(|&c| !removed[c.index()] && in_x[c.index()]);
-                match next {
-                    Some(c) if !visited[c.index()] => {
-                        visited[c.index()] = true;
-                        component.push(c);
-                        cur = c;
-                    }
-                    _ => break,
-                }
-            }
-            if component.len() >= p {
-                for &u in &component {
-                    this_layer.push(u);
-                    kind[u.index()] = RemovalKind::Compress;
-                }
-            }
-        }
-
-        assert!(
-            !this_layer.is_empty(),
-            "RCP must remove at least one node per step on a non-empty tree"
-        );
-
-        for &v in &this_layer {
-            removed[v.index()] = true;
-            layer[v.index()] = current_layer;
-            remaining -= 1;
-        }
-        for &v in &this_layer {
-            if let Some(pnode) = tree.parent(v) {
-                if !removed[pnode.index()] {
-                    indegree[pnode.index()] -= 1;
-                }
-            }
-        }
-        layers.push(this_layer);
-    }
-
-    RcpPartition {
-        p,
-        layer,
-        kind,
-        layers,
-    }
-}
-
 /// The result of running `RCP(p)` on a [`FlatTree`]: the same partition as
-/// [`rcp_partition`], stored in flat CSR arrays with the compress runs recorded
-/// during construction (so the O(log n) solver never re-walks the tree to find
-/// them).
+/// `reference::rcp_partition`, stored in flat CSR arrays with the compress
+/// runs recorded during construction (so the O(log n) solver never re-walks
+/// the tree to find them).
 ///
 /// Unlike the arena version — which rescans *all* nodes on every layer,
 /// O(n log n) total — the flat version keeps a compacted worklist of the alive
@@ -270,7 +92,7 @@ impl FlatRcp {
 }
 
 /// Runs `RCP(p)` (Definition 5.8) on a [`FlatTree`] — the CSR counterpart of
-/// [`rcp_partition`], producing the identical partition (same layer and kind
+/// `reference::rcp_partition`, producing the identical partition (same layer and kind
 /// per node, same per-layer node order). See [`FlatRcp`] for the complexity
 /// difference.
 ///
@@ -383,66 +205,256 @@ pub fn rcp_partition_flat(tree: &FlatTree, p: usize) -> FlatRcp {
     }
 }
 
-/// Checks the defining properties of an `RCP(p)` partition. Used by tests and by
-/// the property-based suite; returns a description of the first violation found.
-pub fn validate_partition(tree: &RootedTree, part: &RcpPartition) -> Result<(), String> {
-    let n = tree.len();
-    if part.layer.len() != n || part.kind.len() != n {
-        return Err("partition arrays have wrong length".into());
+/// The arena `RCP(p)`, the oracle that [`rcp_partition_flat`] is checked
+/// against: a full rescan of the tree per layer, and the partition's
+/// defining properties checked by replay.
+#[cfg(any(test, feature = "reference"))]
+pub mod reference {
+    use super::RemovalKind;
+    use crate::tree::{NodeId, RootedTree};
+
+    /// The result of running `RCP(p)` on a rooted tree.
+    #[derive(Debug, Clone)]
+    pub struct RcpPartition {
+        /// The parameter `p` the partition was computed with.
+        pub p: usize,
+        /// Layer of each node (1-based, indexed by node id).
+        pub layer: Vec<usize>,
+        /// How each node was removed.
+        pub kind: Vec<RemovalKind>,
+        /// Nodes of each layer; `layers[i]` is `V_{i+1}` of Definition 5.8.
+        pub layers: Vec<Vec<NodeId>>,
     }
-    // Every node appears in exactly one layer, consistent with `layer`.
-    let mut seen = vec![false; n];
-    for (i, nodes) in part.layers.iter().enumerate() {
-        for &v in nodes {
-            if seen[v.index()] {
-                return Err(format!("{v} appears in two layers"));
+
+    impl RcpPartition {
+        /// Number of layers `L`.
+        pub fn num_layers(&self) -> usize {
+            self.layers.len()
+        }
+
+        /// Layer of a node (1-based).
+        pub fn layer_of(&self, v: NodeId) -> usize {
+            self.layer[v.index()]
+        }
+
+        /// The maximal vertical runs of compress nodes inside one layer.
+        ///
+        /// Each run is returned top-down (closest to the root first). During the
+        /// `O(log n)` algorithm of Theorem 5.1 these are the "long paths" whose inner
+        /// labels are completed with the help of a ruling set.
+        pub fn compress_runs(&self, tree: &RootedTree) -> Vec<Vec<NodeId>> {
+            let mut runs = Vec::new();
+            for (layer_idx, nodes) in self.layers.iter().enumerate() {
+                let layer_no = layer_idx + 1;
+                for &v in nodes {
+                    if self.kind[v.index()] != RemovalKind::Compress {
+                        continue;
+                    }
+                    // v starts a run iff its parent is not a compress node of the same layer.
+                    let parent_in_same_run = tree.parent(v).is_some_and(|p| {
+                        self.layer[p.index()] == layer_no
+                            && self.kind[p.index()] == RemovalKind::Compress
+                    });
+                    if parent_in_same_run {
+                        continue;
+                    }
+                    let mut run = vec![v];
+                    let mut cur = v;
+                    loop {
+                        let next = tree.children(cur).iter().copied().find(|&c| {
+                            self.layer[c.index()] == layer_no
+                                && self.kind[c.index()] == RemovalKind::Compress
+                        });
+                        match next {
+                            Some(c) => {
+                                run.push(c);
+                                cur = c;
+                            }
+                            None => break,
+                        }
+                    }
+                    runs.push(run);
+                }
             }
-            seen[v.index()] = true;
-            if part.layer[v.index()] != i + 1 {
-                return Err(format!("{v} has inconsistent layer number"));
-            }
+            runs
         }
     }
-    if seen.iter().any(|&s| !s) {
-        return Err("some node is missing from the partition".into());
+
+    /// Runs `RCP(p)` (Definition 5.8) on `tree` and returns the layer partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p == 0`.
+    pub fn rcp_partition(tree: &RootedTree, p: usize) -> RcpPartition {
+        assert!(p >= 1, "RCP parameter p must be at least 1");
+        let n = tree.len();
+        let mut removed = vec![false; n];
+        let mut layer = vec![0usize; n];
+        let mut kind = vec![RemovalKind::Rake; n];
+        let mut layers = Vec::new();
+        // Remaining indegree = number of children not yet removed.
+        let mut indegree: Vec<usize> = tree.nodes().map(|v| tree.num_children(v)).collect();
+        let mut remaining = n;
+        let mut current_layer = 0usize;
+
+        while remaining > 0 {
+            current_layer += 1;
+            let mut this_layer = Vec::new();
+
+            // Rake: current leaves.
+            for v in tree.nodes() {
+                if !removed[v.index()] && indegree[v.index()] == 0 {
+                    this_layer.push(v);
+                    kind[v.index()] = RemovalKind::Rake;
+                }
+            }
+
+            // Compress: indegree-1 nodes in components of size >= p.
+            let degree_one: Vec<NodeId> = tree
+                .nodes()
+                .filter(|&v| !removed[v.index()] && indegree[v.index()] == 1)
+                .collect();
+            let in_x = {
+                let mut flags = vec![false; n];
+                for &v in &degree_one {
+                    flags[v.index()] = true;
+                }
+                flags
+            };
+            let mut visited = vec![false; n];
+            for &v in &degree_one {
+                if visited[v.index()] {
+                    continue;
+                }
+                // Walk to the top of this component of indegree-1 nodes.
+                let mut top = v;
+                while let Some(pnode) = tree.parent(top) {
+                    if in_x[pnode.index()] && !removed[pnode.index()] {
+                        top = pnode;
+                    } else {
+                        break;
+                    }
+                }
+                // Walk downwards collecting the component (each member has exactly one
+                // remaining child, and the component is a vertical path).
+                let mut component = vec![top];
+                visited[top.index()] = true;
+                let mut cur = top;
+                loop {
+                    let next = tree
+                        .children(cur)
+                        .iter()
+                        .copied()
+                        .find(|&c| !removed[c.index()] && in_x[c.index()]);
+                    match next {
+                        Some(c) if !visited[c.index()] => {
+                            visited[c.index()] = true;
+                            component.push(c);
+                            cur = c;
+                        }
+                        _ => break,
+                    }
+                }
+                if component.len() >= p {
+                    for &u in &component {
+                        this_layer.push(u);
+                        kind[u.index()] = RemovalKind::Compress;
+                    }
+                }
+            }
+
+            assert!(
+                !this_layer.is_empty(),
+                "RCP must remove at least one node per step on a non-empty tree"
+            );
+
+            for &v in &this_layer {
+                removed[v.index()] = true;
+                layer[v.index()] = current_layer;
+                remaining -= 1;
+            }
+            for &v in &this_layer {
+                if let Some(pnode) = tree.parent(v) {
+                    if !removed[pnode.index()] {
+                        indegree[pnode.index()] -= 1;
+                    }
+                }
+            }
+            layers.push(this_layer);
+        }
+
+        RcpPartition {
+            p,
+            layer,
+            kind,
+            layers,
+        }
     }
-    // Replay the process and check each layer matches the definition.
-    let mut removed = vec![false; n];
-    for (i, nodes) in part.layers.iter().enumerate() {
-        let layer_no = i + 1;
-        let indegree = |v: NodeId, removed: &Vec<bool>| {
-            tree.children(v)
-                .iter()
-                .filter(|c| !removed[c.index()])
-                .count()
-        };
-        for v in tree.nodes() {
-            if removed[v.index()] {
-                continue;
-            }
-            let deg = indegree(v, &removed);
-            let in_layer = part.layer[v.index()] == layer_no;
-            if deg == 0 && !in_layer {
-                return Err(format!("leaf {v} of G_{i} not removed in layer {layer_no}"));
-            }
-            if in_layer && deg >= 2 {
-                return Err(format!("{v} removed with indegree {deg} >= 2"));
-            }
-            if in_layer && deg == 1 && part.kind[v.index()] != RemovalKind::Compress {
-                return Err(format!("{v} with indegree 1 should be a compress node"));
+
+    /// Checks the defining properties of an `RCP(p)` partition. Used by tests and by
+    /// the property-based suite; returns a description of the first violation
+    /// found.
+    pub fn validate_partition(tree: &RootedTree, part: &RcpPartition) -> Result<(), String> {
+        let n = tree.len();
+        if part.layer.len() != n || part.kind.len() != n {
+            return Err("partition arrays have wrong length".into());
+        }
+        // Every node appears in exactly one layer, consistent with `layer`.
+        let mut seen = vec![false; n];
+        for (i, nodes) in part.layers.iter().enumerate() {
+            for &v in nodes {
+                if seen[v.index()] {
+                    return Err(format!("{v} appears in two layers"));
+                }
+                seen[v.index()] = true;
+                if part.layer[v.index()] != i + 1 {
+                    return Err(format!("{v} has inconsistent layer number"));
+                }
             }
         }
-        for &v in nodes {
-            removed[v.index()] = true;
+        if seen.iter().any(|&s| !s) {
+            return Err("some node is missing from the partition".into());
         }
+        // Replay the process and check each layer matches the definition.
+        let mut removed = vec![false; n];
+        for (i, nodes) in part.layers.iter().enumerate() {
+            let layer_no = i + 1;
+            let indegree = |v: NodeId, removed: &Vec<bool>| {
+                tree.children(v)
+                    .iter()
+                    .filter(|c| !removed[c.index()])
+                    .count()
+            };
+            for v in tree.nodes() {
+                if removed[v.index()] {
+                    continue;
+                }
+                let deg = indegree(v, &removed);
+                let in_layer = part.layer[v.index()] == layer_no;
+                if deg == 0 && !in_layer {
+                    return Err(format!("leaf {v} of G_{i} not removed in layer {layer_no}"));
+                }
+                if in_layer && deg >= 2 {
+                    return Err(format!("{v} removed with indegree {deg} >= 2"));
+                }
+                if in_layer && deg == 1 && part.kind[v.index()] != RemovalKind::Compress {
+                    return Err(format!("{v} with indegree 1 should be a compress node"));
+                }
+            }
+            for &v in nodes {
+                removed[v.index()] = true;
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{rcp_partition, validate_partition};
     use super::*;
     use crate::generators;
+    use crate::tree::RootedTree;
 
     #[test]
     fn singleton_has_one_layer() {

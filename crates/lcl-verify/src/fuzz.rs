@@ -19,8 +19,8 @@
 //!   report's complexity (canonicalization soundness);
 //! * solvable verdicts must also survive **dynamic edits** — a fresh solved
 //!   tree is mutated by a seeded 32-edit script (attach/detach/relabel) plus
-//!   random label perturbations, repaired incrementally with
-//!   [`repair_labeling`], and the repaired labeling must pass both the dirty
+//!   random label perturbations, repaired incrementally through an
+//!   [`EditSession`], and the repaired labeling must pass both the dirty
 //!   ranges reported by the scratch and the full CSR validator, while the
 //!   edited instance must still flat-solve from scratch;
 //! * **polynomial** verdicts must carry a verifiable exact-exponent
@@ -36,9 +36,7 @@
 //! fully deterministic per `(seed, iters)` pair.
 
 use lcl_algorithms::flat::{solve_flat, SolveScratch};
-use lcl_algorithms::repair::{
-    repair_labeling, resolve_full, LabelPerturbation, RepairPlan, RepairScratch,
-};
+use lcl_algorithms::repair::{resolve_full, RepairScratch};
 use lcl_algorithms::solve::{solve, SolveError};
 use lcl_core::{greedy, ClassificationEngine, Complexity, Label};
 use lcl_problems::random::{random_problem, RandomProblemSpec};
@@ -46,6 +44,7 @@ use lcl_rand::SplitMix64;
 use lcl_sim::IdAssignment;
 use lcl_trees::{DynamicTree, EditScriptGen, FlatTree};
 
+use crate::session::{EditError, EditSession};
 use crate::validator::LabelingValidator;
 
 /// One classifier/solver/validator disagreement found by the oracle.
@@ -345,129 +344,96 @@ pub fn fuzz_classifier_vs_solvers(seed: u64, iters: usize) -> FuzzReport {
         // labeling to the same standard as a from-scratch solve: the dirty
         // ranges and the full CSR validator must both accept it, and the
         // edited instance must still flat-solve from scratch.
-        let plan = match RepairPlan::new(&problem, &full) {
-            Ok(plan) => Some(plan),
-            Err(SolveError::CertificateTooLarge(_)) => {
-                report.skipped_certificates += 1;
-                None
-            }
-            Err(e) => {
-                record("edit-script", format!("repair plan failed: {e}"));
-                None
+        let flat = FlatTree::random_full(problem.delta(), 80 + rng.gen_index(60), rng.next_u64());
+        let mut dtree = DynamicTree::new(flat, problem.delta());
+        let mut labels = Vec::new();
+        let session = match resolve_full(
+            &problem,
+            &full,
+            &mut dtree,
+            &mut labels,
+            &mut repair_scratch,
+        ) {
+            Err(e) => Err(("initial solve failed", e)),
+            Ok(()) => {
+                let ids = IdAssignment::sequential_len(dtree.len());
+                EditSession::new(problem.clone(), full.clone(), dtree, labels, ids)
+                    .map_err(|e| ("repair plan failed", e))
             }
         };
-        if let Some(plan) = plan {
-            let flat =
-                FlatTree::random_full(problem.delta(), 80 + rng.gen_index(60), rng.next_u64());
-            let mut dtree = DynamicTree::new(flat, problem.delta());
-            let mut labels = Vec::new();
-            match resolve_full(
-                &problem,
-                &full,
-                &mut dtree,
-                &mut labels,
-                &mut repair_scratch,
-            ) {
-                Err(SolveError::CertificateTooLarge(_)) => report.skipped_certificates += 1,
-                Err(e) => record("edit-script", format!("initial solve failed: {e}")),
-                Ok(()) => {
-                    let mut ids = IdAssignment::sequential_len(dtree.len());
-                    let mut gen = EditScriptGen::new(rng.next_u64(), dtree.len());
-                    let mut edits = Vec::new();
-                    gen.apply_batch(&mut dtree, 32, &mut edits);
-                    // Identifier maintenance rides the journal (before repair
-                    // clears it) and must stay a valid assignment.
-                    ids.apply_journal(dtree.journal());
-                    let active: Vec<Label> = problem.labels().iter().collect();
-                    let perturbations: Vec<LabelPerturbation> = dtree
-                        .relabel_sites()
-                        .iter()
-                        .map(|&node| LabelPerturbation {
-                            node,
-                            label: active[rng.gen_index(active.len())],
-                        })
-                        .collect();
-                    match repair_labeling(
-                        &problem,
-                        &full,
-                        &plan,
-                        &mut dtree,
-                        &mut labels,
-                        &perturbations,
-                        &mut repair_scratch,
-                    ) {
-                        Err(e) => record("edit-script", format!("repair failed: {e}")),
-                        Ok(_) => {
-                            report.edit_scripts += 1;
-                            report.validated_nodes += dtree.len();
-                            for range in repair_scratch.dirty_ranges().collect::<Vec<_>>() {
-                                if let Err(e) =
-                                    validator.validate_range(dtree.tree(), &labels, range)
-                                {
-                                    record(
-                                        "edit-script",
-                                        format!("dirty-range validation rejected the repair: {e}"),
-                                    );
-                                }
-                            }
-                            if let Err(e) = validator.validate_parallel(dtree.tree(), &labels) {
-                                record(
-                                    "edit-script",
-                                    format!("repaired labeling fails full validation: {e}"),
-                                );
-                            }
-                            // The maintained identifier assignment must still
-                            // cover the edited tree with pairwise-distinct ids.
-                            let mut sorted = ids.as_slice().to_vec();
-                            sorted.sort_unstable();
-                            sorted.dedup();
-                            if ids.len() != dtree.len() || sorted.len() != ids.len() {
-                                record(
-                                    "edit-script",
-                                    format!(
-                                        "identifier maintenance diverged: {} ids \
-                                         ({} distinct) for {} nodes",
-                                        ids.len(),
-                                        sorted.len(),
-                                        dtree.len()
-                                    ),
-                                );
-                            }
-                            // From-scratch verdict agreement on the edited
-                            // tree (needs the full sync: the comparison solve
-                            // reads the lazily repaired level index).
-                            dtree.sync();
-                            let fresh_ids = IdAssignment::sequential_len(dtree.len());
-                            match solve_flat(
-                                &problem,
-                                &full,
-                                dtree.tree(),
-                                dtree.index(),
-                                &fresh_ids,
-                                &mut scratch,
-                            ) {
-                                Ok(fresh) => {
-                                    if let Err(e) =
-                                        validator.validate_parallel(dtree.tree(), &fresh.labels)
-                                    {
-                                        record(
-                                            "edit-script",
-                                            format!(
-                                                "from-scratch solve invalid on the edited tree: {e}"
-                                            ),
-                                        );
-                                    }
-                                }
-                                Err(SolveError::CertificateTooLarge(_)) => {
-                                    report.skipped_certificates += 1
-                                }
-                                Err(e) => record(
-                                    "edit-script",
-                                    format!("from-scratch solve failed on the edited tree: {e}"),
-                                ),
-                            }
+        let mut session = match session {
+            Ok(session) => session,
+            Err((_, SolveError::CertificateTooLarge(_))) => {
+                report.skipped_certificates += 1;
+                continue;
+            }
+            Err((what, e)) => {
+                record("edit-script", format!("{what}: {e}"));
+                continue;
+            }
+        };
+        let mut gen = EditScriptGen::new(rng.next_u64(), session.tree().len());
+        match session.apply_batch(&mut gen, 32, &mut rng) {
+            Err(EditError::Repair(e)) => record("edit-script", format!("repair failed: {e}")),
+            batch => {
+                report.edit_scripts += 1;
+                report.validated_nodes += session.tree().len();
+                if let Err(EditError::Invalid(e)) = batch {
+                    record(
+                        "edit-script",
+                        format!("dirty-range validation rejected the repair: {e}"),
+                    );
+                }
+                if let Err(e) = session.validate() {
+                    record(
+                        "edit-script",
+                        format!("repaired labeling fails full validation: {e}"),
+                    );
+                }
+                // The maintained identifier assignment must still cover the
+                // edited tree with pairwise-distinct ids.
+                let ids = session.ids();
+                let mut sorted = ids.as_slice().to_vec();
+                sorted.sort_unstable();
+                sorted.dedup();
+                let nodes = session.tree().len();
+                if ids.len() != nodes || sorted.len() != ids.len() {
+                    record(
+                        "edit-script",
+                        format!(
+                            "identifier maintenance diverged: {} ids ({} distinct) for {} nodes",
+                            ids.len(),
+                            sorted.len(),
+                            nodes
+                        ),
+                    );
+                }
+                // From-scratch verdict agreement on the edited tree (needs the
+                // full sync: the comparison solve reads the lazily repaired
+                // level index).
+                let dtree = session.sync();
+                let fresh_ids = IdAssignment::sequential_len(dtree.len());
+                match solve_flat(
+                    &problem,
+                    &full,
+                    dtree.tree(),
+                    dtree.index(),
+                    &fresh_ids,
+                    &mut scratch,
+                ) {
+                    Ok(fresh) => {
+                        if let Err(e) = validator.validate_parallel(dtree.tree(), &fresh.labels) {
+                            record(
+                                "edit-script",
+                                format!("from-scratch solve invalid on the edited tree: {e}"),
+                            );
                         }
                     }
+                    Err(SolveError::CertificateTooLarge(_)) => report.skipped_certificates += 1,
+                    Err(e) => record(
+                        "edit-script",
+                        format!("from-scratch solve failed on the edited tree: {e}"),
+                    ),
                 }
             }
         }

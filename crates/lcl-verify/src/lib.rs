@@ -19,10 +19,13 @@
 //!   labeling, valid labeling for an "unsolvable" problem, checker
 //!   disagreement, canonicalization mismatch) reported as a
 //!   [`Discrepancy`].
+//! * [`EditSession`] — the edit-batch step on one solved dynamic tree:
+//!   seeded edits, identifier maintenance, label perturbations, incremental
+//!   repair, and validation of the dirty ranges the repair reports.
 //!
-//! The CLI exposes both: `rtlcl verify` validates a labeling file, and
-//! `rtlcl fuzz` runs the oracle; CI runs a 200-iteration smoke fuzz on every
-//! push.
+//! The CLI exposes them: `rtlcl verify` validates a labeling file,
+//! `rtlcl fuzz` runs the oracle (CI runs a 200-iteration smoke fuzz on every
+//! push), and `rtlcl solve --edits` drives an edit session.
 //!
 //! ```
 //! use lcl_verify::{fuzz_classifier_vs_solvers, LabelingValidator};
@@ -50,7 +53,9 @@
 #![warn(missing_docs)]
 
 pub mod fuzz;
+pub mod session;
 pub mod validator;
 
 pub use fuzz::{fuzz_classifier_vs_solvers, Discrepancy, FuzzReport};
+pub use session::{EditBatch, EditError, EditSession};
 pub use validator::{LabelingValidator, ValidationError};

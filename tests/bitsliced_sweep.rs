@@ -11,9 +11,7 @@
 //!   (the mask-direct canonical keys must hit for every member).
 
 use lcl_rand::SplitMix64;
-use rooted_tree_lcl::core::bitslice::{
-    classify_block_sliced, BitSliceScratch, LaneVerdict, LaneWidth,
-};
+use rooted_tree_lcl::core::bitslice::{classify_block_sliced, BitSliceScratch, LaneVerdict};
 use rooted_tree_lcl::core::scratch::poly_exponent_masked;
 use rooted_tree_lcl::core::{
     classify_complexity_with, solvable_labels, ClassificationEngine, ClassifyScratch, Complexity,
@@ -94,23 +92,9 @@ fn sweep(
     let engine = ClassificationEngine::new();
     let state = SweepSnapshot::fresh(delta as u16, labels as u16, kind, family.ranges(shards));
     let ckpt = SweepCheckpoint::default();
-    let (snap, completed) = match kind {
-        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
-        EngineKind::Bitsliced => {
-            let universe = family.sliced_universe();
-            let width = LaneWidth::default();
-            engine.sweep_resumable_bitsliced(
-                &universe,
-                width,
-                state,
-                |r| family.blocks_in(r, width.lanes()),
-                |mask| family.problem_at(mask),
-                |mask| family.canonical_key_of(mask),
-                &ckpt,
-            )
-        }
-    }
-    .expect("in-memory sweep cannot hit snapshot I/O");
+    let (snap, completed) = family
+        .sweep(&engine, state, &ckpt)
+        .expect("in-memory sweep cannot hit snapshot I/O");
     assert!(completed);
     (engine, snap.outcome)
 }

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 
 use rooted_tree_lcl::core::engine::{ComplexityHistogram, SweepOutcome};
 use rooted_tree_lcl::core::{
-    canonical_form, classify, CanonicalKey, ClassificationEngine, EngineKind, LaneWidth,
-    SweepCheckpoint, SweepSnapshot,
+    canonical_form, classify, CanonicalKey, ClassificationEngine, EngineKind, SweepCheckpoint,
+    SweepSnapshot,
 };
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 use rooted_tree_lcl::problems::random::enumerate_problems;
@@ -108,23 +108,9 @@ fn sweep_on(
     let engine = ClassificationEngine::new();
     let state = SweepSnapshot::fresh(delta as u16, labels as u16, kind, family.ranges(shards));
     let ckpt = SweepCheckpoint::default();
-    let (snap, completed) = match kind {
-        EngineKind::Scalar => engine.sweep_resumable(state, |r| family.orbits_in(r), &ckpt),
-        EngineKind::Bitsliced => {
-            let universe = family.sliced_universe();
-            let width = LaneWidth::default();
-            engine.sweep_resumable_bitsliced(
-                &universe,
-                width,
-                state,
-                |r| family.blocks_in(r, width.lanes()),
-                |mask| family.problem_at(mask),
-                |mask| family.canonical_key_of(mask),
-                &ckpt,
-            )
-        }
-    }
-    .expect("in-memory sweep cannot hit snapshot I/O");
+    let (snap, completed) = family
+        .sweep(&engine, state, &ckpt)
+        .expect("in-memory sweep cannot hit snapshot I/O");
     assert!(completed);
     (engine, snap.outcome)
 }
@@ -138,17 +124,22 @@ fn digits(code: usize, base: usize, len: usize) -> Vec<usize> {
     (0..len).map(|i| code / base.pow(i as u32) % base).collect()
 }
 
+/// The configurations of the (δ, labels) family: a parent label and a sorted
+/// child multiset each. Shares no code with `CanonicalFamily`.
+fn configurations(delta: usize, labels: usize) -> Vec<(usize, Vec<usize>)> {
+    (0..labels.pow(delta as u32))
+        .map(|code| digits(code, labels, delta))
+        .filter(|children| children.windows(2).all(|w| w[0] <= w[1]))
+        .flat_map(|children| (0..labels).map(move |parent| (parent, children.clone())))
+        .collect()
+}
+
 /// The number of label-permutation orbits of configuration sets in the
 /// (δ, labels) family, by Burnside's lemma: the average over every
 /// permutation g of Σ of 2^(cycles of g on the configurations). Shares no
 /// code with `CanonicalFamily`.
 fn burnside_orbits(delta: usize, labels: usize) -> u64 {
-    // A configuration is a parent label and a sorted child multiset.
-    let configs: Vec<(usize, Vec<usize>)> = (0..labels.pow(delta as u32))
-        .map(|code| digits(code, labels, delta))
-        .filter(|children| children.windows(2).all(|w| w[0] <= w[1]))
-        .flat_map(|children| (0..labels).map(move |parent| (parent, children.clone())))
-        .collect();
+    let configs = configurations(delta, labels);
     let perms: Vec<Vec<usize>> = (0..labels.pow(labels as u32))
         .map(|code| digits(code, labels, labels))
         .filter(|p| {
@@ -198,7 +189,7 @@ fn sweep_histograms_match_classify_batch_over_the_full_universe() {
         );
         assert_eq!(
             outcome.problems.total(),
-            1u64 << rooted_tree_lcl::problems::random::universe_size(delta, labels)
+            1u64 << configurations(delta, labels).len()
         );
 
         // Orbit histogram: classify one member per canonical form.

@@ -95,8 +95,8 @@ fn rcp_partitions_are_valid() {
         let min_nodes = 2 + rng.gen_index(498);
         let seed = rng.next_u64();
         let tree = generators::random_full(2, min_nodes, seed);
-        let part = rcp::rcp_partition(&tree, p);
-        assert!(rcp::validate_partition(&tree, &part).is_ok());
+        let part = rcp::reference::rcp_partition(&tree, p);
+        assert!(rcp::reference::validate_partition(&tree, &part).is_ok());
         // Generous logarithmic bound (Lemma 5.9 gives shrinkage 1/(6p) per layer).
         let bound = 12 * p * ((tree.len() as f64).ln().ceil() as usize + 1) + 1;
         assert!(part.num_layers() <= bound);

@@ -11,9 +11,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use rooted_tree_lcl::core::{
-    ClassificationEngine, EngineKind, LaneWidth, SweepCheckpoint, SweepSnapshot,
-};
+use rooted_tree_lcl::core::{ClassificationEngine, EngineKind, SweepCheckpoint, SweepSnapshot};
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 use rooted_tree_lcl::serve::client;
 use rooted_tree_lcl::serve::{Json, ServeConfig, Server};
@@ -311,15 +309,10 @@ fn sweep_campaign_interrupted_by_restart_converges_via_the_flushed_memo() {
     // Reference: the uninterrupted (δ=2, 3-label) campaign, computed locally.
     let family = CanonicalFamily::new(2, 3);
     let engine = ClassificationEngine::new();
-    let universe = family.sliced_universe();
-    let (reference, completed) = engine
-        .sweep_resumable_bitsliced(
-            &universe,
-            LaneWidth::W64,
+    let (reference, completed) = family
+        .sweep(
+            &engine,
             SweepSnapshot::fresh(2, 3, EngineKind::Bitsliced, family.ranges(2)),
-            |r| family.blocks_in(r, 64),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
             &SweepCheckpoint::default(),
         )
         .expect("reference sweep");

@@ -12,9 +12,9 @@ use std::path::{Path, PathBuf};
 
 use rooted_tree_lcl::core::snapshot::{format_version, SNAPSHOT_VERSION};
 use rooted_tree_lcl::core::{
-    load_or_quarantine, CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth,
-    LoadOutcome, MaskRange, SegmentEncoder, SnapshotError, SnapshotLayout, SnapshotWriter,
-    SweepCheckpoint, SweepOutcome, SweepSnapshot,
+    load_or_quarantine, CanonicalKey, ClassificationEngine, Complexity, EngineKind, LoadOutcome,
+    MaskRange, SegmentEncoder, SnapshotError, SnapshotLayout, SnapshotWriter, SweepCheckpoint,
+    SweepOutcome, SweepSnapshot,
 };
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 
@@ -61,30 +61,22 @@ fn sorted_memo(snap: &SweepSnapshot) -> Vec<(CanonicalKey, Complexity)> {
     memo
 }
 
-fn bitsliced_leg(
+/// One sweep leg from `state` on its cursor's engine.
+fn run_leg(
     family: &CanonicalFamily,
     state: SweepSnapshot,
     path: Option<&Path>,
     every_orbits: u64,
     orbit_limit: Option<u64>,
 ) -> (SweepSnapshot, bool) {
-    let universe = family.sliced_universe();
     let ckpt = SweepCheckpoint {
         path,
         every_orbits,
         orbit_limit,
     };
-    ClassificationEngine::new()
-        .sweep_resumable_bitsliced(
-            &universe,
-            LaneWidth::W64,
-            state,
-            |r| family.blocks_in(r, 64),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
-            &ckpt,
-        )
-        .expect("bit-sliced leg")
+    family
+        .sweep(&ClassificationEngine::new(), state, &ckpt)
+        .expect("sweep leg")
 }
 
 /// Where each segment of a version 3 file ends, read from the segment
@@ -152,10 +144,10 @@ fn fixture_resumes_to_the_uninterrupted_run(fixture: &str, version: u32) {
     assert_eq!(old.memo.len() as u64, old.outcome.orbits.total());
 
     let family = CanonicalFamily::new(2, 3);
-    let (reference, completed) = ClassificationEngine::new()
-        .sweep_resumable(
+    let (reference, completed) = family
+        .sweep(
+            &ClassificationEngine::new(),
             fresh(&family, EngineKind::Scalar, 2),
-            |r| family.orbits_in(r),
             &SweepCheckpoint::default(),
         )
         .expect("uninterrupted sweep");
@@ -169,10 +161,10 @@ fn fixture_resumes_to_the_uninterrupted_run(fixture: &str, version: u32) {
         every_orbits: 4096,
         orbit_limit: None,
     };
-    let (resumed, completed) = ClassificationEngine::new()
-        .sweep_resumable(
+    let (resumed, completed) = family
+        .sweep(
+            &ClassificationEngine::new(),
             SweepSnapshot::load(&path).expect("copy loads"),
-            |r| family.orbits_in(r),
             &ckpt,
         )
         .expect("resumed sweep");
@@ -206,7 +198,7 @@ fn a_version_2_checkpoint_resumes_to_the_uninterrupted_histograms_as_version_3()
 fn periodic_checkpoints_leave_the_bytes_of_the_returned_snapshot() {
     let family = CanonicalFamily::new(2, 3);
     // An in-memory first leg gives the second a non-empty baseline memo.
-    let (baseline, completed) = bitsliced_leg(
+    let (baseline, completed) = run_leg(
         &family,
         fresh(&family, EngineKind::Bitsliced, 3),
         None,
@@ -220,7 +212,7 @@ fn periodic_checkpoints_leave_the_bytes_of_the_returned_snapshot() {
     // many periodic writes, then the final one.
     let dir = temp_dir("paths");
     let path = dir.join("ck.bin");
-    let (leg, completed) = bitsliced_leg(&family, baseline.clone(), Some(&path), 256, Some(6000));
+    let (leg, completed) = run_leg(&family, baseline.clone(), Some(&path), 256, Some(6000));
     assert!(!completed);
     assert!(leg.memo.len() >= baseline.memo.len() + 4 * 256);
 
@@ -282,14 +274,14 @@ fn leg_with_captured_writes(path: &Path) -> (SweepSnapshot, Vec<SweepSnapshot>) 
     let mut captured = Vec::new();
     let mut state = start.clone();
     loop {
-        let (next, completed) = bitsliced_leg(&family, state, None, u64::MAX, Some(256));
+        let (next, completed) = run_leg(&family, state, None, u64::MAX, Some(256));
         captured.push(next.clone());
         state = next;
         if completed {
             break;
         }
     }
-    let (leg, completed) = bitsliced_leg(&family, start, Some(path), 256, None);
+    let (leg, completed) = run_leg(&family, start, Some(path), 256, None);
     assert!(completed);
     (leg, captured)
 }
@@ -348,7 +340,7 @@ fn a_multi_segment_file_cut_short_loads_the_previous_segment() {
     };
     assert_same_state(&torn, &captured[2], "torn file");
     let family = CanonicalFamily::new(2, 3);
-    let (resumed, _) = bitsliced_leg(&family, torn, Some(&path), u64::MAX, Some(100));
+    let (resumed, _) = run_leg(&family, torn, Some(&path), u64::MAX, Some(100));
     let appended = std::fs::read(&path).expect("appended checkpoint readable");
     assert!(appended[..ends[2]] == bytes[..ends[2]]);
     let (back, layout) = SweepSnapshot::from_bytes_with_layout(&appended).expect("loads");
@@ -364,20 +356,7 @@ fn a_multi_segment_file_cut_short_loads_the_previous_segment() {
 /// at its end to `path`; returns the leg and the file it leaves.
 fn final_checkpoint_leg(state: SweepSnapshot, path: &Path) -> (SweepSnapshot, Vec<u8>) {
     let family = CanonicalFamily::new(2, 3);
-    let leg = match state.cursor.engine {
-        EngineKind::Bitsliced => bitsliced_leg(&family, state, Some(path), u64::MAX, Some(100)).0,
-        EngineKind::Scalar => {
-            let ckpt = SweepCheckpoint {
-                path: Some(path),
-                every_orbits: u64::MAX,
-                orbit_limit: Some(100),
-            };
-            ClassificationEngine::new()
-                .sweep_resumable(state, |r| family.orbits_in(r), &ckpt)
-                .expect("scalar leg")
-                .0
-        }
-    };
+    let (leg, _) = run_leg(&family, state, Some(path), u64::MAX, Some(100));
     (leg, std::fs::read(path).expect("checkpoint readable"))
 }
 

@@ -10,8 +10,8 @@
 //! entry per orbit regardless of where the campaign was cut).
 
 use rooted_tree_lcl::core::{
-    load_or_quarantine, CanonicalKey, ClassificationEngine, Complexity, EngineKind, LaneWidth,
-    LoadOutcome, SnapshotError, SweepCheckpoint, SweepSnapshot,
+    load_or_quarantine, CanonicalKey, ClassificationEngine, Complexity, EngineKind, LoadOutcome,
+    SnapshotError, SweepCheckpoint, SweepSnapshot,
 };
 use rooted_tree_lcl::problems::canonical::CanonicalFamily;
 
@@ -29,40 +29,14 @@ fn step(
     state: SweepSnapshot,
     limit: Option<u64>,
 ) -> (SweepSnapshot, bool) {
-    step_at_width(family, state, limit, LaneWidth::W64)
-}
-
-fn step_at_width(
-    family: &CanonicalFamily,
-    state: SweepSnapshot,
-    limit: Option<u64>,
-    width: LaneWidth,
-) -> (SweepSnapshot, bool) {
     let ckpt = SweepCheckpoint {
         path: None,
         every_orbits: 4096,
         orbit_limit: limit,
     };
-    let engine = ClassificationEngine::new();
-    match state.cursor.engine {
-        EngineKind::Scalar => engine
-            .sweep_resumable(state, |r| family.orbits_in(r), &ckpt)
-            .expect("in-memory sweep cannot hit snapshot I/O"),
-        EngineKind::Bitsliced => {
-            let universe = family.sliced_universe();
-            engine
-                .sweep_resumable_bitsliced(
-                    &universe,
-                    width,
-                    state,
-                    |r| family.blocks_in(r, width.lanes()),
-                    |mask| family.problem_at(mask),
-                    |mask| family.canonical_key_of(mask),
-                    &ckpt,
-                )
-                .expect("in-memory sweep cannot hit snapshot I/O")
-        }
-    }
+    family
+        .sweep(&ClassificationEngine::new(), state, &ckpt)
+        .expect("in-memory sweep cannot hit snapshot I/O")
 }
 
 fn sorted_memo(snap: &SweepSnapshot) -> Vec<(CanonicalKey, Complexity)> {
@@ -194,22 +168,13 @@ fn checkpoint_file_round_trips_mid_campaign() {
     // First leg: run with a checkpoint file attached and an orbit budget, so
     // the campaign stops mid-universe with the snapshot persisted.
     let engine = ClassificationEngine::new();
-    let universe = family.sliced_universe();
     let ckpt = SweepCheckpoint {
         path: Some(&path),
         every_orbits: 512,
         orbit_limit: Some(9000),
     };
-    let (in_memory, completed) = engine
-        .sweep_resumable_bitsliced(
-            &universe,
-            LaneWidth::W64,
-            fresh(&family, EngineKind::Bitsliced, 2),
-            |r| family.blocks_in(r, 64),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
-            &ckpt,
-        )
+    let (in_memory, completed) = family
+        .sweep(&engine, fresh(&family, EngineKind::Bitsliced, 2), &ckpt)
         .expect("checkpointed sweep");
     assert!(!completed, "the orbit budget must interrupt the campaign");
 
@@ -232,14 +197,10 @@ fn checkpoint_file_round_trips_mid_campaign() {
         orbit_limit: None,
     };
     let engine = ClassificationEngine::new();
-    let (from_disk_leg, completed) = engine
-        .sweep_resumable_bitsliced(
-            &universe,
-            LaneWidth::W64,
+    let (from_disk_leg, completed) = family
+        .sweep(
+            &engine,
             SweepSnapshot::load(&path).expect("snapshot still loads"),
-            |r| family.blocks_in(r, 64),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
             &final_ckpt,
         )
         .expect("resumed sweep");
@@ -261,17 +222,8 @@ fn warm_boot_reproduces_the_histogram_with_zero_new_decisions() {
     let mut warm_state = fresh(&family, EngineKind::Bitsliced, 2);
     warm_state.memo = reference.memo.clone();
     let engine = ClassificationEngine::new();
-    let universe = family.sliced_universe();
-    let (warm, completed) = engine
-        .sweep_resumable_bitsliced(
-            &universe,
-            LaneWidth::W64,
-            warm_state,
-            |r| family.blocks_in(r, 64),
-            |mask| family.problem_at(mask),
-            |mask| family.canonical_key_of(mask),
-            &SweepCheckpoint::default(),
-        )
+    let (warm, completed) = family
+        .sweep(&engine, warm_state, &SweepCheckpoint::default())
         .expect("warm sweep");
     assert!(completed);
     assert_eq!(warm.outcome.orbits, reference.outcome.orbits);
