@@ -8,7 +8,7 @@
 //! `L = O(log n)`; Lemma 5.10 shows the layers can be computed in `O(log n)`
 //! CONGEST rounds. [`rcp_partition_flat`] computes the partition on a
 //! [`FlatTree`] for the O(log n) solver of `lcl-algorithms` and the experiment
-//! harness; the arena version in [`reference`] (tests and the `reference`
+//! harness; the arena version in `reference` (tests and the `reference`
 //! feature only) is its oracle.
 
 use crate::flat::FlatTree;
