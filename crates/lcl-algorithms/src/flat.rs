@@ -23,8 +23,7 @@
 //! the paper's constants, and the per-seed round accounting is pinned by the
 //! golden file of `tests/flat_agreement.rs`. The labeling itself is only
 //! required to be valid: both checkers must accept it, which the fuzz oracle
-//! in `lcl-verify` enforces. [`crate::solve()`] runs [`solve_flat`] on arena
-//! trees.
+//! in `lcl-verify` enforces.
 
 use std::ops::Range;
 
@@ -1171,7 +1170,8 @@ fn flat_piece_depths(
 /// The O(n) baseline for any solvable problem, the global greedy top-down
 /// sweep (`rtlcl solve --baseline`): the continuation configuration of every
 /// kept label is resolved once, then the tree is labeled in sharded top-down
-/// level passes. Produces the labeling of [`lcl_core::greedy::solve`].
+/// level passes. Produces the labeling of the per-node arena greedy walk in
+/// `lcl_core::greedy`, its test oracle.
 pub fn solve_greedy_flat(
     problem: &LclProblem,
     idx: &LevelIndex,
@@ -1180,7 +1180,7 @@ pub fn solve_greedy_flat(
     let kept = solvable_labels(problem);
     let first = kept.first()?;
     // Continuation table: one configuration per kept label, chosen exactly as
-    // `lcl_core::greedy::solve` chooses it per node.
+    // the arena greedy oracle chooses it per node.
     let num_alphabet = problem.alphabet().len();
     let mut continuation: Vec<Option<&Configuration>> = vec![None; num_alphabet];
     for l in kept {
@@ -1251,10 +1251,16 @@ pub fn solve_by_depth_parity_flat(problem: &LclProblem, tree: &FlatTree) -> Flat
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Solves `problem` on the flat `tree` with the asymptotically optimal solver
-/// for its complexity class, as determined by the classification `report`
-/// (see [`crate::solve()`], which runs this dispatch on arena trees). Round
-/// accounting is deterministic for equal `(tree, ids)`.
+/// Solves `problem` on `tree` with the asymptotically optimal solver for its
+/// complexity class, as determined by the classification `report`:
+///
+/// * O(1) and Θ(log* n) problems use the certificate-driven splitting solvers
+///   (Theorems 7.2 and 6.3);
+/// * Θ(log n) problems use the rake-and-compress solver (Theorem 5.1);
+/// * Θ(n^{1/k}) problems use the generalized B/X-partition solver driven by
+///   the exact-exponent certificate (Section 5, Lemma 8.1).
+///
+/// Round accounting is deterministic for equal `(tree, ids)`.
 pub fn solve_flat(
     problem: &LclProblem,
     report: &ClassificationReport,

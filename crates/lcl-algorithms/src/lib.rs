@@ -4,7 +4,7 @@
 //! existence the certificates of `lcl-core` witness. Each solver has one
 //! implementation, a level-synchronous pass over the CSR trees of
 //! [`lcl_trees::FlatTree`] in [`flat`]; [`solve_flat`] dispatches on the
-//! complexity class, and [`solve()`] is the same dispatch for arena trees.
+//! complexity class.
 //!
 //! | Complexity class | Solver | Paper reference |
 //! |---|---|---|
@@ -40,6 +40,4 @@ pub use flat::{solve_flat, FlatOutcome, SolveScratch};
 pub use repair::{
     repair_labeling, resolve_full, LabelPerturbation, RepairOutcome, RepairPlan, RepairScratch,
 };
-pub use solve::{
-    ceil_nth_root, solve, Part, PolyPart, RoundReport, SolveError, SolverOutcome, MIS_TABLE,
-};
+pub use solve::{ceil_nth_root, Part, PolyPart, RoundReport, SolveError, MIS_TABLE};

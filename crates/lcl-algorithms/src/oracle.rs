@@ -20,7 +20,7 @@
 
 use lcl_core::LclProblem;
 use lcl_sim::{IdAssignment, Metrics, NodeInfo, NodeProgram, RoundAction, Simulator};
-use lcl_trees::RootedTree;
+use lcl_trees::FlatTree;
 
 use crate::solve::MIS_TABLE;
 
@@ -79,12 +79,12 @@ impl NodeProgram for MisFourRounds {
 
 /// Runs [`MisFourRounds`] on the simulator: every node's output symbol (by node
 /// id) together with the measured metrics.
-pub fn run(tree: &RootedTree) -> (Vec<char>, Metrics) {
-    Simulator::new(tree, IdAssignment::sequential(tree)).run(&MisFourRounds)
+pub fn run(tree: &FlatTree) -> (Vec<char>, Metrics) {
+    Simulator::new(tree, IdAssignment::sequential_len(tree.len())).run(&MisFourRounds)
 }
 
 /// The simulator metrics of one run (exposed separately for the experiments).
-pub fn run_metrics(tree: &RootedTree) -> Metrics {
+pub fn run_metrics(tree: &FlatTree) -> Metrics {
     run(tree).1
 }
 
@@ -111,7 +111,6 @@ pub fn verify_table_against(problem: &LclProblem) -> Vec<u8> {
 mod tests {
     use super::*;
     use lcl_problems::mis::mis_binary;
-    use lcl_trees::generators;
 
     #[test]
     fn table_is_consistent_with_the_mis_configurations() {
@@ -124,8 +123,8 @@ mod tests {
     fn round_count_is_constant() {
         // The communication takes 4 rounds; the simulator reports 5 because the
         // final outputs are produced in the round after the last message arrives.
-        let small = generators::balanced(2, 4);
-        let large = generators::random_full(2, 50_001, 1);
+        let small = FlatTree::balanced(2, 4);
+        let large = FlatTree::random_full(2, 50_001, 1);
         let m_small = run_metrics(&small);
         let m_large = run_metrics(&large);
         assert_eq!(m_small.rounds, m_large.rounds);

@@ -1,16 +1,9 @@
-//! The solver entry point for arena trees, the round accounting every solver
-//! reports, and the tables the flat solvers share.
-//!
-//! [`solve`] is an adapter: it copies a [`RootedTree`] into CSR form (node ids
-//! are kept) and runs [`solve_flat`], the one implementation of every solver.
+//! The round accounting every solver reports, the errors of
+//! [`solve_flat`](crate::solve_flat), and the tables the flat solvers share.
 
 use std::borrow::Cow;
 
-use lcl_core::{ClassificationReport, Label, Labeling, LclProblem, PolyCertificate};
-use lcl_sim::IdAssignment;
-use lcl_trees::{FlatTree, RootedTree};
-
-use crate::flat::{solve_flat, SolveScratch};
+use lcl_core::{Label, LclProblem, PolyCertificate};
 
 /// Itemized round accounting of one solver run. The `measured` flag of each phase
 /// records whether the count was obtained by actually running / measuring that phase
@@ -67,19 +60,7 @@ impl RoundReport {
     }
 }
 
-/// The result of solving a problem on an arena tree: a complete labeling plus
-/// the round accounting of the algorithm used.
-#[derive(Debug, Clone)]
-pub struct SolverOutcome {
-    /// The complete labeling (verified by the caller or the test-suite).
-    pub labeling: Labeling,
-    /// The round accounting.
-    pub rounds: RoundReport,
-    /// Which solver produced the outcome.
-    pub algorithm: &'static str,
-}
-
-/// Errors returned by [`solve`] and [`solve_flat`].
+/// Errors returned by [`solve_flat`](crate::solve_flat).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
     /// The problem is unsolvable on deep trees.
@@ -103,33 +84,6 @@ impl std::fmt::Display for SolveError {
 }
 
 impl std::error::Error for SolveError {}
-
-/// Solves `problem` on `tree` using the asymptotically optimal algorithm for its
-/// complexity class, as determined by the classification `report`:
-///
-/// * O(1) and Θ(log* n) problems use the certificate-driven splitting solvers
-///   (Theorems 7.2 and 6.3);
-/// * Θ(log n) problems use the rake-and-compress solver (Theorem 5.1);
-/// * Θ(n^{1/k}) problems use the generalized B/X-partition solver driven by
-///   the exact-exponent certificate (Section 5, Lemma 8.1).
-///
-/// The tree is copied into CSR form with its node ids, solved by
-/// [`solve_flat`], and the labels are copied back into a [`Labeling`].
-pub fn solve(
-    problem: &LclProblem,
-    report: &ClassificationReport,
-    tree: &RootedTree,
-    ids: IdAssignment,
-) -> Result<SolverOutcome, SolveError> {
-    let flat = FlatTree::from_tree(tree);
-    let idx = flat.level_index();
-    let outcome = solve_flat(problem, report, &flat, &idx, &ids, &mut SolveScratch::new())?;
-    Ok(SolverOutcome {
-        labeling: Labeling::from_labels(&outcome.labels),
-        rounds: outcome.rounds,
-        algorithm: outcome.algorithm,
-    })
-}
 
 /// The exact ceiling k-th root: the smallest `t ≥ 1` with `t^k ≥ n`.
 ///
@@ -269,8 +223,26 @@ pub(crate) fn poly_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_core::classify;
-    use lcl_trees::generators;
+    use crate::flat::{solve_flat, FlatOutcome, SolveScratch};
+    use lcl_core::{classify, Labeling};
+    use lcl_sim::IdAssignment;
+    use lcl_trees::FlatTree;
+
+    /// Runs the dispatcher on `tree` and checks the labeling with the
+    /// reference checker.
+    fn solve_and_verify(
+        problem: &LclProblem,
+        tree: &FlatTree,
+        ids: &IdAssignment,
+    ) -> Result<FlatOutcome, SolveError> {
+        let report = classify(problem);
+        let idx = tree.level_index();
+        let outcome = solve_flat(problem, &report, tree, &idx, ids, &mut SolveScratch::new())?;
+        Labeling::from_labels(&outcome.labels)
+            .verify(tree, problem)
+            .unwrap_or_else(|e| panic!("{problem}: invalid solution: {e}"));
+        Ok(outcome)
+    }
 
     #[test]
     fn round_report_accounting() {
@@ -298,22 +270,12 @@ mod tests {
             ("1 : 1 2\n2 : 1 1\n", "log"),
             ("1:22\n2:11\n", "poly"),
         ];
-        let tree = generators::random_full(2, 301, 11);
+        let tree = FlatTree::random_full(2, 301, 11);
+        let ids = IdAssignment::random_permutation_len(tree.len(), 5);
         for (text, class) in problems {
             let problem: LclProblem = text.parse().unwrap();
-            let report = classify(&problem);
-            assert_eq!(report.complexity.short_name(), class);
-            let outcome = solve(
-                &problem,
-                &report,
-                &tree,
-                IdAssignment::random_permutation(&tree, 5),
-            )
-            .unwrap();
-            outcome
-                .labeling
-                .verify(&tree, &problem)
-                .unwrap_or_else(|e| panic!("{class}: invalid solution: {e}"));
+            assert_eq!(classify(&problem).complexity.short_name(), class);
+            let outcome = solve_and_verify(&problem, &tree, &ids).unwrap();
             assert!(outcome.rounds.total() > 0);
         }
     }
@@ -321,19 +283,18 @@ mod tests {
     #[test]
     fn solve_routes_the_polynomial_class_to_the_partition_solver() {
         let problem: LclProblem = "1:22\n2:11\n".parse().unwrap();
-        let report = classify(&problem);
-        let tree = generators::random_full(2, 501, 3);
-        let outcome = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap();
+        let tree = FlatTree::random_full(2, 501, 3);
+        let ids = IdAssignment::sequential_len(tree.len());
+        let outcome = solve_and_verify(&problem, &tree, &ids).unwrap();
         assert_eq!(outcome.algorithm, POLY_ALGORITHM);
-        outcome.labeling.verify(&tree, &problem).unwrap();
     }
 
     #[test]
     fn solve_rejects_unsolvable_problems() {
         let problem: LclProblem = "a : b b\nb : c c\n".parse().unwrap();
-        let report = classify(&problem);
-        let tree = generators::balanced(2, 4);
-        let err = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap_err();
+        let tree = FlatTree::balanced(2, 4);
+        let ids = IdAssignment::sequential_len(tree.len());
+        let err = solve_and_verify(&problem, &tree, &ids).unwrap_err();
         assert_eq!(err, SolveError::Unsolvable);
     }
 

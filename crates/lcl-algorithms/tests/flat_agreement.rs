@@ -15,10 +15,10 @@ use lcl_algorithms::flat::{
     solve_constant_flat, solve_flat, solve_greedy_flat, solve_log_flat, solve_log_star_flat,
     solve_mis_four_rounds_flat, solve_pi_k_flat, solve_poly_flat, FlatOutcome, SolveScratch,
 };
-use lcl_algorithms::{oracle, solve, Part, RoundReport, SolveError};
+use lcl_algorithms::{oracle, Part, RoundReport, SolveError};
 use lcl_core::{classify, Labeling, LclProblem};
 use lcl_sim::IdAssignment;
-use lcl_trees::{FlatTree, NodeId};
+use lcl_trees::FlatTree;
 
 /// The worker counts every solver runs with.
 const WORKERS: [usize; 2] = [1, 4];
@@ -92,14 +92,13 @@ fn check_case(
     mut solve: impl FnMut(&mut SolveScratch) -> FlatOutcome,
     extra: impl Fn(&SolveScratch) -> String,
 ) -> FlatOutcome {
-    let arena = tree.to_rooted();
     let mut first: Option<FlatOutcome> = None;
     for workers in WORKERS {
         let mut scratch = SolveScratch::with_workers(workers);
         let outcome = solve(&mut scratch);
         assert_eq!(outcome.labels.len(), tree.len(), "{case}");
         Labeling::from_labels(&outcome.labels)
-            .verify(&arena, problem)
+            .verify(tree, problem)
             .unwrap_or_else(|e| panic!("{case} (workers {workers}): invalid labeling: {e}"));
         expect_golden(&format!(
             "{}{}",
@@ -207,7 +206,7 @@ fn mis_four_rounds_matches_golden_and_the_simulator() {
         // The flat solver charges the constant simulator round count and
         // looks up the table the message-passing program evaluates: rounds
         // and labels both equal the simulator run's.
-        let (outputs, metrics) = oracle::run(&tree.to_rooted());
+        let (outputs, metrics) = oracle::run(&tree);
         assert_eq!(flat.rounds.total(), metrics.rounds, "{case}");
         let expected: Vec<_> = outputs
             .iter()
@@ -261,7 +260,7 @@ fn poly_exact_solver_matches_golden() {
 }
 
 #[test]
-fn dispatcher_and_adapter_match_golden_for_every_class() {
+fn dispatcher_matches_golden_for_every_class() {
     let problems = [
         (
             "1 : a a\n1 : a b\n1 : b b\na : b b\nb : b 1\nb : 1 1\n",
@@ -276,7 +275,6 @@ fn dispatcher_and_adapter_match_golden_for_every_class() {
     ];
     let tree = FlatTree::random_full(2, 301, 11);
     let idx = tree.level_index();
-    let arena = tree.to_rooted();
     let ids = IdAssignment::random_permutation_len(tree.len(), 5);
     for (text, class) in problems {
         let problem: LclProblem = text.parse().unwrap();
@@ -290,10 +288,6 @@ fn dispatcher_and_adapter_match_golden_for_every_class() {
             |s| solve_flat(&problem, &report, &tree, &idx, &ids, s).unwrap(),
             no_extra,
         );
-        // The arena-tree adapter reports the same accounting.
-        let adapted = solve(&problem, &report, &arena, ids.clone()).unwrap();
-        adapted.labeling.verify(&arena, &problem).unwrap();
-        expect_golden(&render(&case, adapted.algorithm, &adapted.rounds));
     }
 }
 
@@ -320,7 +314,7 @@ fn greedy_fallback_produces_the_core_greedy_labeling() {
     let expected = lcl_core::greedy::solve(&problem, &arena).unwrap();
     let mut scratch = SolveScratch::with_workers(4);
     let flat = solve_greedy_flat(&problem, &idx, &mut scratch).unwrap();
-    for v in 0..tree.len() as u32 {
-        assert_eq!(Some(flat.labels[v as usize]), expected.get(NodeId(v)));
+    for v in arena.nodes() {
+        assert_eq!(Some(flat.labels[v.index()]), expected.get(v.0));
     }
 }

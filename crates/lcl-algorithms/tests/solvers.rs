@@ -21,7 +21,7 @@ use lcl_trees::{generators, FlatTree};
 /// Checks `outcome` with the independent reference checker of `lcl-core`.
 fn assert_valid(problem: &LclProblem, tree: &FlatTree, outcome: &FlatOutcome) {
     Labeling::from_labels(&outcome.labels)
-        .verify(&tree.to_rooted(), problem)
+        .verify(tree, problem)
         .unwrap_or_else(|e| panic!("`{}` produced an invalid labeling: {e}", outcome.algorithm));
 }
 
@@ -109,12 +109,11 @@ fn mis_output_is_independent_of_identifiers() {
     let problem = mis::mis_binary();
     let tree = FlatTree::random_full(2, 301, 2);
     let flat = solve_mis_four_rounds_flat(&problem, &tree.level_index(), &mut SolveScratch::new());
-    let arena = tree.to_rooted();
     for ids in [
-        IdAssignment::sequential(&arena),
-        IdAssignment::random_permutation(&arena, 9),
+        IdAssignment::sequential_len(tree.len()),
+        IdAssignment::random_permutation_len(tree.len(), 9),
     ] {
-        let (outputs, _) = Simulator::new(&arena, ids).run(&oracle::MisFourRounds);
+        let (outputs, _) = Simulator::new(&tree, ids).run(&oracle::MisFourRounds);
         let labels: Vec<_> = outputs
             .iter()
             .map(|c| problem.label_by_name(&c.to_string()).unwrap())

@@ -1,19 +1,19 @@
-//! Experiment E12 support: generator and lower-bound-construction throughput
-//! (Section 5.4 bipolar trees).
+//! Experiment E12 support: throughput of the streaming `FlatTree` generators
+//! and of the lower-bound constructions (Section 5.4 bipolar trees).
 
 use lcl_bench::harness::{Bench, BenchReport};
-use lcl_trees::{generators, lower_bound};
+use lcl_trees::{lower_bound, FlatTree};
 
 fn main() {
     let mut report = BenchReport::new("tree_generators");
 
     let mut bench = Bench::new("generators");
     for &n in &[1usize << 12, 1 << 16] {
-        bench.case(&format!("random_full n={n}"), || {
-            generators::random_full(2, n, 3)
+        bench.case(&format!("FlatTree::random_full n={n}"), || {
+            FlatTree::random_full(2, n, 3)
         });
-        bench.case(&format!("hairy_path n={n}"), || {
-            generators::hairy_path(2, n / 2)
+        bench.case(&format!("FlatTree::hairy_path n={n}"), || {
+            FlatTree::hairy_path(2, n / 2)
         });
     }
 

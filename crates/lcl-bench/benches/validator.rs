@@ -1,8 +1,9 @@
 //! Labeling validation at million-node scale: the naive per-node
-//! `RootedTree` walk (`Labeling::verify`, one `Vec` + one `Configuration`
-//! allocation per internal node) vs the CSR [`LabelingValidator`] from
-//! `lcl-verify` (dense parent-indexed packed tables, no allocation per node),
-//! sequentially and sharded over `std::thread::scope`.
+//! `FlatTree` walk of the reference checker (`Labeling::verify`, one `Vec` +
+//! one `Configuration` allocation per internal node) vs the CSR
+//! [`LabelingValidator`] from `lcl-verify` (dense parent-indexed packed
+//! tables, no allocation per node), sequentially and sharded over
+//! `std::thread::scope`.
 //!
 //! The bench asserts that the parallel CSR validator beats the naive walk on
 //! a ≥ 1M-node random full binary tree. The win is structural — the naive
@@ -18,6 +19,9 @@ use lcl_verify::LabelingValidator;
 
 const MIN_NODES: usize = 1_000_000;
 
+/// The reference checker's case.
+const NAIVE: &str = "naive FlatTree walk (Labeling::verify)";
+
 fn main() {
     let problem: LclProblem = "1:22\n2:11\n".parse().unwrap();
     let one = problem.label_by_name("1").unwrap();
@@ -31,17 +35,13 @@ fn main() {
         .map(|&d| if d % 2 == 0 { one } else { two })
         .collect();
 
-    // The naive side: the same labeling as an arena-world `Labeling` on a
-    // `RootedTree`, checked by the reference checker.
-    let arena = tree.to_rooted();
-    let mut labeling = Labeling::for_tree(&arena);
-    for v in arena.nodes() {
-        labeling.set(v, labels[v.index()]);
-    }
+    // The naive side: the same labeling as a `Labeling`, checked by the
+    // reference checker.
+    let labeling = Labeling::from_labels(&labels);
 
     let validator = LabelingValidator::new(&problem);
     // All three checkers must agree before any timing matters.
-    labeling.verify(&arena, &problem).unwrap();
+    labeling.verify(&tree, &problem).unwrap();
     validator.validate(&tree, &labels).unwrap();
     validator.validate_parallel(&tree, &labels).unwrap();
 
@@ -49,8 +49,8 @@ fn main() {
         "validate a depth-parity 2-coloring of a {}-node random full binary tree",
         tree.len()
     ));
-    bench.case("naive RootedTree walk (Labeling::verify)", || {
-        black_box(labeling.verify(&arena, &problem)).is_ok()
+    bench.case(NAIVE, || {
+        black_box(labeling.verify(&tree, &problem)).is_ok()
     });
     bench.case("CSR validator, sequential", || {
         black_box(validator.validate(&tree, &labels)).is_ok()
@@ -59,9 +59,7 @@ fn main() {
         black_box(validator.validate_parallel(&tree, &labels)).is_ok()
     });
 
-    let naive = bench
-        .median_of("naive RootedTree walk (Labeling::verify)")
-        .expect("case ran");
+    let naive = bench.median_of(NAIVE).expect("case ran");
     let seq = bench
         .median_of("CSR validator, sequential")
         .expect("case ran");
@@ -75,7 +73,7 @@ fn main() {
     println!("CSR parallel speedup over naive walk:   {par_speedup:.2}x\n");
     assert!(
         par < naive,
-        "parallel CSR validator ({par:?}) should beat the naive RootedTree walk ({naive:?}) on {} nodes",
+        "parallel CSR validator ({par:?}) should beat the naive FlatTree walk ({naive:?}) on {} nodes",
         tree.len()
     );
     report.add_group(bench);

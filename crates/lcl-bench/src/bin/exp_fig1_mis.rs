@@ -35,7 +35,7 @@ fn main() {
         let tree = FlatTree::random_full(2, (1usize << exponent) + 1, u64::from(exponent));
         let outcome = solve_mis_four_rounds_flat(&problem, &tree.level_index(), &mut scratch);
         // Rounds and message sizes come from the message-passing program.
-        let metrics = oracle::run_metrics(&tree.to_rooted());
+        let metrics = oracle::run_metrics(&tree);
         let valid = validator.validate(&tree, &outcome.labels).is_ok();
         println!(
             "{:>10} {:>8} {:>14} {:>10}",

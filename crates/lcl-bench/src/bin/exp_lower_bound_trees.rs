@@ -3,7 +3,6 @@
 //! the bipolar trees T^x_k and their concatenations T^x_{i←j}.
 
 use lcl_trees::lower_bound;
-use lcl_trees::traversal;
 
 fn main() {
     println!("T^x_k for δ = 3 (Figure 4 uses x = 5, k = 2):");
@@ -14,15 +13,15 @@ fn main() {
     for k in 1..=3usize {
         for &x in &[4usize, 8, 16] {
             let t = lower_bound::t_x_k(3, x, k);
-            let stats = traversal::stats(&t.tree);
-            assert_eq!(stats.nodes, lower_bound::t_x_k_size(3, x, k));
+            let nodes = t.tree.len();
+            assert_eq!(nodes, lower_bound::t_x_k_size(3, x, k));
             assert_eq!(t.core_path().len(), x);
             assert_eq!(t.layer_nodes(k).len(), x);
             println!(
                 "{:>3} {:>3} {:>10} {:>10} {:>12} {:>14}",
                 k,
                 x,
-                stats.nodes,
+                nodes,
                 lower_bound::t_x_k_size(3, x, k),
                 t.core_path().len(),
                 t.layer_nodes(k).len()
@@ -45,19 +44,17 @@ fn main() {
     let c = lower_bound::t_x_i_j(3, 6, 2, 1);
     let (a, b) = c.middle_edge.expect("concatenations have a middle edge");
     println!(
-        "nodes = {}, middle edge {} -> {}, s layer = {}, t layer = {}",
+        "nodes = {}, middle edge v{a} -> v{b}, s layer = {}, t layer = {}",
         c.tree.len(),
-        a,
-        b,
-        c.layer[c.s.index()],
-        c.layer[c.t.index()]
+        c.layer[c.s as usize],
+        c.layer[c.t as usize]
     );
     c.tree.validate().expect("well-formed tree");
 
     println!("\ndegree profile of T^5_2 (δ = 3): degrees 1 (layer 0), δ, and δ+1 only");
     let t = lower_bound::t_x_k(3, 5, 2);
     let mut histogram = std::collections::BTreeMap::new();
-    for v in t.tree.nodes() {
+    for v in 0..t.tree.len() as u32 {
         let degree = t.tree.num_children(v) + usize::from(t.tree.parent(v).is_some());
         *histogram.entry(degree).or_insert(0usize) += 1;
     }

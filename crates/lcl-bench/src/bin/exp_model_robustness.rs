@@ -5,18 +5,19 @@
 //! model's identifiers), and the genuinely message-passing programs stay within the
 //! CONGEST bandwidth budget.
 
-use lcl_algorithms::flat::{solve_mis_four_rounds_flat, SolveScratch};
+use lcl_algorithms::flat::{solve_flat, solve_mis_four_rounds_flat, SolveScratch};
 use lcl_algorithms::oracle;
-use lcl_core::classify;
+use lcl_core::{classify, Labeling};
 use lcl_problems::{coloring, mis};
 use lcl_sim::programs::ChainColorReduction;
 use lcl_sim::{IdAssignment, Simulator};
-use lcl_trees::{generators, FlatTree};
+use lcl_trees::FlatTree;
 use lcl_verify::LabelingValidator;
 
 fn main() {
-    let tree = generators::random_full(2, (1 << 14) + 1, 9);
-    println!("tree: {} nodes\n", tree.len());
+    let tree = FlatTree::random_full(2, (1 << 14) + 1, 9);
+    let n = tree.len();
+    println!("tree: {n} nodes\n");
 
     println!("Cole–Vishkin chain colouring (the Θ(log* n) primitive):");
     println!(
@@ -24,17 +25,17 @@ fn main() {
         "identifiers", "rounds", "max msg bits", "CONGEST (c=2)?"
     );
     for (name, ids) in [
-        ("sequential", IdAssignment::sequential(&tree)),
+        ("sequential", IdAssignment::sequential_len(n)),
         (
             "random permutation",
-            IdAssignment::random_permutation(&tree, 1),
+            IdAssignment::random_permutation_len(n, 1),
         ),
-        ("sparse random (n³)", IdAssignment::random_sparse(&tree, 2)),
+        ("sparse random (n³)", IdAssignment::random_sparse_len(n, 2)),
     ] {
         let (colors, metrics) = Simulator::new(&tree, ids).run(&ChainColorReduction);
-        for v in tree.nodes() {
+        for v in 0..n as u32 {
             if let Some(p) = tree.parent(v) {
-                assert_ne!(colors[v.index()], colors[p.index()]);
+                assert_ne!(colors[v as usize], colors[p as usize]);
             }
         }
         println!(
@@ -42,7 +43,7 @@ fn main() {
             name,
             metrics.rounds,
             metrics.max_message_bits,
-            metrics.is_congest_compliant(tree.len(), 2)
+            metrics.is_congest_compliant(n, 2)
         );
     }
 
@@ -53,28 +54,30 @@ fn main() {
         "rounds = {}, max message bits = {}, CONGEST compliant = {}",
         metrics.rounds,
         metrics.max_message_bits,
-        metrics.is_congest_compliant(tree.len(), 1)
+        metrics.is_congest_compliant(n, 1)
     );
-    let flat = FlatTree::from_tree(&tree);
-    let outcome =
-        solve_mis_four_rounds_flat(&problem, &flat.level_index(), &mut SolveScratch::new());
+    let idx = tree.level_index();
+    let mut scratch = SolveScratch::new();
+    let outcome = solve_mis_four_rounds_flat(&problem, &idx, &mut scratch);
     LabelingValidator::new(&problem)
-        .validate(&flat, &outcome.labels)
+        .validate(&tree, &outcome.labels)
         .unwrap();
 
     println!("\nfull solver round totals under different identifier assignments (3-coloring):");
     let col = coloring::three_coloring_binary();
     let report = classify(&col);
     for (name, ids) in [
-        ("sequential", IdAssignment::sequential(&tree)),
+        ("sequential", IdAssignment::sequential_len(n)),
         (
             "random permutation",
-            IdAssignment::random_permutation(&tree, 5),
+            IdAssignment::random_permutation_len(n, 5),
         ),
-        ("sparse random (n³)", IdAssignment::random_sparse(&tree, 6)),
+        ("sparse random (n³)", IdAssignment::random_sparse_len(n, 6)),
     ] {
-        let outcome = lcl_algorithms::solve(&col, &report, &tree, ids).unwrap();
-        outcome.labeling.verify(&tree, &col).unwrap();
+        let outcome = solve_flat(&col, &report, &tree, &idx, &ids, &mut scratch).unwrap();
+        Labeling::from_labels(&outcome.labels)
+            .verify(&tree, &col)
+            .unwrap();
         println!("{:<22} {}", name, outcome.rounds.summary());
     }
     println!("\nRESULT: round counts are identical up to ±1 across identifier models (randomness does not help)");

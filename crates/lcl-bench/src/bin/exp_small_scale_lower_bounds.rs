@@ -8,7 +8,7 @@
 use lcl_core::LclProblem;
 use lcl_problems::{coloring, mis};
 use lcl_sim::views;
-use lcl_trees::generators;
+use lcl_trees::FlatTree;
 
 /// Returns `true` if a radius-`t` port-numbering algorithm could possibly solve the
 /// problem on this tree: i.e. there is an assignment of output labels to radius-t
@@ -16,16 +16,12 @@ use lcl_trees::generators;
 /// necessary condition used in Theorem 7.7's argument: if two *adjacent* constrained
 /// nodes share a view class, the label they share must appear in a configuration
 /// repeating the parent label.
-fn view_based_algorithm_possible(
-    problem: &LclProblem,
-    tree: &lcl_trees::RootedTree,
-    t: usize,
-) -> bool {
+fn view_based_algorithm_possible(problem: &LclProblem, tree: &FlatTree, t: usize) -> bool {
     let classes = views::view_classes(tree, t);
     let mut class_of = vec![usize::MAX; tree.len()];
     for (i, class) in classes.iter().enumerate() {
         for &v in class {
-            class_of[v.index()] = i;
+            class_of[v as usize] = i;
         }
     }
     // If some internal node shares its view class with one of its children, any
@@ -35,12 +31,12 @@ fn view_based_algorithm_possible(
         .configurations()
         .iter()
         .any(|c| c.parent_repeats_in_children());
-    for v in tree.internal_nodes() {
+    for v in 0..tree.len() as u32 {
         if tree.num_children(v) != problem.delta() {
             continue;
         }
         for &c in tree.children(v) {
-            if class_of[v.index()] == class_of[c.index()] && !has_special {
+            if class_of[v as usize] == class_of[c as usize] && !has_special {
                 return false;
             }
         }
@@ -53,7 +49,7 @@ fn main() {
     let mis_problem = mis::mis_binary();
     // A long hairy path: deep in its interior, consecutive spine nodes have
     // identical low-radius views.
-    let tree = generators::hairy_path(2, 200);
+    let tree = FlatTree::hairy_path(2, 200);
     println!("instance: hairy path with {} nodes\n", tree.len());
     println!(
         "{:>3} {:>24} {:>18}",

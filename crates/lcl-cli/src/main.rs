@@ -120,8 +120,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use lcl_algorithms::flat::solve_greedy_flat;
-use lcl_algorithms::{solve_flat, SolveError, SolveScratch};
 use lcl_core::{
     classify, ClassificationEngine, ComplexityHistogram, EngineKind, LclProblem, LoadOutcome,
     MaskRange, SnapshotLayout, SweepCheckpoint, SweepSnapshot,
@@ -132,8 +130,12 @@ use lcl_problems::random::{enumerate_problems, random_family, RandomProblemSpec}
 use lcl_rand::SplitMix64;
 use lcl_serve::{histogram_json, report_to_json, Json, ServeConfig, Server};
 use lcl_sim::IdAssignment;
-use lcl_trees::{generators, DynamicTree, EditScriptGen, FlatTree};
-use lcl_verify::{fuzz_classifier_vs_solvers, EditError, EditSession, LabelingValidator};
+use lcl_trees::flat::minimal_complete_depth;
+use lcl_trees::{DynamicTree, EditScriptGen, FlatTree};
+use lcl_verify::{
+    fuzz_classifier_vs_solvers, solve_checked, CheckedSolve, EditError, EditSession,
+    LabelingValidator, SolveCheckError,
+};
 
 /// Set once a stdout write met `BrokenPipe`; later writes are dropped.
 static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
@@ -288,22 +290,14 @@ fn cmd_solve(opts: &SolveOptions) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let (problem, report) = (&problem, &report);
-    let tree = FlatTree::random_full(problem.delta(), n.max(1), 1);
-    let idx = tree.level_index();
-    let ids = IdAssignment::random_permutation_len(tree.len(), 1);
-    let mut scratch = SolveScratch::new();
-    let solved = if opts.baseline {
-        solve_greedy_flat(problem, &idx, &mut scratch).ok_or(SolveError::Unsolvable)
-    } else {
-        solve_flat(problem, report, &tree, &idx, &ids, &mut scratch)
-    };
-    let outcome = match solved {
-        Ok(outcome) => outcome,
-        Err(e) => return fail(format!("solver error: {e}")),
-    };
-    if let Err(e) = LabelingValidator::new(problem).validate_parallel(&tree, &outcome.labels) {
-        return fail(format!("internal error: produced an invalid solution: {e}"));
-    }
+    let CheckedSolve { tree, ids, outcome } =
+        match solve_checked(problem, report, n.max(1), 1, opts.baseline) {
+            Ok(solved) => solved,
+            Err(SolveCheckError::Solve(e)) => return fail(format!("solver error: {e}")),
+            Err(SolveCheckError::Invalid(e)) => {
+                return fail(format!("internal error: produced an invalid solution: {e}"))
+            }
+        };
     outln!(
         "solved and verified on a {}-node random full {}-ary tree",
         tree.len(),
@@ -471,7 +465,7 @@ fn build_tree(shape: &str, delta: usize, nodes: usize, seed: u64) -> Result<Flat
         "random" => Ok(FlatTree::random_full(delta, nodes, seed)),
         "balanced" => Ok(FlatTree::balanced(
             delta,
-            generators::minimal_complete_depth(delta, nodes),
+            minimal_complete_depth(delta, nodes),
         )),
         "hairy" => Ok(FlatTree::hairy_path(delta, nodes.div_ceil(delta).max(1))),
         other => Err(format!(

@@ -1,12 +1,13 @@
-//! A centralized greedy solver used as a correctness oracle.
+//! A centralized greedy solver on arena trees, used as a test oracle.
 //!
 //! The solver labels the tree top-down inside the self-sustaining label set of
 //! [`crate::solvability::solvable_labels`]: the root takes the smallest kept label,
 //! and every internal node extends the labeling with the smallest allowed
 //! configuration whose labels are all kept. It is *not* a distributed algorithm
-//! (it takes Θ(depth) rounds viewed distributively); it exists so that tests and
-//! experiments have a simple, independent way to produce valid solutions and to
-//! cross-check the outputs of the real solvers in `lcl-algorithms`.
+//! (it takes Θ(depth) rounds viewed distributively); it is the simple,
+//! independent per-node walk that the sharded level passes of
+//! `lcl_algorithms::flat::solve_greedy_flat`, the O(n) baseline, must
+//! reproduce.
 
 use lcl_trees::RootedTree;
 
@@ -19,18 +20,18 @@ use crate::solvability::solvable_labels;
 pub fn solve(problem: &LclProblem, tree: &RootedTree) -> Option<Labeling> {
     let kept = solvable_labels(problem);
     let first = kept.first()?;
-    let mut labeling = Labeling::for_tree(tree);
-    labeling.set(tree.root(), first);
+    let mut labeling = Labeling::new(tree.len());
+    labeling.set(tree.root().0, first);
     for v in tree.bfs_order() {
         if tree.is_leaf(v) {
             continue;
         }
-        let parent_label = labeling.get(v).expect("BFS order labels parents first");
+        let parent_label = labeling.get(v.0).expect("BFS order labels parents first");
         let config = problem
             .continuation_within(parent_label, kept)
             .expect("kept labels always have a continuation within the kept set");
         for (&child, &label) in tree.children(v).iter().zip(config.children()) {
-            labeling.set(child, label);
+            labeling.set(child.0, label);
         }
     }
     Some(labeling)
@@ -39,7 +40,7 @@ pub fn solve(problem: &LclProblem, tree: &RootedTree) -> Option<Labeling> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_trees::generators;
+    use lcl_trees::{generators, FlatTree};
 
     #[test]
     fn greedy_solves_three_coloring() {
@@ -49,7 +50,7 @@ mod tests {
         for seed in 0..3 {
             let tree = generators::random_full(2, 201, seed);
             let labeling = solve(&p, &tree).unwrap();
-            labeling.verify(&tree, &p).unwrap();
+            labeling.verify(&FlatTree::from_tree(&tree), &p).unwrap();
         }
     }
 
@@ -60,7 +61,7 @@ mod tests {
             .unwrap();
         let tree = generators::balanced(2, 6);
         let labeling = solve(&p, &tree).unwrap();
-        labeling.verify(&tree, &p).unwrap();
+        labeling.verify(&FlatTree::from_tree(&tree), &p).unwrap();
     }
 
     #[test]
@@ -75,6 +76,6 @@ mod tests {
         let p: LclProblem = "1 : 2 2 2\n2 : 1 1 1\n".parse().unwrap();
         let tree = generators::random_full(3, 121, 11);
         let labeling = solve(&p, &tree).unwrap();
-        labeling.verify(&tree, &p).unwrap();
+        labeling.verify(&FlatTree::from_tree(&tree), &p).unwrap();
     }
 }

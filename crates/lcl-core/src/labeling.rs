@@ -1,13 +1,15 @@
 //! Labelings of rooted trees and solution verification (Definition 4.2).
 //!
-//! A [`Labeling`] assigns a label (or nothing yet) to every node of a tree. The
-//! independent checker [`Labeling::verify`] implements Definition 4.2 exactly: every
-//! node must carry an active label, and every node with exactly δ children must form
-//! an allowed configuration with them (nodes with a different number of children —
-//! leaves in full δ-ary trees — are unconstrained). Solvers never share code with
-//! the checker, so tests can use it as an oracle.
+//! A [`Labeling`] assigns a label (or nothing yet) to every node of a
+//! [`FlatTree`], indexed by node id. The independent checker
+//! [`Labeling::verify`] implements Definition 4.2 exactly: every node must carry
+//! an active label, and every node with exactly δ children must form an allowed
+//! configuration with them (nodes with a different number of children — leaves
+//! in full δ-ary trees — are unconstrained). It is a naive per-node walk that
+//! shares no code with the solvers or with the CSR validator of `lcl-verify`,
+//! so tests and the fuzzing oracle use it as the reference checker.
 
-use lcl_trees::{NodeId, RootedTree};
+use lcl_trees::FlatTree;
 
 use crate::configuration::Configuration;
 use crate::label::Label;
@@ -28,7 +30,7 @@ impl Labeling {
     }
 
     /// Creates an empty labeling sized for `tree`.
-    pub fn for_tree(tree: &RootedTree) -> Self {
+    pub fn for_tree(tree: &FlatTree) -> Self {
         Self::new(tree.len())
     }
 
@@ -52,25 +54,25 @@ impl Labeling {
 
     /// The label of `v`, if assigned.
     #[inline]
-    pub fn get(&self, v: NodeId) -> Option<Label> {
-        self.labels[v.index()]
+    pub fn get(&self, v: u32) -> Option<Label> {
+        self.labels[v as usize]
     }
 
     /// Assigns a label to `v` (overwriting any previous assignment).
     #[inline]
-    pub fn set(&mut self, v: NodeId, label: Label) {
-        self.labels[v.index()] = Some(label);
+    pub fn set(&mut self, v: u32, label: Label) {
+        self.labels[v as usize] = Some(label);
     }
 
     /// Removes the assignment of `v`.
-    pub fn clear(&mut self, v: NodeId) {
-        self.labels[v.index()] = None;
+    pub fn clear(&mut self, v: u32) {
+        self.labels[v as usize] = None;
     }
 
     /// Returns `true` if `v` has a label.
     #[inline]
-    pub fn is_set(&self, v: NodeId) -> bool {
-        self.labels[v.index()].is_some()
+    pub fn is_set(&self, v: u32) -> bool {
+        self.labels[v as usize].is_some()
     }
 
     /// Returns `true` if every node has a label.
@@ -84,23 +86,24 @@ impl Labeling {
     }
 
     /// Iterates over `(node, label)` pairs of assigned nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, Label)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, Label)> + '_ {
         self.labels
             .iter()
             .enumerate()
-            .filter_map(|(i, l)| l.map(|label| (NodeId(i as u32), label)))
+            .filter_map(|(i, l)| l.map(|label| (i as u32, label)))
     }
 
     /// Verifies that this labeling is a solution of `problem` on `tree`
     /// (Definition 4.2). Returns the first violation found.
-    pub fn verify(&self, tree: &RootedTree, problem: &LclProblem) -> Result<(), SolutionError> {
+    pub fn verify(&self, tree: &FlatTree, problem: &LclProblem) -> Result<(), SolutionError> {
         if self.labels.len() != tree.len() {
             return Err(SolutionError::WrongSize {
                 expected: tree.len(),
                 found: self.labels.len(),
             });
         }
-        for v in tree.nodes() {
+        let nodes = 0..tree.len() as u32;
+        for v in nodes.clone() {
             let label = match self.get(v) {
                 Some(l) => l,
                 None => return Err(SolutionError::Unlabeled { node: v }),
@@ -109,7 +112,7 @@ impl Labeling {
                 return Err(SolutionError::InactiveLabel { node: v, label });
             }
         }
-        for v in tree.nodes() {
+        for v in nodes {
             if tree.num_children(v) != problem.delta() {
                 continue; // unconstrained (leaf of a full δ-ary tree, or irregular node)
             }
@@ -135,7 +138,7 @@ impl Labeling {
     pub fn display(&self, problem: &LclProblem) -> String {
         let mut parts = Vec::new();
         for (v, l) in self.iter() {
-            parts.push(format!("{v}={}", problem.label_name(l)));
+            parts.push(format!("v{v}={}", problem.label_name(l)));
         }
         parts.join(" ")
     }
@@ -154,12 +157,12 @@ pub enum SolutionError {
     /// A node has no label.
     Unlabeled {
         /// The unlabeled node.
-        node: NodeId,
+        node: u32,
     },
     /// A node is labeled with a label outside Σ(Π).
     InactiveLabel {
         /// The offending node.
-        node: NodeId,
+        node: u32,
         /// The label it carries.
         label: Label,
     },
@@ -167,7 +170,7 @@ pub enum SolutionError {
     /// configuration.
     ForbiddenConfiguration {
         /// The constrained (parent) node.
-        node: NodeId,
+        node: u32,
         /// Its label.
         parent_label: Label,
         /// The labels of its children, in port order.
@@ -184,17 +187,17 @@ impl std::fmt::Display for SolutionError {
                     "labeling covers {found} nodes but the tree has {expected}"
                 )
             }
-            SolutionError::Unlabeled { node } => write!(f, "node {node} has no label"),
+            SolutionError::Unlabeled { node } => write!(f, "node v{node} has no label"),
             SolutionError::InactiveLabel { node, label } => {
                 write!(
                     f,
-                    "node {node} carries label {label} outside the active set"
+                    "node v{node} carries label {label} outside the active set"
                 )
             }
             SolutionError::ForbiddenConfiguration { node, .. } => {
                 write!(
                     f,
-                    "node {node} and its children form a forbidden configuration"
+                    "node v{node} and its children form a forbidden configuration"
                 )
             }
         }
@@ -206,7 +209,6 @@ impl std::error::Error for SolutionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_trees::generators;
 
     fn two_coloring() -> LclProblem {
         "1:22\n2:11\n".parse().unwrap()
@@ -217,11 +219,11 @@ mod tests {
         let p = two_coloring();
         let one = p.label_by_name("1").unwrap();
         let two = p.label_by_name("2").unwrap();
-        let tree = generators::balanced(2, 3);
+        let tree = FlatTree::balanced(2, 3);
         let depths = tree.depths();
         let mut labeling = Labeling::for_tree(&tree);
-        for v in tree.nodes() {
-            let label = if depths[v.index()].is_multiple_of(2) {
+        for v in 0..tree.len() as u32 {
+            let label = if depths[v as usize].is_multiple_of(2) {
                 one
             } else {
                 two
@@ -235,19 +237,36 @@ mod tests {
     #[test]
     fn missing_label_is_reported() {
         let p = two_coloring();
-        let tree = generators::balanced(2, 1);
+        let tree = FlatTree::balanced(2, 1);
         let labeling = Labeling::for_tree(&tree);
         let err = labeling.verify(&tree, &p).unwrap_err();
-        assert!(matches!(err, SolutionError::Unlabeled { .. }));
+        assert_eq!(err, SolutionError::Unlabeled { node: 0 });
+        assert_eq!(err.to_string(), "node v0 has no label");
+    }
+
+    #[test]
+    fn unlabeled_node_is_reported_by_its_flat_id() {
+        let p = two_coloring();
+        let one = p.label_by_name("1").unwrap();
+        let tree = FlatTree::balanced(2, 2);
+        let mut labeling = Labeling::for_tree(&tree);
+        for v in 0..tree.len() as u32 {
+            labeling.set(v, one);
+        }
+        labeling.clear(3);
+        assert!(!labeling.is_set(3));
+        let err = labeling.verify(&tree, &p).unwrap_err();
+        assert_eq!(err, SolutionError::Unlabeled { node: 3 });
+        assert_eq!(err.to_string(), "node v3 has no label");
     }
 
     #[test]
     fn forbidden_configuration_is_reported() {
         let p = two_coloring();
         let one = p.label_by_name("1").unwrap();
-        let tree = generators::balanced(2, 1);
+        let tree = FlatTree::balanced(2, 1);
         let mut labeling = Labeling::for_tree(&tree);
-        for v in tree.nodes() {
+        for v in 0..tree.len() as u32 {
             labeling.set(v, one);
         }
         let err = labeling.verify(&tree, &p).unwrap_err();
@@ -261,7 +280,7 @@ mod tests {
         let p: LclProblem = "1 : 1 1\nlabels: z\n".parse().unwrap();
         let one = p.label_by_name("1").unwrap();
         let z = p.label_by_name("z").unwrap();
-        let tree = generators::balanced(2, 1);
+        let tree = FlatTree::balanced(2, 1);
         let mut labeling = Labeling::for_tree(&tree);
         labeling.set(tree.root(), one);
         for &c in tree.children(tree.root()) {
@@ -271,7 +290,7 @@ mod tests {
         assert!(labeling.verify(&tree, &p).is_err());
         // ...but labeling the root's children 1 and hanging z on nothing is fine:
         let mut ok = Labeling::for_tree(&tree);
-        for v in tree.nodes() {
+        for v in 0..tree.len() as u32 {
             ok.set(v, one);
         }
         ok.verify(&tree, &p).unwrap();
@@ -280,9 +299,9 @@ mod tests {
     #[test]
     fn inactive_label_is_reported() {
         let p = two_coloring();
-        let tree = generators::balanced(2, 1);
+        let tree = FlatTree::balanced(2, 1);
         let mut labeling = Labeling::for_tree(&tree);
-        for v in tree.nodes() {
+        for v in 0..tree.len() as u32 {
             labeling.set(v, Label(99));
         }
         let err = labeling.verify(&tree, &p).unwrap_err();
@@ -292,7 +311,7 @@ mod tests {
     #[test]
     fn wrong_size_is_reported() {
         let p = two_coloring();
-        let tree = generators::balanced(2, 2);
+        let tree = FlatTree::balanced(2, 2);
         let labeling = Labeling::new(3);
         let err = labeling.verify(&tree, &p).unwrap_err();
         assert!(matches!(err, SolutionError::WrongSize { .. }));
@@ -304,10 +323,9 @@ mod tests {
         // only constrains nodes with exactly δ children).
         let p = two_coloring();
         let one = p.label_by_name("1").unwrap();
-        let mut tree = RootedTree::singleton();
-        tree.add_child(tree.root());
+        let tree = FlatTree::balanced(1, 1);
         let mut labeling = Labeling::for_tree(&tree);
-        for v in tree.nodes() {
+        for v in 0..tree.len() as u32 {
             labeling.set(v, one);
         }
         labeling.verify(&tree, &p).unwrap();
@@ -315,7 +333,7 @@ mod tests {
 
     #[test]
     fn iter_and_counts() {
-        let tree = generators::balanced(2, 1);
+        let tree = FlatTree::balanced(2, 1);
         let mut labeling = Labeling::for_tree(&tree);
         assert_eq!(labeling.assigned_count(), 0);
         labeling.set(tree.root(), Label(0));

@@ -82,6 +82,7 @@ pub mod classifier;
 pub mod configuration;
 pub mod constant;
 pub mod engine;
+#[cfg(any(test, feature = "reference"))]
 pub mod greedy;
 pub mod label;
 pub mod label_set;

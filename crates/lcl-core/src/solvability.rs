@@ -47,7 +47,7 @@ mod tests {
     use crate::greedy;
     use crate::label::Label;
     use crate::labeling::Labeling;
-    use lcl_trees::generators;
+    use lcl_trees::{generators, FlatTree};
 
     #[test]
     fn coloring_problems_are_solvable() {
@@ -89,7 +89,7 @@ mod tests {
         // configuration a : b b, nodes at depth 1 can never be labeled correctly.
         let p: LclProblem = "a : b b\n".parse().unwrap();
         assert!(!is_solvable(&p));
-        let tree = generators::balanced(2, 2);
+        let tree = FlatTree::balanced(2, 2);
         let labels: Vec<Label> = p.labels().iter().collect();
         let n = tree.len();
         let total = labels.len().pow(n as u32);
@@ -97,7 +97,7 @@ mod tests {
         for code in 0..total {
             let mut c = code;
             let mut labeling = Labeling::for_tree(&tree);
-            for v in tree.nodes() {
+            for v in 0..n as u32 {
                 labeling.set(v, labels[c % labels.len()]);
                 c /= labels.len();
             }
@@ -117,7 +117,7 @@ mod tests {
         let p: LclProblem = "a : a a\na : b c\nb : c c\n".parse().unwrap();
         let tree = generators::random_full(2, 101, 3);
         let labeling = greedy::solve(&p, &tree).expect("solvable problem");
-        labeling.verify(&tree, &p).unwrap();
+        labeling.verify(&FlatTree::from_tree(&tree), &p).unwrap();
     }
 
     #[test]

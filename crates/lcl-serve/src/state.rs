@@ -25,7 +25,7 @@ use lcl_problems::catalog;
 use lcl_rand::SplitMix64;
 use lcl_sim::IdAssignment;
 use lcl_trees::{DynamicTree, EditScriptGen, FlatTree};
-use lcl_verify::{EditError, EditSession, LabelingValidator};
+use lcl_verify::{solve_checked, CheckedSolve, EditError, EditSession, SolveCheckError};
 
 /// Everything the daemon's behavior is parameterized on. The defaults are
 /// production-shaped; tests tighten them to provoke the failure paths.
@@ -414,24 +414,20 @@ impl ServeState {
                 ("solvable".into(), Json::Bool(false)),
             ]));
         }
-        let tree = FlatTree::random_full(problem.delta(), nodes, seed);
-        let idx = tree.level_index();
-        let ids = IdAssignment::random_permutation_len(tree.len(), seed);
-        let mut scratch = lcl_algorithms::SolveScratch::new();
-        let outcome =
-            match lcl_algorithms::solve_flat(&problem, &report, &tree, &idx, &ids, &mut scratch) {
-                Ok(o) => o,
-                Err(e) => {
+        let CheckedSolve { tree, outcome, .. } =
+            match solve_checked(&problem, &report, nodes, seed, false) {
+                Ok(solved) => solved,
+                Err(SolveCheckError::Solve(e)) => {
                     return Response::error(500, "internal", format!("solver error: {e}"));
                 }
+                Err(SolveCheckError::Invalid(e)) => {
+                    return Response::error(
+                        500,
+                        "internal",
+                        format!("solver produced an invalid labeling: {e}"),
+                    );
+                }
             };
-        if let Err(e) = LabelingValidator::new(&problem).validate_parallel(&tree, &outcome.labels) {
-            return Response::error(
-                500,
-                "internal",
-                format!("solver produced an invalid labeling: {e}"),
-            );
-        }
         let mut obj = vec![
             ("problem".into(), Json::str(problem.to_text())),
             (

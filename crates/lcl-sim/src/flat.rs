@@ -6,7 +6,7 @@
 //! program on the hot path is Cole–Vishkin chain colour reduction, whose data
 //! flow is trivially regular — each node reads its parent's previous colour —
 //! so this module executes it directly over double-buffered `u64` arrays on a
-//! [`FlatTree`]: no per-node state structs, no message slots, no arena.
+//! [`FlatTree`]: no per-node state structs and no message slots.
 //!
 //! [`chain_color_reduction_flat`] reproduces the simulator run *exactly*: the
 //! same colours and the same [`Metrics`] (rounds, message count, bit totals)
@@ -141,11 +141,9 @@ mod tests {
     use super::*;
     use crate::Simulator;
 
-    /// The arena run on the same tree and identifiers.
-    fn arena_run(flat: &FlatTree, ids: &IdAssignment) -> (Vec<u8>, Metrics) {
-        let arena = flat.to_rooted();
-        let sim = Simulator::new(&arena, ids.clone());
-        sim.run(&ChainColorReduction)
+    /// The message-passing run on the same tree and identifiers.
+    fn simulator_run(flat: &FlatTree, ids: &IdAssignment) -> (Vec<u8>, Metrics) {
+        Simulator::new(flat, ids.clone()).run(&ChainColorReduction)
     }
 
     #[test]
@@ -158,7 +156,7 @@ mod tests {
             (FlatTree::hairy_path(2, 120), 4),
         ] {
             let ids = IdAssignment::random_permutation_len(flat.len(), seed);
-            let (expected_colors, expected_metrics) = arena_run(&flat, &ids);
+            let (expected_colors, expected_metrics) = simulator_run(&flat, &ids);
             for workers in [1, 4] {
                 let metrics = chain_color_reduction_flat(&flat, &ids, workers, &mut scratch);
                 assert_eq!(scratch.colors(), expected_colors.as_slice());
@@ -187,7 +185,7 @@ mod tests {
         let flat = FlatTree::balanced(2, 0);
         let ids = IdAssignment::sequential_len(1);
         let mut scratch = CvScratch::new();
-        let (expected_colors, expected_metrics) = arena_run(&flat, &ids);
+        let (expected_colors, expected_metrics) = simulator_run(&flat, &ids);
         let metrics = chain_color_reduction_flat(&flat, &ids, 1, &mut scratch);
         assert_eq!(scratch.colors(), expected_colors.as_slice());
         assert_eq!(metrics, expected_metrics);

@@ -1,9 +1,9 @@
 //! Identifier assignments (Section 4.2: identifiers from `{1, …, poly(n)}`).
 
 use lcl_rand::SplitMix64;
-use lcl_trees::RootedTree;
 
-/// An assignment of unique identifiers to the nodes of a tree.
+/// An assignment of unique identifiers to the nodes of a tree, indexed by
+/// node id. Every assignment depends on the node count alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
@@ -12,12 +12,6 @@ pub struct IdAssignment {
 impl IdAssignment {
     /// Sequential identifiers `1, 2, …, n` in node-id order — the "adversarially
     /// boring" assignment.
-    pub fn sequential(tree: &RootedTree) -> Self {
-        Self::sequential_len(tree.len())
-    }
-
-    /// [`Self::sequential`] for `n` nodes identified by id alone — the flat-tree
-    /// entry point (identifier assignments only depend on the node count).
     pub fn sequential_len(n: usize) -> Self {
         IdAssignment {
             ids: (1..=n as u64).collect(),
@@ -25,13 +19,6 @@ impl IdAssignment {
     }
 
     /// A uniformly random permutation of `1, …, n` (seeded).
-    pub fn random_permutation(tree: &RootedTree, seed: u64) -> Self {
-        Self::random_permutation_len(tree.len(), seed)
-    }
-
-    /// [`Self::random_permutation`] for `n` nodes identified by id alone;
-    /// produces the identifiers of the arena constructor bit-for-bit for equal
-    /// `(n, seed)`.
     pub fn random_permutation_len(n: usize, seed: u64) -> Self {
         let mut ids: Vec<u64> = (1..=n as u64).collect();
         SplitMix64::seed_from_u64(seed).shuffle(&mut ids);
@@ -40,13 +27,12 @@ impl IdAssignment {
 
     /// Random distinct identifiers from `{1, …, n³}` (seeded), matching the
     /// identifier-space assumption used in the randomized lower bound of Lemma 6.7.
-    pub fn random_sparse(tree: &RootedTree, seed: u64) -> Self {
-        let n = tree.len() as u64;
-        let space = n.saturating_mul(n).saturating_mul(n).max(n);
+    pub fn random_sparse_len(n: usize, seed: u64) -> Self {
+        let cube = (n as u64).saturating_pow(3).max(n as u64);
         let mut rng = SplitMix64::seed_from_u64(seed);
         let mut chosen = std::collections::BTreeSet::new();
-        while chosen.len() < tree.len() {
-            chosen.insert(rng.gen_range_u64(1, space));
+        while chosen.len() < n {
+            chosen.insert(rng.gen_range_u64(1, cube));
         }
         IdAssignment {
             ids: chosen.into_iter().collect(),
@@ -64,11 +50,6 @@ impl IdAssignment {
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "identifiers must be distinct");
         IdAssignment { ids }
-    }
-
-    /// The identifier of a node.
-    pub fn id_of(&self, node: lcl_trees::NodeId) -> u64 {
-        self.ids[node.index()]
     }
 
     /// The identifiers as a flat slice indexed by node id.
@@ -132,39 +113,35 @@ impl IdAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_trees::generators;
 
     #[test]
     fn sequential_ids() {
-        let tree = generators::balanced(2, 2);
-        let ids = IdAssignment::sequential(&tree);
-        assert_eq!(ids.id_of(tree.root()), 1);
+        let ids = IdAssignment::sequential_len(7);
+        assert_eq!(ids.as_slice()[0], 1);
         assert_eq!(ids.len(), 7);
         assert_eq!(ids.id_bits(), 3);
     }
 
     #[test]
     fn random_permutation_is_a_permutation() {
-        let tree = generators::balanced(2, 3);
-        let ids = IdAssignment::random_permutation(&tree, 7);
-        let mut values: Vec<u64> = tree.nodes().map(|v| ids.id_of(v)).collect();
+        let ids = IdAssignment::random_permutation_len(15, 7);
+        let mut values = ids.as_slice().to_vec();
         values.sort_unstable();
         assert_eq!(values, (1..=15).collect::<Vec<u64>>());
         // Different seeds give different permutations (with overwhelming probability).
-        let other = IdAssignment::random_permutation(&tree, 8);
+        let other = IdAssignment::random_permutation_len(15, 8);
         assert_ne!(ids, other);
     }
 
     #[test]
     fn random_sparse_ids_are_distinct_and_bounded() {
-        let tree = generators::balanced(2, 3);
-        let ids = IdAssignment::random_sparse(&tree, 3);
-        let mut values: Vec<u64> = tree.nodes().map(|v| ids.id_of(v)).collect();
-        let n = tree.len() as u64;
+        let ids = IdAssignment::random_sparse_len(15, 3);
+        let mut values = ids.as_slice().to_vec();
+        let n = 15u64;
         assert!(values.iter().all(|&v| v >= 1 && v <= n * n * n));
         values.sort_unstable();
         values.dedup();
-        assert_eq!(values.len(), tree.len());
+        assert_eq!(values.len(), 15);
     }
 
     #[test]

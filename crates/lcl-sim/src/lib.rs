@@ -13,12 +13,12 @@
 //!
 //! ```
 //! use lcl_sim::{programs, Simulator, IdAssignment};
-//! use lcl_trees::generators;
+//! use lcl_trees::FlatTree;
 //!
-//! let tree = generators::balanced(2, 4);
-//! let sim = Simulator::new(&tree, IdAssignment::sequential(&tree));
+//! let tree = FlatTree::balanced(2, 4);
+//! let sim = Simulator::new(&tree, IdAssignment::sequential_len(tree.len()));
 //! let (depths, metrics) = sim.run(&programs::DepthComputation);
-//! assert_eq!(depths[tree.root().index()], 0);
+//! assert_eq!(depths[tree.root() as usize], 0);
 //! assert_eq!(metrics.rounds, 5); // the root's value reaches depth 4 in 5 rounds
 //! ```
 

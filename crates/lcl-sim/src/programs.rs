@@ -181,30 +181,27 @@ impl NodeProgram for ChainColorReduction {
 mod tests {
     use super::*;
     use crate::{IdAssignment, Simulator};
-    use lcl_trees::generators;
+    use lcl_trees::FlatTree;
 
     #[test]
     fn depth_computation_matches_tree_depths() {
-        let tree = generators::random_full(2, 101, 5);
-        let sim = Simulator::new(&tree, IdAssignment::sequential(&tree));
+        let tree = FlatTree::random_full(2, 101, 5);
+        let sim = Simulator::new(&tree, IdAssignment::sequential_len(tree.len()));
         let (outputs, metrics) = sim.run(&DepthComputation);
-        let expected = tree.depths();
-        for v in tree.nodes() {
-            assert_eq!(outputs[v.index()], expected[v.index()]);
-        }
+        let expected: Vec<usize> = tree.depths().iter().map(|&d| d as usize).collect();
+        assert_eq!(outputs, expected);
         assert_eq!(metrics.rounds, tree.height() + 1);
     }
 
     #[test]
     fn subtree_size_matches_reference() {
-        let tree = generators::random_full(3, 101, 9);
-        let sim = Simulator::new(&tree, IdAssignment::sequential(&tree));
+        let tree = FlatTree::random_full(3, 101, 9);
+        let sim = Simulator::new(&tree, IdAssignment::sequential_len(tree.len()));
         let (outputs, _) = sim.run(&SubtreeSize);
-        let expected = tree.subtree_sizes();
-        for v in tree.nodes() {
-            assert_eq!(outputs[v.index()], expected[v.index()]);
-        }
-        assert_eq!(outputs[tree.root().index()], tree.len());
+        let idx = tree.level_index();
+        let expected: Vec<usize> = idx.subtree_sizes().iter().map(|&s| s as usize).collect();
+        assert_eq!(outputs, expected);
+        assert_eq!(outputs[tree.root() as usize], tree.len());
     }
 
     #[test]
@@ -233,13 +230,13 @@ mod tests {
     #[test]
     fn chain_coloring_is_proper_on_parent_edges() {
         for seed in 0..3 {
-            let tree = generators::random_full(2, 501, seed);
-            let sim = Simulator::new(&tree, IdAssignment::random_permutation(&tree, seed));
-            let (colors, metrics) = sim.run(&ChainColorReduction);
-            for v in tree.nodes() {
-                assert!(colors[v.index()] < 6);
+            let tree = FlatTree::random_full(2, 501, seed);
+            let ids = IdAssignment::random_permutation_len(tree.len(), seed);
+            let (colors, metrics) = Simulator::new(&tree, ids).run(&ChainColorReduction);
+            for v in 0..tree.len() as u32 {
+                assert!(colors[v as usize] < 6);
                 if let Some(p) = tree.parent(v) {
-                    assert_ne!(colors[v.index()], colors[p.index()], "edge {v}");
+                    assert_ne!(colors[v as usize], colors[p as usize], "edge {v}");
                 }
             }
             // O(log* n) behaviour: a handful of rounds, far below the tree height.
@@ -250,20 +247,18 @@ mod tests {
 
     #[test]
     fn chain_coloring_on_paths_and_hairy_paths() {
-        let path = generators::path(300);
-        let sim = Simulator::new(&path, IdAssignment::random_permutation(&path, 3));
-        let (colors, _) = sim.run(&ChainColorReduction);
-        for v in path.nodes() {
-            if let Some(p) = path.parent(v) {
-                assert_ne!(colors[v.index()], colors[p.index()]);
-            }
-        }
-        let hairy = generators::hairy_path(3, 100);
-        let sim = Simulator::new(&hairy, IdAssignment::sequential(&hairy));
-        let (colors, _) = sim.run(&ChainColorReduction);
-        for v in hairy.nodes() {
-            if let Some(p) = hairy.parent(v) {
-                assert_ne!(colors[v.index()], colors[p.index()]);
+        // A 300-node directed path is the complete 1-ary tree of depth 299.
+        let path = FlatTree::balanced(1, 299);
+        let hairy = FlatTree::hairy_path(3, 100);
+        for (tree, ids) in [
+            (&path, IdAssignment::random_permutation_len(path.len(), 3)),
+            (&hairy, IdAssignment::sequential_len(hairy.len())),
+        ] {
+            let (colors, _) = Simulator::new(tree, ids).run(&ChainColorReduction);
+            for v in 0..tree.len() as u32 {
+                if let Some(p) = tree.parent(v) {
+                    assert_ne!(colors[v as usize], colors[p as usize]);
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The synchronous scheduler.
 
-use lcl_trees::{NodeId, RootedTree};
+use lcl_trees::FlatTree;
 
 use crate::ids::IdAssignment;
 use crate::metrics::Metrics;
@@ -9,7 +9,7 @@ use crate::program::NodeProgram;
 
 /// A simulator bound to one tree and one identifier assignment.
 pub struct Simulator<'a> {
-    tree: &'a RootedTree,
+    tree: &'a FlatTree,
     ids: IdAssignment,
     max_rounds: usize,
     /// The global maximum degree δ, computed once at construction so per-node
@@ -23,10 +23,9 @@ impl<'a> Simulator<'a> {
     /// # Panics
     ///
     /// Panics if the identifier assignment does not cover exactly the tree's nodes.
-    pub fn new(tree: &'a RootedTree, ids: IdAssignment) -> Self {
+    pub fn new(tree: &'a FlatTree, ids: IdAssignment) -> Self {
         assert_eq!(ids.len(), tree.len(), "one identifier per node is required");
-        let delta = tree
-            .nodes()
+        let delta = (0..tree.len() as u32)
             .map(|u| tree.num_children(u))
             .max()
             .unwrap_or(0);
@@ -50,9 +49,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// The initial knowledge of a node.
-    pub fn node_info(&self, v: NodeId) -> NodeInfo {
+    pub fn node_info(&self, v: u32) -> NodeInfo {
         NodeInfo {
-            id: self.ids.id_of(v),
+            id: self.ids.as_slice()[v as usize],
             n: self.tree.len(),
             num_children: self.tree.num_children(v),
             has_parent: self.tree.parent(v).is_some(),
@@ -75,7 +74,8 @@ impl<'a> Simulator<'a> {
     /// algorithms in this repository.
     pub fn run<P: NodeProgram>(&self, program: &P) -> (Vec<P::Output>, Metrics) {
         let n = self.tree.len();
-        let infos: Vec<NodeInfo> = self.tree.nodes().map(|v| self.node_info(v)).collect();
+        let nodes = 0..n as u32;
+        let infos: Vec<NodeInfo> = nodes.clone().map(|v| self.node_info(v)).collect();
         let mut states: Vec<P::State> = infos.iter().map(|i| program.init(i)).collect();
         let mut outputs: Vec<Option<P::Output>> = vec![None; n];
         let mut metrics = Metrics::default();
@@ -87,16 +87,14 @@ impl<'a> Simulator<'a> {
         let mut child_off: Vec<usize> = Vec::with_capacity(n + 1);
         child_off.push(0);
         let mut total_edges = 0usize;
-        for v in self.tree.nodes() {
+        for v in nodes.clone() {
             total_edges += self.tree.num_children(v);
             child_off.push(total_edges);
         }
         let mut port_of: Vec<usize> = vec![0; n];
-        let mut max_children = 0usize;
-        for v in self.tree.nodes() {
-            max_children = max_children.max(self.tree.num_children(v));
+        for v in nodes.clone() {
             for (port, &c) in self.tree.children(v).iter().enumerate() {
-                port_of[c.index()] = port;
+                port_of[c as usize] = port;
             }
         }
 
@@ -106,7 +104,7 @@ impl<'a> Simulator<'a> {
         let mut next_from_parent: Vec<Option<P::Message>> = vec![None; n];
         let mut from_children: Vec<Option<P::Message>> = vec![None; total_edges];
         let mut next_from_children: Vec<Option<P::Message>> = vec![None; total_edges];
-        let mut to_children: Vec<Option<P::Message>> = vec![None; max_children];
+        let mut to_children: Vec<Option<P::Message>> = vec![None; self.delta];
 
         let mut round = 0usize;
         while pending > 0 {
@@ -116,8 +114,8 @@ impl<'a> Simulator<'a> {
                 "node program did not terminate within {} rounds",
                 self.max_rounds
             );
-            for v in self.tree.nodes() {
-                let idx = v.index();
+            for v in nodes.clone() {
+                let idx = v as usize;
                 let slots = &mut to_children[..infos[idx].num_children];
                 let action = program.round(
                     round,
@@ -135,13 +133,13 @@ impl<'a> Simulator<'a> {
                 }
                 if let (Some(msg), Some(parent)) = (action.to_parent, self.tree.parent(v)) {
                     metrics.record_message(program.message_bits(&msg));
-                    next_from_children[child_off[parent.index()] + port_of[idx]] = Some(msg);
+                    next_from_children[child_off[parent as usize] + port_of[idx]] = Some(msg);
                 }
                 for (port, slot) in slots.iter_mut().enumerate() {
                     if let Some(msg) = slot.take() {
                         metrics.record_message(program.message_bits(&msg));
                         let child = self.tree.children(v)[port];
-                        next_from_parent[child.index()] = Some(msg);
+                        next_from_parent[child as usize] = Some(msg);
                     }
                 }
             }
@@ -167,7 +165,6 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use crate::program::RoundAction;
-    use lcl_trees::generators;
 
     /// Every node outputs its own identifier immediately; zero communication.
     struct OutputOwnId;
@@ -219,27 +216,24 @@ mod tests {
 
     #[test]
     fn zero_round_program_takes_one_round() {
-        let tree = generators::balanced(2, 3);
-        let sim = Simulator::new(&tree, IdAssignment::sequential(&tree));
+        let tree = FlatTree::balanced(2, 3);
+        let sim = Simulator::new(&tree, IdAssignment::sequential_len(tree.len()));
         let (outputs, metrics) = sim.run(&OutputOwnId);
         assert_eq!(metrics.rounds, 1);
         assert_eq!(metrics.messages, 0);
-        assert_eq!(outputs[tree.root().index()], 1);
+        assert_eq!(outputs[tree.root() as usize], 1);
     }
 
     #[test]
     fn parent_id_propagates_in_two_rounds() {
-        let tree = generators::balanced(2, 3);
-        let ids = IdAssignment::sequential(&tree);
+        let tree = FlatTree::balanced(2, 3);
+        let ids = IdAssignment::sequential_len(tree.len());
         let sim = Simulator::new(&tree, ids.clone());
         let (outputs, metrics) = sim.run(&LearnParentId);
         assert_eq!(metrics.rounds, 2);
-        for v in tree.nodes() {
-            let expected = match tree.parent(v) {
-                Some(p) => ids.id_of(p),
-                None => ids.id_of(v),
-            };
-            assert_eq!(outputs[v.index()], expected);
+        for v in 0..tree.len() as u32 {
+            let expected = ids.as_slice()[tree.parent(v).unwrap_or(v) as usize];
+            assert_eq!(outputs[v as usize], expected);
         }
         assert!(metrics.messages > 0);
         assert!(metrics.is_congest_compliant(tree.len(), 32));
@@ -266,8 +260,9 @@ mod tests {
                 RoundAction::idle()
             }
         }
-        let tree = generators::balanced(2, 1);
-        let sim = Simulator::new(&tree, IdAssignment::sequential(&tree)).with_max_rounds(10);
+        let tree = FlatTree::balanced(2, 1);
+        let sim =
+            Simulator::new(&tree, IdAssignment::sequential_len(tree.len())).with_max_rounds(10);
         let _ = sim.run(&Never);
     }
 }

@@ -4,7 +4,7 @@
 //! radius-t views must produce the same output under any deterministic t-round
 //! algorithm that only uses the structure visible in the view.
 
-use lcl_trees::{NodeId, RootedTree};
+use lcl_trees::FlatTree;
 
 /// The radius-`t` ball around a node, with enough structure to compare views for
 /// isomorphism in the port-numbering model: for every node in the ball we record
@@ -15,21 +15,16 @@ pub struct View {
     pub encoding: Vec<u64>,
 }
 
-/// Collects all nodes within distance `t` of `v`.
-pub fn ball(tree: &RootedTree, v: NodeId, t: usize) -> Vec<NodeId> {
-    tree.nodes().filter(|&u| tree.distance(u, v) <= t).collect()
-}
-
 /// Computes a canonical, identifier-free encoding of the radius-`t` view of `v` in
 /// the port-numbering model. Two nodes receive equal encodings iff their views are
 /// isomorphic (including the positions of "external" edges leaving the ball and the
 /// distinction between parent and child ports).
-pub fn radius_t_view(tree: &RootedTree, v: NodeId, t: usize) -> View {
+pub fn radius_t_view(tree: &FlatTree, v: u32, t: usize) -> View {
     // Encode recursively: the view from a node is determined by (a) whether it has
     // a parent, (b) for each child in port order, the child's sub-view one radius
     // smaller, and (c) the view of the parent one radius smaller excluding the
     // subtree we came from. We encode with a simple bracket language over u64.
-    fn encode_down(tree: &RootedTree, u: NodeId, radius: usize, out: &mut Vec<u64>) {
+    fn encode_down(tree: &FlatTree, u: u32, radius: usize, out: &mut Vec<u64>) {
         out.push(1); // open "down"
         out.push(tree.num_children(u) as u64);
         if radius > 0 {
@@ -39,14 +34,16 @@ pub fn radius_t_view(tree: &RootedTree, v: NodeId, t: usize) -> View {
         }
         out.push(2); // close
     }
-    fn encode_up(tree: &RootedTree, u: NodeId, from: NodeId, radius: usize, out: &mut Vec<u64>) {
+    fn encode_up(tree: &FlatTree, u: u32, from: u32, radius: usize, out: &mut Vec<u64>) {
         out.push(3); // open "up"
         match tree.parent(u) {
             None => out.push(0),
             Some(_) => out.push(1),
         }
         out.push(tree.num_children(u) as u64);
-        out.push(tree.port_at_parent(from).map(|p| p as u64 + 1).unwrap_or(0));
+        // The port (1-based) of `from`, the child of `u` we came from.
+        let port = tree.children(u).iter().position(|&c| c == from);
+        out.push(port.expect("`from` is a child of `u`") as u64 + 1);
         if radius > 0 {
             for &c in tree.children(u) {
                 if c != from {
@@ -73,9 +70,9 @@ pub fn radius_t_view(tree: &RootedTree, v: NodeId, t: usize) -> View {
 
 /// Groups all nodes of the tree by their radius-`t` view. Nodes in the same group
 /// are indistinguishable to any `t`-round port-numbering algorithm.
-pub fn view_classes(tree: &RootedTree, t: usize) -> Vec<Vec<NodeId>> {
-    let mut map: std::collections::BTreeMap<View, Vec<NodeId>> = std::collections::BTreeMap::new();
-    for v in tree.nodes() {
+pub fn view_classes(tree: &FlatTree, t: usize) -> Vec<Vec<u32>> {
+    let mut map: std::collections::BTreeMap<View, Vec<u32>> = std::collections::BTreeMap::new();
+    for v in 0..tree.len() as u32 {
         map.entry(radius_t_view(tree, v, t)).or_default().push(v);
     }
     map.into_values().collect()
@@ -84,19 +81,10 @@ pub fn view_classes(tree: &RootedTree, t: usize) -> Vec<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_trees::generators;
-
-    #[test]
-    fn ball_sizes() {
-        let tree = generators::balanced(2, 3);
-        assert_eq!(ball(&tree, tree.root(), 0).len(), 1);
-        assert_eq!(ball(&tree, tree.root(), 1).len(), 3);
-        assert_eq!(ball(&tree, tree.root(), 3).len(), 15);
-    }
 
     #[test]
     fn radius_zero_views_distinguish_only_degree_and_parent() {
-        let tree = generators::balanced(2, 2);
+        let tree = FlatTree::balanced(2, 2);
         let classes = view_classes(&tree, 0);
         // Root (no parent, 2 children), internal (parent + 2 children), leaf.
         assert_eq!(classes.len(), 3);
@@ -104,13 +92,13 @@ mod tests {
 
     #[test]
     fn deep_interior_nodes_of_balanced_trees_share_views() {
-        let tree = generators::balanced(2, 6);
+        let tree = FlatTree::balanced(2, 6);
         let depths = tree.depths();
         // Depth-3 nodes attached through port 0 all have identical radius-1 views
         // (the view includes the port at the parent, so port-1 children differ).
-        let mid: Vec<_> = tree
-            .nodes()
-            .filter(|&v| depths[v.index()] == 3 && tree.port_at_parent(v) == Some(0))
+        // Children are numbered in port order, so port 0 is the first child.
+        let mid: Vec<u32> = (0..tree.len() as u32)
+            .filter(|&v| depths[v as usize] == 3 && tree.children(tree.parent(v).unwrap())[0] == v)
             .collect();
         let first_view = radius_t_view(&tree, mid[0], 1);
         for &v in &mid[1..] {
@@ -122,7 +110,7 @@ mod tests {
 
     #[test]
     fn views_grow_more_distinguishing_with_radius() {
-        let tree = generators::hairy_path(2, 20);
+        let tree = FlatTree::hairy_path(2, 20);
         let classes_0 = view_classes(&tree, 0).len();
         let classes_2 = view_classes(&tree, 2).len();
         assert!(classes_2 >= classes_0);

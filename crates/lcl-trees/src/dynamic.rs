@@ -35,7 +35,8 @@
 
 use lcl_rand::SplitMix64;
 
-use crate::flat::{FlatTree, LevelIndex};
+use crate::flat::{complete_tree_size, FlatTree, LevelIndex};
+#[cfg(any(test, feature = "reference"))]
 use crate::tree::{NodeId, RootedTree};
 
 /// One structural (or labeling) edit of a [`DynamicTree`]. Produced by
@@ -340,7 +341,7 @@ impl DynamicTree {
         assert!((leaf as usize) < self.len(), "attach leaf out of bounds");
         assert!(self.is_leaf(leaf), "attach target must be a leaf");
         assert!(depth >= 1, "attach depth must be at least 1");
-        let added = crate::generators::complete_tree_size(self.delta, depth) - 1;
+        let added = complete_tree_size(self.delta, depth) - 1;
         let first = self.len() as u32;
         assert!(
             self.len() + added < FlatTree::NO_PARENT as usize,
@@ -355,7 +356,7 @@ impl DynamicTree {
         for r in 1..=depth {
             let level_first = self.len();
             let height = (depth - r) as u32;
-            let size = crate::generators::complete_tree_size(self.delta, depth - r) as u32;
+            let size = complete_tree_size(self.delta, depth - r) as u32;
             for p in frontier_start..frontier_end {
                 for _ in 0..self.delta {
                     let id = self.len() as u32;
@@ -764,9 +765,10 @@ impl DynamicTree {
         self.index_synced = true;
     }
 
-    /// Expands into an arena [`RootedTree`] by BFS renumbering (compaction
+    #[cfg(any(test, feature = "reference"))]
+    /// Expands into an arena `RootedTree` by BFS renumbering (compaction
     /// can leave `parent[v] > v`, so the creation-order expansion of
-    /// [`FlatTree::to_rooted`] does not apply). Test-grade: allocates freely.
+    /// `FlatTree::to_rooted` does not apply). Test-grade: allocates freely.
     pub fn to_rooted(&self) -> RootedTree {
         let n = self.len();
         let mut tree = RootedTree::singleton();

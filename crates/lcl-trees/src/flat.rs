@@ -1,9 +1,8 @@
-//! Compressed-sparse-row (CSR) view of rooted trees, for million-node scale.
+//! Compressed-sparse-row (CSR) rooted trees, for million-node scale.
 //!
-//! [`RootedTree`] stores one `Vec<NodeId>` per node, which is the right shape
-//! for incremental construction and small-tree algorithms but wastes an
-//! allocation (and a pointer chase) per node. A [`FlatTree`] packs the same
-//! structure into three flat arrays:
+//! [`FlatTree`] is the tree type every production path builds and walks: the
+//! generators, the solvers, the validator, repair and the simulator. It packs
+//! a rooted tree into three flat arrays:
 //!
 //! * `parent[v]` — the parent of `v`, or [`FlatTree::NO_PARENT`] for the root;
 //! * `child_start[v] .. child_start[v + 1]` — the range of `children` holding
@@ -12,11 +11,11 @@
 //!
 //! This is the representation the parallel labeling validator in `lcl-verify`
 //! shards over: contiguous, `Sync`, and O(1) to slice at any node range. A
-//! `FlatTree` is immutable; build it either [from a `RootedTree`](FlatTree::from_tree)
-//! or directly with the streaming generators ([`FlatTree::random_full`],
-//! [`FlatTree::balanced`], [`FlatTree::hairy_path`]), which construct
-//! million-node δ-ary trees from a parent array without ever touching a
-//! per-node `Vec`.
+//! `FlatTree` is immutable; the streaming generators ([`FlatTree::random_full`],
+//! [`FlatTree::balanced`], [`FlatTree::hairy_path`]) and the lower-bound
+//! constructions of [`crate::lower_bound`] build it from a parent array
+//! without ever touching a per-node `Vec`. Node ids follow creation order, so
+//! the children of a node are numbered consecutively and in port order.
 //!
 //! # The level index
 //!
@@ -26,7 +25,7 @@
 //! one reverse scan):
 //!
 //! * `order` — the nodes in BFS order ([`LevelIndex::bfs_order`]), identical
-//!   to [`RootedTree::bfs_order`]. Positions into `order` are called *BFS
+//!   to a queue-based breadth-first walk from the root. Positions into `order` are called *BFS
 //!   positions*; the nodes of depth `d` occupy the contiguous slice
 //!   `order[level_start[d] .. level_start[d + 1]]` ([`LevelIndex::level`]).
 //! * `parent_pos[i]` — the BFS position of the parent of the node at BFS
@@ -44,7 +43,32 @@
 
 use lcl_rand::SplitMix64;
 
+#[cfg(any(test, feature = "reference"))]
 use crate::tree::{NodeId, RootedTree};
+
+/// Number of nodes of the complete δ-ary tree of the given depth.
+pub fn complete_tree_size(delta: usize, depth: usize) -> usize {
+    if delta == 1 {
+        return depth + 1;
+    }
+    let mut size = 0usize;
+    let mut level = 1usize;
+    for _ in 0..=depth {
+        size += level;
+        level *= delta;
+    }
+    size
+}
+
+/// The smallest depth whose complete δ-ary tree has at least `min_nodes` nodes.
+pub fn minimal_complete_depth(delta: usize, min_nodes: usize) -> usize {
+    assert!(delta >= 1);
+    let mut depth = 0usize;
+    while complete_tree_size(delta, depth) < min_nodes {
+        depth += 1;
+    }
+    depth
+}
 
 /// A rooted tree in compressed-sparse-row form. See the module documentation.
 ///
@@ -76,7 +100,9 @@ impl FlatTree {
     /// Sentinel stored in the parent array for the root node.
     pub const NO_PARENT: u32 = u32::MAX;
 
-    /// Builds the CSR view of `tree`. Children keep their port order.
+    #[cfg(any(test, feature = "reference"))]
+    /// Builds the CSR view of an arena `tree`. Children keep their port
+    /// order.
     pub fn from_tree(tree: &RootedTree) -> Self {
         let n = tree.len();
         let mut parent = Vec::with_capacity(n);
@@ -141,9 +167,9 @@ impl FlatTree {
         }
     }
 
-    /// Streaming counterpart of [`crate::generators::random_full`]: a uniformly
-    /// random full δ-ary tree with at least `min_nodes` nodes, grown by
-    /// expanding a random leaf until the size bound is met. Only the parent
+    /// A uniformly random full δ-ary tree with at least `min_nodes` nodes
+    /// (at most `min_nodes + δ`), grown by expanding a random leaf into δ
+    /// children until the size bound is met. Only the parent
     /// array and a flat leaf list are touched during growth, so million-node
     /// trees build in O(n) time and O(n) words with no per-node allocation.
     pub fn random_full(delta: usize, min_nodes: usize, seed: u64) -> Self {
@@ -163,11 +189,11 @@ impl FlatTree {
         Self::from_parent_array(parent)
     }
 
-    /// Streaming counterpart of [`crate::generators::balanced`]: the complete
-    /// full δ-ary tree of the given depth.
+    /// The complete full δ-ary tree of the given depth: every internal node
+    /// has δ children and every leaf sits at `depth`.
     pub fn balanced(delta: usize, depth: usize) -> Self {
         assert!(delta >= 1, "delta must be at least 1");
-        let total = crate::generators::complete_tree_size(delta, depth);
+        let total = complete_tree_size(delta, depth);
         let mut parent: Vec<u32> = Vec::with_capacity(total);
         parent.push(Self::NO_PARENT);
         let mut level_start = 0usize;
@@ -183,9 +209,9 @@ impl FlatTree {
         Self::from_parent_array(parent)
     }
 
-    /// Streaming counterpart of [`crate::generators::hairy_path`]: a directed
-    /// path of `spine_len` internal nodes, each with δ children — one
-    /// continuing the spine (except the last), the rest leaves.
+    /// A *hairy path* (Definition 4.11): a directed path of `spine_len`
+    /// internal nodes, each with δ children — one continuing the spine
+    /// (except the last), the rest leaves.
     pub fn hairy_path(delta: usize, spine_len: usize) -> Self {
         assert!(delta >= 1 && spine_len >= 1);
         let mut parent: Vec<u32> = Vec::with_capacity(1 + spine_len * delta);
@@ -286,7 +312,8 @@ impl FlatTree {
         self.depths().iter().copied().max().unwrap_or(0) as usize
     }
 
-    /// Expands the CSR view back into an arena [`RootedTree`]. Intended for
+    #[cfg(any(test, feature = "reference"))]
+    /// Expands the CSR view back into an arena `RootedTree`. Intended for
     /// small-tree agreement tests; costs one `Vec` per node again.
     pub fn to_rooted(&self) -> RootedTree {
         assert_eq!(

@@ -1,9 +1,13 @@
-//! Generators for the tree families used throughout the paper: balanced and random
-//! full δ-ary trees (Section 4.1), directed paths (δ = 1), and hairy paths
-//! (Definition 4.11).
+//! Arena generators for the tree families used throughout the paper: balanced
+//! and random full δ-ary trees (Section 4.1), directed paths (δ = 1), hairy
+//! paths (Definition 4.11), and the skewed and path-with-subtrees shapes that
+//! have no streaming counterpart. A test oracle: production code builds its
+//! trees with the [`FlatTree`](crate::FlatTree) generators, which produce the
+//! same trees for equal arguments.
 
 use lcl_rand::SplitMix64;
 
+use crate::flat::minimal_complete_depth;
 use crate::tree::{NodeId, RootedTree, TreeBuilder};
 
 /// Builds the perfectly balanced full δ-ary tree of the given `depth`
@@ -22,30 +26,6 @@ pub fn balanced(delta: usize, depth: usize) -> RootedTree {
 /// nodes ("as balanced as possible", used in the proofs of Lemma 6.4 and 6.7).
 pub fn balanced_with_at_least(delta: usize, min_nodes: usize) -> RootedTree {
     balanced(delta, minimal_complete_depth(delta, min_nodes))
-}
-
-/// The smallest depth whose complete δ-ary tree has at least `min_nodes` nodes.
-pub fn minimal_complete_depth(delta: usize, min_nodes: usize) -> usize {
-    assert!(delta >= 1);
-    let mut depth = 0usize;
-    while complete_tree_size(delta, depth) < min_nodes {
-        depth += 1;
-    }
-    depth
-}
-
-/// Number of nodes of the complete δ-ary tree of the given depth.
-pub fn complete_tree_size(delta: usize, depth: usize) -> usize {
-    if delta == 1 {
-        return depth + 1;
-    }
-    let mut size = 0usize;
-    let mut level = 1usize;
-    for _ in 0..=depth {
-        size += level;
-        level *= delta;
-    }
-    size
 }
 
 /// Builds a directed path with `len` nodes (a full 1-ary tree). The root is the
@@ -170,6 +150,7 @@ pub fn attach_balanced(tree: &mut RootedTree, node: NodeId, delta: usize, depth:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flat::complete_tree_size;
 
     #[test]
     fn balanced_sizes() {

@@ -4,24 +4,26 @@
 //! This crate is purely structural: it knows nothing about LCL problems or labels.
 //! It provides
 //!
-//! * an arena-based rooted tree type ([`RootedTree`], [`NodeId`]),
-//! * a flat compressed-sparse-row view with streaming million-node generators
-//!   and a precomputed level index for level-synchronous passes
+//! * the compressed-sparse-row rooted tree every production path builds, with
+//!   streaming million-node generators (balanced, random full δ-ary, hairy
+//!   paths) and a precomputed level index for level-synchronous passes
 //!   ([`flat`]: [`FlatTree`], [`LevelIndex`]),
-//! * traversal and measurement helpers ([`traversal`]),
-//! * generators for the tree families used throughout the paper
-//!   ([`generators`]: balanced and random full δ-ary trees, hairy paths),
+//! * its mutable layer for subtree attach/detach edits ([`dynamic`]),
 //! * the lower-bound constructions of Section 5.4 ([`lower_bound`]:
 //!   the bipolar trees `T^x_k` and their concatenations `T^x_{i←j}`),
 //! * the rake-and-compress partition `RCP(p)` of Definition 5.8 ([`rcp`]).
 //!
+//! Node ids are dense `u32`s in creation order; the children of a node are
+//! stored in port order. The arena tree, its generators and its traversals
+//! are test oracles behind the `reference` feature.
+//!
 //! # Example
 //!
 //! ```
-//! use lcl_trees::{generators, RootedTree};
+//! use lcl_trees::FlatTree;
 //!
 //! // A full binary tree of depth 3: 15 nodes, 7 internal.
-//! let tree: RootedTree = generators::balanced(2, 3);
+//! let tree = FlatTree::balanced(2, 3);
 //! assert_eq!(tree.len(), 15);
 //! assert!(tree.is_full_dary(2));
 //! assert_eq!(tree.height(), 3);
@@ -32,13 +34,17 @@
 
 pub mod dynamic;
 pub mod flat;
+#[cfg(any(test, feature = "reference"))]
 pub mod generators;
 pub mod lower_bound;
 pub mod rcp;
+#[cfg(any(test, feature = "reference"))]
 pub mod traversal;
+#[cfg(any(test, feature = "reference"))]
 pub mod tree;
 
 pub use dynamic::{DynamicTree, EditScriptGen, JournalOp, TreeEdit};
 pub use flat::{FlatTree, LevelIndex};
 pub use rcp::{rcp_partition_flat, FlatRcp};
+#[cfg(any(test, feature = "reference"))]
 pub use tree::{NodeId, RootedTree, TreeBuilder};

@@ -6,7 +6,7 @@
 //! problem whose pruning sequence has length `k` requires coordination along a full
 //! layer path.
 
-use crate::tree::{NodeId, RootedTree};
+use crate::flat::FlatTree;
 
 /// A *bipolar tree* (Section 5.4): a rooted tree with two distinguished nodes `s`
 /// (the root) and `t`; the unique path from `s` to `t` is the *core path*.
@@ -17,42 +17,45 @@ use crate::tree::{NodeId, RootedTree};
 #[derive(Debug, Clone)]
 pub struct BipolarTree {
     /// The underlying rooted tree (rooted at `s`).
-    pub tree: RootedTree,
+    pub tree: FlatTree,
     /// The source pole, equal to the root of `tree`.
-    pub s: NodeId,
+    pub s: u32,
     /// The sink pole.
-    pub t: NodeId,
+    pub t: u32,
     /// Layer number of each node, indexed by node id.
     pub layer: Vec<usize>,
     /// The middle edge `(t₁, s₂)` for concatenations `T^x_{i←j}`, if any.
-    pub middle_edge: Option<(NodeId, NodeId)>,
+    pub middle_edge: Option<(u32, u32)>,
 }
 
 impl BipolarTree {
     /// The trivial bipolar tree `T^x_0`: a single node in layer 0 with `s = t`.
     pub fn trivial() -> Self {
-        let tree = RootedTree::singleton();
-        let root = tree.root();
         BipolarTree {
-            tree,
-            s: root,
-            t: root,
+            tree: FlatTree::from_parent_array(vec![FlatTree::NO_PARENT]),
+            s: 0,
+            t: 0,
             layer: vec![0],
             middle_edge: None,
         }
     }
 
     /// Returns the core path from `s` to `t` (inclusive).
-    pub fn core_path(&self) -> Vec<NodeId> {
-        crate::traversal::vertical_path(&self.tree, self.s, self.t)
-            .expect("t must be a descendant of s")
+    pub fn core_path(&self) -> Vec<u32> {
+        let mut path = vec![self.t];
+        let mut cur = self.t;
+        while cur != self.s {
+            cur = self.tree.parent(cur).expect("t must be a descendant of s");
+            path.push(cur);
+        }
+        path.reverse();
+        path
     }
 
     /// Returns all nodes in the given layer.
-    pub fn layer_nodes(&self, layer: usize) -> Vec<NodeId> {
-        self.tree
-            .nodes()
-            .filter(|v| self.layer[v.index()] == layer)
+    pub fn layer_nodes(&self, layer: usize) -> Vec<u32> {
+        (0..self.tree.len() as u32)
+            .filter(|&v| self.layer[v as usize] == layer)
             .collect()
     }
 
@@ -62,16 +65,30 @@ impl BipolarTree {
     }
 }
 
-/// Copies the whole of `sub` as a new subtree of `tree`, making `sub`'s root a child
-/// of `under`. Returns the mapping from `sub` node ids to new ids in `tree`.
-pub fn graft(tree: &mut RootedTree, under: NodeId, sub: &RootedTree) -> Vec<NodeId> {
-    let mut map = vec![NodeId(u32::MAX); sub.len()];
-    for v in sub.bfs_order() {
-        let new_parent = match sub.parent(v) {
-            None => under,
-            Some(p) => map[p.index()],
-        };
-        map[v.index()] = tree.add_child(new_parent);
+/// Appends a copy of `sub` to the parent array `parent`, making `sub`'s root a
+/// child of `under`. The copy's nodes get the next ids in `sub`'s BFS order,
+/// so each node's children stay consecutive and in port order. Returns the
+/// mapping from `sub` node ids to the new ids.
+fn graft(parent: &mut Vec<u32>, under: u32, sub: &FlatTree) -> Vec<u32> {
+    let mut map = vec![u32::MAX; sub.len()];
+    for &v in sub.level_index().bfs_order() {
+        map[v as usize] = parent.len() as u32;
+        parent.push(sub.parent(v).map_or(under, |p| map[p as usize]));
+    }
+    map
+}
+
+/// Grafts `sub` under `under` and records the copy's layers.
+fn graft_layers(
+    parent: &mut Vec<u32>,
+    layer: &mut Vec<usize>,
+    under: u32,
+    sub: &BipolarTree,
+) -> Vec<u32> {
+    let map = graft(parent, under, &sub.tree);
+    layer.resize(parent.len(), usize::MAX);
+    for (old, &new) in map.iter().enumerate() {
+        layer[new as usize] = sub.layer[old];
     }
     map
 }
@@ -83,30 +100,20 @@ pub fn graft(tree: &mut RootedTree, under: NodeId, sub: &RootedTree) -> Vec<Node
 pub fn extend(inner: &BipolarTree, delta: usize, x: usize, new_layer: usize) -> BipolarTree {
     assert!(delta >= 1, "delta must be at least 1");
     assert!(x >= 1, "the core path must contain at least one node");
-    let mut tree = RootedTree::singleton();
-    let mut layer = vec![new_layer];
-    let mut path_nodes = vec![tree.root()];
-    for _ in 1..x {
-        let prev = *path_nodes.last().unwrap();
-        let next = tree.add_child(prev);
-        layer.push(new_layer);
-        path_nodes.push(next);
-    }
-    for &v in &path_nodes {
+    // The path takes ids 0..x, each node the parent of the next.
+    let mut parent: Vec<u32> = (0..x as u32)
+        .map(|v| v.checked_sub(1).unwrap_or(FlatTree::NO_PARENT))
+        .collect();
+    let mut layer = vec![new_layer; x];
+    for v in 0..x as u32 {
         for _ in 0..delta.saturating_sub(1) {
-            let map = graft(&mut tree, v, &inner.tree);
-            layer.resize(tree.len(), usize::MAX);
-            for old in inner.tree.nodes() {
-                layer[map[old.index()].index()] = inner.layer[old.index()];
-            }
+            graft_layers(&mut parent, &mut layer, v, inner);
         }
     }
-    let s = path_nodes[0];
-    let t = *path_nodes.last().unwrap();
     BipolarTree {
-        tree,
-        s,
-        t,
+        tree: FlatTree::from_parent_array(parent),
+        s: 0,
+        t: x as u32 - 1,
         layer,
         middle_edge: None,
     }
@@ -133,21 +140,15 @@ pub fn t_x_i_j(delta: usize, x: usize, i: usize, j: usize) -> BipolarTree {
 
 /// Concatenates two bipolar trees by adding the middle edge `{left.t, right.s}`.
 pub fn concatenate(left: &BipolarTree, right: &BipolarTree) -> BipolarTree {
-    let mut tree = left.tree.clone();
+    let mut parent = left.tree.parent_array().to_vec();
     let mut layer = left.layer.clone();
-    let map = graft(&mut tree, left.t, &right.tree);
-    layer.resize(tree.len(), usize::MAX);
-    for old in right.tree.nodes() {
-        layer[map[old.index()].index()] = right.layer[old.index()];
-    }
-    let new_right_root = map[right.s.index()];
-    let new_t = map[right.t.index()];
+    let map = graft_layers(&mut parent, &mut layer, left.t, right);
     BipolarTree {
-        tree,
+        tree: FlatTree::from_parent_array(parent),
         s: left.s,
-        t: new_t,
+        t: map[right.t as usize],
         layer,
-        middle_edge: Some((left.t, new_right_root)),
+        middle_edge: Some((left.t, map[right.s as usize])),
     }
 }
 
@@ -227,9 +228,9 @@ mod tests {
         // (everything else). Degree counts the parent too, except for the root.
         let delta = 3;
         let t = t_x_k(delta, 4, 2);
-        for v in t.tree.nodes() {
+        for v in 0..t.tree.len() as u32 {
             let degree = t.tree.num_children(v) + usize::from(t.tree.parent(v).is_some());
-            if t.layer[v.index()] == 0 {
+            if t.layer[v as usize] == 0 {
                 assert_eq!(degree, 1, "layer-0 node {v}");
             } else {
                 assert!(
@@ -247,9 +248,9 @@ mod tests {
         assert_eq!(t.tree.parent(b), Some(a));
         assert_eq!(t.tree.len(), t_x_k_size(3, 4, 2) + t_x_k_size(3, 4, 1));
         // s and t are the poles of the two halves.
-        assert_eq!(t.s, NodeId(0));
-        assert!(t.layer[t.s.index()] == 2);
-        assert!(t.layer[t.t.index()] == 1);
+        assert_eq!(t.s, 0);
+        assert!(t.layer[t.s as usize] == 2);
+        assert!(t.layer[t.t as usize] == 1);
         t.tree.validate().unwrap();
     }
 
@@ -267,13 +268,57 @@ mod tests {
 
     #[test]
     fn graft_preserves_shape() {
-        let mut base = RootedTree::singleton();
-        let sub = crate::generators::balanced(2, 2);
-        let root = base.root();
-        let map = graft(&mut base, root, &sub);
+        let mut parent = vec![FlatTree::NO_PARENT];
+        let sub = FlatTree::balanced(2, 2);
+        let map = graft(&mut parent, 0, &sub);
+        let base = FlatTree::from_parent_array(parent);
         assert_eq!(base.len(), 1 + sub.len());
-        assert_eq!(base.num_children(root), 1);
-        assert_eq!(base.num_children(map[sub.root().index()]), 2);
+        assert_eq!(base.num_children(0), 1);
+        assert_eq!(base.num_children(map[sub.root() as usize]), 2);
         base.validate().unwrap();
+    }
+
+    #[test]
+    fn constructions_match_the_arena_grafts() {
+        // The arena construction these trees were first built with: path
+        // nodes first, then one BFS-order graft per copy.
+        use crate::tree::{NodeId, RootedTree};
+        fn arena_graft(tree: &mut RootedTree, under: NodeId, sub: &RootedTree) -> Vec<NodeId> {
+            let mut map = vec![NodeId(u32::MAX); sub.len()];
+            for v in sub.bfs_order() {
+                let p = sub.parent(v).map_or(under, |p| map[p.index()]);
+                map[v.index()] = tree.add_child(p);
+            }
+            map
+        }
+        fn arena_t_x_k(delta: usize, x: usize, k: usize) -> RootedTree {
+            let mut current = RootedTree::singleton();
+            for _ in 1..=k {
+                let mut tree = RootedTree::singleton();
+                let mut path = vec![tree.root()];
+                for _ in 1..x {
+                    let next = tree.add_child(*path.last().unwrap());
+                    path.push(next);
+                }
+                for &v in &path {
+                    for _ in 0..delta - 1 {
+                        arena_graft(&mut tree, v, &current);
+                    }
+                }
+                current = tree;
+            }
+            current
+        }
+        for (delta, x, k) in [(2, 3, 2), (3, 5, 2), (3, 4, 3), (2, 8, 1)] {
+            let arena = arena_t_x_k(delta, x, k);
+            assert_eq!(t_x_k(delta, x, k).tree, FlatTree::from_tree(&arena));
+            let mut joined = arena.clone();
+            let right = arena_t_x_k(delta, x, 1);
+            let sink = NodeId(x as u32 - 1);
+            let map = arena_graft(&mut joined, sink, &right);
+            let c = t_x_i_j(delta, x, k, 1);
+            assert_eq!(c.tree, FlatTree::from_tree(&joined));
+            assert_eq!(c.middle_edge, Some((sink.0, map[0].0)));
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! Traversal helpers that are not methods of [`RootedTree`]: level structure,
-//! root-to-leaf paths (Definition 4.10), and vertical paths (sub-paths of
-//! root-to-leaf paths, used heavily in Sections 5–7).
+//! Arena traversal helpers that are not methods of [`RootedTree`]: level
+//! structure, root-to-leaf paths (Definition 4.10), and vertical paths
+//! (sub-paths of root-to-leaf paths, used heavily in Sections 5–7). Test
+//! oracles, like the arena tree itself.
 
 use crate::tree::{NodeId, RootedTree};
 

@@ -1,9 +1,11 @@
-//! Arena-based rooted trees.
+//! Arena-based rooted trees, the reference tree type of the tests.
 //!
 //! A [`RootedTree`] stores nodes in a flat arena indexed by [`NodeId`]. Every node
 //! except the root has exactly one parent; children are kept in insertion order,
 //! which doubles as a deterministic port numbering (the paper's `p(v)` in
-//! Section 7.3 is derived from it).
+//! Section 7.3 is derived from it). Production code builds
+//! [`FlatTree`](crate::FlatTree)s; the arena tree, its per-node `Vec`s and its
+//! naive traversals are the independent oracle the CSR layer is tested against.
 
 use std::fmt;
 

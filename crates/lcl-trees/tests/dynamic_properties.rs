@@ -187,8 +187,7 @@ fn detach_then_attach_same_depth_is_a_shape_identity() {
         .find(|&v| {
             let h = dt.subtree_height(v);
             (1..=4).contains(&h)
-                && dt.subtree_size(v) as usize
-                    == lcl_trees::generators::complete_tree_size(2, h as usize)
+                && dt.subtree_size(v) as usize == lcl_trees::flat::complete_tree_size(2, h as usize)
         })
         .expect("random full trees contain small complete subtrees");
     let depth = dt.subtree_height(v) as usize;

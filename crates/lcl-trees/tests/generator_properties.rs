@@ -8,9 +8,9 @@
 //! reproduce exactly.
 
 use lcl_rand::SplitMix64;
+use lcl_trees::flat::complete_tree_size;
 use lcl_trees::generators::{
-    balanced, balanced_with_at_least, complete_tree_size, hairy_path, path, random_full,
-    random_skewed,
+    balanced, balanced_with_at_least, hairy_path, path, random_full, random_skewed,
 };
 use lcl_trees::FlatTree;
 

@@ -9,12 +9,10 @@
 //!   (random full, balanced, hairy path), and that labeling must pass both
 //!   the CSR [`LabelingValidator`](crate::LabelingValidator) and the
 //!   independent reference checker [`Labeling::verify`](lcl_core::Labeling::verify),
-//!   with identical verdicts; the arena-tree adapter `solve` and a direct
-//!   `solve_flat` on the same instance must report identical round accounting
-//!   (every phase is deterministic given the tree and identifier assignment);
-//! * **unsolvable** verdicts must be *unbeatable* — the centralized greedy
-//!   solver must fail to find any labeling on a deep tree (and if it ever
-//!   returns one that verifies, the classifier is wrong);
+//!   with identical verdicts;
+//! * **unsolvable** verdicts must be *unbeatable* — the greedy O(n) sweep
+//!   [`solve_greedy_flat`] must fail to find any labeling on a deep balanced
+//!   tree (and if it ever returns one that verifies, the classifier is wrong);
 //! * the engine's memoized decision-only path must agree with the full
 //!   report's complexity (canonicalization soundness);
 //! * solvable verdicts must also survive **dynamic edits** — a fresh solved
@@ -35,10 +33,10 @@
 //! repository reports none over arbitrarily many iterations. The oracle is
 //! fully deterministic per `(seed, iters)` pair.
 
-use lcl_algorithms::flat::{solve_flat, SolveScratch};
+use lcl_algorithms::flat::{solve_flat, solve_greedy_flat, SolveScratch};
 use lcl_algorithms::repair::{resolve_full, RepairScratch};
-use lcl_algorithms::solve::{solve, SolveError};
-use lcl_core::{greedy, ClassificationEngine, Complexity, Label};
+use lcl_algorithms::SolveError;
+use lcl_core::{ClassificationEngine, Complexity, Labeling};
 use lcl_problems::random::{random_problem, RandomProblemSpec};
 use lcl_rand::SplitMix64;
 use lcl_sim::IdAssignment;
@@ -232,11 +230,11 @@ pub fn fuzz_classifier_vs_solvers(seed: u64, iters: usize) -> FuzzReport {
             }
             // The greedy O(n) baseline must still solve polynomial instances
             // (it is no longer on the dispatcher path).
-            let arena = lcl_trees::generators::random_full(problem.delta(), 80, rng.next_u64());
-            match greedy::solve(&problem, &arena) {
+            let tree = FlatTree::random_full(problem.delta(), 80, rng.next_u64());
+            match solve_greedy_flat(&problem, &tree.level_index(), &mut scratch) {
                 None => record("baseline", "greedy failed on a solvable problem".into()),
-                Some(labeling) => {
-                    if let Err(e) = labeling.verify(&arena, &problem) {
+                Some(outcome) => {
+                    if let Err(e) = Labeling::from_labels(&outcome.labels).verify(&tree, &problem) {
                         record("baseline", format!("greedy labeling invalid: {e}"));
                     }
                 }
@@ -246,12 +244,10 @@ pub fn fuzz_classifier_vs_solvers(seed: u64, iters: usize) -> FuzzReport {
         if complexity == Complexity::Unsolvable {
             // Unsolvable verdicts must be unbeatable: greedy must fail on a
             // deep tree, and must certainly never produce a valid labeling.
-            let arena = lcl_trees::generators::balanced(
-                problem.delta(),
-                if problem.delta() == 1 { 40 } else { 6 },
-            );
-            if let Some(labeling) = greedy::solve(&problem, &arena) {
-                match labeling.verify(&arena, &problem) {
+            let tree =
+                FlatTree::balanced(problem.delta(), if problem.delta() == 1 { 40 } else { 6 });
+            if let Some(outcome) = solve_greedy_flat(&problem, &tree.level_index(), &mut scratch) {
+                match Labeling::from_labels(&outcome.labels).verify(&tree, &problem) {
                     Ok(()) => record(
                         "greedy",
                         "classifier says unsolvable but greedy found a valid labeling".into(),
@@ -268,9 +264,9 @@ pub fn fuzz_classifier_vs_solvers(seed: u64, iters: usize) -> FuzzReport {
         // Solvable verdicts must be constructive on every tree shape.
         let validator = LabelingValidator::new(&problem);
         for (shape, flat) in tree_shapes(problem.delta(), &mut rng) {
-            let arena = flat.to_rooted();
-            let ids = IdAssignment::random_permutation(&arena, rng.next_u64());
-            let outcome = match solve(&problem, &full, &arena, ids.clone()) {
+            let ids = IdAssignment::random_permutation_len(flat.len(), rng.next_u64());
+            let idx = flat.level_index();
+            let outcome = match solve_flat(&problem, &full, &flat, &idx, &ids, &mut scratch) {
                 Ok(outcome) => outcome,
                 Err(SolveError::CertificateTooLarge(_)) => {
                     report.skipped_certificates += 1;
@@ -284,36 +280,9 @@ pub fn fuzz_classifier_vs_solvers(seed: u64, iters: usize) -> FuzzReport {
             report.solver_runs += 1;
             report.validated_nodes += flat.len();
 
-            // `solve` is an adapter over `solve_flat`: run directly on the
-            // same instance, the flat dispatcher must report the same phases.
-            let idx = flat.level_index();
-            match solve_flat(&problem, &full, &flat, &idx, &ids, &mut scratch) {
-                Ok(direct) if direct.rounds.phases() != outcome.rounds.phases() => record(
-                    shape,
-                    format!(
-                        "solve_flat round accounting {:?} differs from the adapter's {:?}",
-                        direct.rounds.phases(),
-                        outcome.rounds.phases()
-                    ),
-                ),
-                Ok(_) => {}
-                Err(e) => record(
-                    shape,
-                    format!("solve_flat failed where the adapter solved: {e}"),
-                ),
-            }
-
             // The one labeling is held to both checkers.
-            let reference = outcome.labeling.verify(&arena, &problem);
-            let labels: Vec<Label> = (0..flat.len() as u32)
-                .map(|v| {
-                    outcome
-                        .labeling
-                        .get(lcl_trees::NodeId(v))
-                        .unwrap_or(Label(u16::MAX))
-                })
-                .collect();
-            let fast = validator.validate_parallel(&flat, &labels);
+            let reference = Labeling::from_labels(&outcome.labels).verify(&flat, &problem);
+            let fast = validator.validate_parallel(&flat, &outcome.labels);
             if reference.is_ok() != fast.is_ok() {
                 record(
                     shape,

@@ -22,6 +22,8 @@
 //! * [`EditSession`] — the edit-batch step on one solved dynamic tree:
 //!   seeded edits, identifier maintenance, label perturbations, incremental
 //!   repair, and validation of the dirty ranges the repair reports.
+//! * [`solve_checked`] — the seeded solve-then-validate step of `rtlcl solve`
+//!   and the daemon's `/solve`.
 //!
 //! The CLI exposes them: `rtlcl verify` validates a labeling file,
 //! `rtlcl fuzz` runs the oracle (CI runs a 200-iteration smoke fuzz on every
@@ -54,8 +56,10 @@
 
 pub mod fuzz;
 pub mod session;
+pub mod solve;
 pub mod validator;
 
 pub use fuzz::{fuzz_classifier_vs_solvers, Discrepancy, FuzzReport};
 pub use session::{EditBatch, EditError, EditSession};
+pub use solve::{solve_checked, CheckedSolve, SolveCheckError};
 pub use validator::{LabelingValidator, ValidationError};

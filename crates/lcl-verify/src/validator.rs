@@ -22,7 +22,7 @@
 //! arrays, and reports the lowest-numbered violation so the verdict is
 //! deterministic regardless of worker count.
 
-use lcl_core::{Label, LabelSet, Labeling, LclProblem};
+use lcl_core::{Label, LabelSet, LclProblem};
 use lcl_trees::FlatTree;
 
 /// Child multisets packed into a `u128` fit 8 slots of 16 bits.
@@ -52,12 +52,6 @@ pub enum ValidationError {
         /// The constrained (parent) node.
         node: u32,
     },
-    /// A node of an arena [`Labeling`] has no label assigned at all
-    /// (only produced by [`LabelingValidator::validate_labeling`]).
-    Unlabeled {
-        /// The unlabeled node.
-        node: u32,
-    },
 }
 
 impl ValidationError {
@@ -68,7 +62,6 @@ impl ValidationError {
             ValidationError::WrongSize { .. } => None,
             ValidationError::InactiveLabel { node, .. } => Some(*node),
             ValidationError::ForbiddenConfiguration { node } => Some(*node),
-            ValidationError::Unlabeled { node } => Some(*node),
         }
     }
 }
@@ -93,9 +86,6 @@ impl std::fmt::Display for ValidationError {
                     f,
                     "node v{node} and its children form a forbidden configuration"
                 )
-            }
-            ValidationError::Unlabeled { node } => {
-                write!(f, "node v{node} has no label assigned")
             }
         }
     }
@@ -318,33 +308,6 @@ impl LabelingValidator {
             None => Ok(()),
         }
     }
-
-    /// Adapter for the arena-world types: validates an
-    /// [`lcl_core::Labeling`] of a [`RootedTree`](lcl_trees::RootedTree) by
-    /// flattening both. Unlabeled nodes are reported as
-    /// [`ValidationError::Unlabeled`], matching the reference checker's
-    /// "every node must be labeled" requirement.
-    pub fn validate_labeling(
-        &self,
-        tree: &lcl_trees::RootedTree,
-        labeling: &Labeling,
-    ) -> Result<(), ValidationError> {
-        if labeling.len() != tree.len() {
-            return Err(ValidationError::WrongSize {
-                expected: tree.len(),
-                found: labeling.len(),
-            });
-        }
-        let mut labels = Vec::with_capacity(tree.len());
-        for v in tree.nodes() {
-            match labeling.get(v) {
-                Some(l) => labels.push(l),
-                None => return Err(ValidationError::Unlabeled { node: v.0 }),
-            }
-        }
-        let flat = FlatTree::from_tree(tree);
-        self.validate_parallel(&flat, &labels)
-    }
 }
 
 #[cfg(test)]
@@ -486,31 +449,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unlabeled_node_with_dedicated_error() {
-        let p = two_coloring();
-        let one = p.label_by_name("1").unwrap();
-        let validator = LabelingValidator::new(&p);
-        let arena = lcl_trees::generators::balanced(2, 2);
-        let mut labeling = Labeling::for_tree(&arena);
-        for v in arena.nodes() {
-            labeling.set(v, one);
-        }
-        labeling.clear(lcl_trees::NodeId(3));
-        let err = validator.validate_labeling(&arena, &labeling).unwrap_err();
-        assert_eq!(err, ValidationError::Unlabeled { node: 3 });
-        assert_eq!(err.node(), Some(3));
-        assert!(err.to_string().contains("no label assigned"));
-    }
-
-    #[test]
     fn irregular_nodes_are_unconstrained() {
         // A node with 1 child under δ = 2 is unconstrained, as in the
         // reference checker.
         let p = two_coloring();
         let one = p.label_by_name("1").unwrap();
-        let mut arena = lcl_trees::RootedTree::singleton();
-        arena.add_child(arena.root());
-        let tree = FlatTree::from_tree(&arena);
+        let tree = FlatTree::balanced(1, 1);
         let validator = LabelingValidator::new(&p);
         validator.validate(&tree, &[one, one]).unwrap();
     }
@@ -519,6 +463,7 @@ mod tests {
     fn agrees_with_reference_checker_on_random_labelings() {
         // Differential test against Labeling::verify over random labelings of
         // random trees: identical accept/reject verdicts.
+        use lcl_core::Labeling;
         use lcl_rand::SplitMix64;
         let problems: Vec<LclProblem> = [
             "1:22\n2:11\n",
@@ -534,25 +479,15 @@ mod tests {
             let validator = LabelingValidator::new(p);
             let active: Vec<Label> = p.labels().iter().collect();
             for seed in 0..8 {
-                let arena = lcl_trees::generators::random_full(p.delta(), 41, seed);
-                let flat = FlatTree::from_tree(&arena);
+                let flat = FlatTree::random_full(p.delta(), 41, seed);
                 let labels: Vec<Label> = (0..flat.len())
                     .map(|_| active[rng.gen_index(active.len())])
                     .collect();
-                let mut labeling = Labeling::for_tree(&arena);
-                for v in arena.nodes() {
-                    labeling.set(v, labels[v.index()]);
-                }
-                let reference = labeling.verify(&arena, p);
+                let reference = Labeling::from_labels(&labels).verify(&flat, p);
                 let ours = validator.validate(&flat, &labels);
                 let ours_par = validator.validate_parallel(&flat, &labels);
                 assert_eq!(reference.is_ok(), ours.is_ok(), "{p} seed {seed}");
                 assert_eq!(ours, ours_par, "{p} seed {seed}");
-                assert_eq!(
-                    reference.is_ok(),
-                    validator.validate_labeling(&arena, &labeling).is_ok(),
-                    "{p} seed {seed}"
-                );
             }
         }
     }

@@ -36,16 +36,19 @@ fn main() {
             println!("problem is unsolvable; skipping the solve step");
             return;
         }
-        let tree = generators::random_full(problem.delta(), size, 1);
-        match solve(
+        let tree = FlatTree::random_full(problem.delta(), size, 1);
+        let ids = IdAssignment::random_permutation_len(tree.len(), 2);
+        let idx = tree.level_index();
+        match solve_flat(
             &problem,
             &report,
             &tree,
-            IdAssignment::random_permutation(&tree, 2),
+            &idx,
+            &ids,
+            &mut SolveScratch::new(),
         ) {
             Ok(outcome) => {
-                outcome
-                    .labeling
+                Labeling::from_labels(&outcome.labels)
                     .verify(&tree, &problem)
                     .expect("valid solution");
                 println!(

@@ -29,16 +29,18 @@ fn main() {
     assert_eq!(report.complexity, Complexity::LogStar);
 
     // Solve it on a random full binary tree with the certificate-driven algorithm.
-    let tree = generators::random_full(2, 10_001, 42);
-    let outcome = solve(
+    let tree = FlatTree::random_full(2, 10_001, 42);
+    let ids = IdAssignment::random_permutation_len(tree.len(), 1);
+    let outcome = solve_flat(
         &problem,
         &report,
         &tree,
-        IdAssignment::random_permutation(&tree, 1),
+        &tree.level_index(),
+        &ids,
+        &mut SolveScratch::new(),
     )
     .expect("solvable problem");
-    outcome
-        .labeling
+    Labeling::from_labels(&outcome.labels)
         .verify(&tree, &problem)
         .expect("solver outputs are valid solutions");
     println!("\n== solving on a {}-node random tree ==", tree.len());

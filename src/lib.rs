@@ -7,8 +7,8 @@
 //! * [`core`] (`lcl-core`) — the problem formalism, path-form automata,
 //!   certificates, and the four-class complexity classifier;
 //! * [`problems`] (`lcl-problems`) — the catalog of the paper's sample problems;
-//! * [`trees`] (`lcl-trees`) — rooted-tree arenas, generators, lower-bound
-//!   constructions, rake-and-compress;
+//! * [`trees`] (`lcl-trees`) — CSR rooted trees, streaming generators, dynamic
+//!   edits, lower-bound constructions, rake-and-compress;
 //! * [`sim`] (`lcl-sim`) — the synchronous LOCAL/CONGEST simulator;
 //! * [`algorithms`] (`lcl-algorithms`) — the certificate-driven solvers;
 //! * [`verify`] (`lcl-verify`) — the parallel labeling validator and the
@@ -28,9 +28,14 @@
 //! assert_eq!(report.complexity, Complexity::Constant);
 //!
 //! // … and solve it on a random full binary tree with the optimal algorithm.
-//! let tree = rooted_tree_lcl::trees::generators::random_full(2, 501, 7);
-//! let outcome = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap();
-//! outcome.labeling.verify(&tree, &problem).unwrap();
+//! let tree = FlatTree::random_full(2, 501, 7);
+//! let ids = IdAssignment::sequential_len(tree.len());
+//! let mut scratch = SolveScratch::new();
+//! let outcome = solve_flat(&problem, &report, &tree, &tree.level_index(), &ids, &mut scratch)
+//!     .unwrap();
+//! LabelingValidator::new(&problem)
+//!     .validate_parallel(&tree, &outcome.labels)
+//!     .unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,12 +50,12 @@ pub use lcl_verify as verify;
 
 /// The most commonly used items, re-exported for convenience.
 pub mod prelude {
-    pub use lcl_algorithms::{solve, RoundReport, SolverOutcome};
+    pub use lcl_algorithms::{solve_flat, FlatOutcome, RoundReport, SolveError, SolveScratch};
     pub use lcl_core::{
         classify, ClassificationEngine, ClassificationReport, Complexity, Label, LabelSet,
         Labeling, LclProblem, LogStarCertificate,
     };
     pub use lcl_sim::IdAssignment;
-    pub use lcl_trees::{generators, FlatTree, NodeId, RootedTree};
+    pub use lcl_trees::FlatTree;
     pub use lcl_verify::{fuzz_classifier_vs_solvers, FuzzReport, LabelingValidator};
 }

@@ -79,7 +79,7 @@ fn random_full_trees_are_full() {
         let delta = 1 + rng.gen_index(3);
         let min_nodes = 1 + rng.gen_index(299);
         let seed = rng.next_u64();
-        let tree = generators::random_full(delta, min_nodes, seed);
+        let tree = FlatTree::random_full(delta, min_nodes, seed);
         assert!(tree.len() >= min_nodes);
         assert!(tree.is_full_dary(delta));
         assert!(tree.validate().is_ok());
@@ -137,10 +137,21 @@ fn classifier_and_solver_agree_on_random_problems() {
             Complexity::Unsolvable => {}
         }
         if report.complexity.is_solvable() {
-            let tree = generators::random_full(2, 101, seed);
-            let outcome = solve(&problem, &report, &tree, IdAssignment::sequential(&tree));
+            let tree = FlatTree::random_full(2, 101, seed);
+            let ids = IdAssignment::sequential_len(tree.len());
+            let idx = tree.level_index();
+            let outcome = solve_flat(
+                &problem,
+                &report,
+                &tree,
+                &idx,
+                &ids,
+                &mut SolveScratch::new(),
+            );
             let outcome = outcome.expect("solvable problems must be solved");
-            assert!(outcome.labeling.verify(&tree, &problem).is_ok());
+            assert!(Labeling::from_labels(&outcome.labels)
+                .verify(&tree, &problem)
+                .is_ok());
         }
     }
 }

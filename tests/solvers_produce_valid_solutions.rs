@@ -8,26 +8,28 @@ use rooted_tree_lcl::prelude::*;
 use rooted_tree_lcl::problems::catalog;
 use rooted_tree_lcl::trees::generators;
 
+/// Solves `problem` on `tree` with the class-optimal flat solver and checks
+/// the labeling with the independent reference checker.
+fn solve_and_verify(problem: &LclProblem, tree: &FlatTree, ids: &IdAssignment) -> FlatOutcome {
+    let report = classify(problem);
+    let idx = tree.level_index();
+    let outcome = solve_flat(problem, &report, tree, &idx, ids, &mut SolveScratch::new())
+        .unwrap_or_else(|e| panic!("{problem}: solver failed: {e}"));
+    Labeling::from_labels(&outcome.labels)
+        .verify(tree, problem)
+        .unwrap_or_else(|e| panic!("{problem}: invalid solution: {e}"));
+    outcome
+}
+
 #[test]
 fn every_solvable_catalog_problem_is_solved_on_random_trees() {
     for entry in catalog() {
-        let report = classify(&entry.problem);
-        if !report.complexity.is_solvable() {
+        if !classify(&entry.problem).complexity.is_solvable() {
             continue;
         }
-        let delta = entry.problem.delta();
-        let tree = generators::random_full(delta, 301, 13);
-        let outcome = solve(
-            &entry.problem,
-            &report,
-            &tree,
-            IdAssignment::random_permutation(&tree, 3),
-        )
-        .unwrap_or_else(|e| panic!("{}: solver failed: {e}", entry.name));
-        outcome
-            .labeling
-            .verify(&tree, &entry.problem)
-            .unwrap_or_else(|e| panic!("{}: invalid solution: {e}", entry.name));
+        let tree = FlatTree::random_full(entry.problem.delta(), 301, 13);
+        let ids = IdAssignment::random_permutation_len(tree.len(), 3);
+        solve_and_verify(&entry.problem, &tree, &ids);
     }
 }
 
@@ -36,17 +38,15 @@ fn solutions_are_valid_for_different_id_assignments() {
     // Randomness / identifier robustness: sequential, permuted, and sparse random
     // identifiers all lead to valid solutions with the same round accounting shape.
     let problem = rooted_tree_lcl::problems::coloring::three_coloring_binary();
-    let report = classify(&problem);
-    let tree = generators::random_full(2, 501, 5);
+    let tree = FlatTree::random_full(2, 501, 5);
+    let n = tree.len();
     let mut totals = Vec::new();
     for ids in [
-        IdAssignment::sequential(&tree),
-        IdAssignment::random_permutation(&tree, 1),
-        IdAssignment::random_sparse(&tree, 2),
+        IdAssignment::sequential_len(n),
+        IdAssignment::random_permutation_len(n, 1),
+        IdAssignment::random_sparse_len(n, 2),
     ] {
-        let outcome = solve(&problem, &report, &tree, ids).unwrap();
-        outcome.labeling.verify(&tree, &problem).unwrap();
-        totals.push(outcome.rounds.total());
+        totals.push(solve_and_verify(&problem, &tree, &ids).rounds.total());
     }
     let min = totals.iter().min().unwrap();
     let max = totals.iter().max().unwrap();
@@ -59,16 +59,14 @@ fn solutions_are_valid_for_different_id_assignments() {
 #[test]
 fn solvers_handle_extreme_tree_shapes() {
     let problem = rooted_tree_lcl::problems::coloring::branch_two_coloring();
-    let report = classify(&problem);
     for tree in [
-        generators::balanced(2, 11),
-        generators::hairy_path(2, 500),
-        generators::random_skewed(2, 1001, 0.95, 9),
-        RootedTree::singleton(),
+        FlatTree::balanced(2, 11),
+        FlatTree::hairy_path(2, 500),
+        // The skewed shape has no streaming generator; the arena one builds it.
+        FlatTree::from_tree(&generators::random_skewed(2, 1001, 0.95, 9)),
+        FlatTree::balanced(2, 0),
     ] {
-        let ids = IdAssignment::sequential(&tree);
-        let outcome = solve(&problem, &report, &tree, ids).unwrap();
-        outcome.labeling.verify(&tree, &problem).unwrap();
+        solve_and_verify(&problem, &tree, &IdAssignment::sequential_len(tree.len()));
     }
 }
 
@@ -79,9 +77,6 @@ fn lower_bound_trees_are_also_valid_inputs() {
     // unconstrained.
     use rooted_tree_lcl::trees::lower_bound;
     let problem = rooted_tree_lcl::problems::coloring::three_coloring_binary();
-    let report = classify(&problem);
-    let bipolar = lower_bound::t_x_k(2, 8, 2);
-    let tree = bipolar.tree;
-    let outcome = solve(&problem, &report, &tree, IdAssignment::sequential(&tree)).unwrap();
-    outcome.labeling.verify(&tree, &problem).unwrap();
+    let tree = lower_bound::t_x_k(2, 8, 2).tree;
+    solve_and_verify(&problem, &tree, &IdAssignment::sequential_len(tree.len()));
 }
