@@ -66,26 +66,27 @@ impl BipolarTree {
 }
 
 /// Appends a copy of `sub` to the parent array `parent`, making `sub`'s root a
-/// child of `under`. The copy's nodes get the next ids in `sub`'s BFS order,
-/// so each node's children stay consecutive and in port order. Returns the
-/// mapping from `sub` node ids to the new ids.
-fn graft(parent: &mut Vec<u32>, under: u32, sub: &FlatTree) -> Vec<u32> {
+/// child of `under`. The copy's nodes get the next ids in `sub`'s BFS order
+/// `bfs`, so each node's children stay consecutive and in port order. Returns
+/// the mapping from `sub` node ids to the new ids.
+fn graft(parent: &mut Vec<u32>, under: u32, sub: &FlatTree, bfs: &[u32]) -> Vec<u32> {
     let mut map = vec![u32::MAX; sub.len()];
-    for &v in sub.level_index().bfs_order() {
+    for &v in bfs {
         map[v as usize] = parent.len() as u32;
         parent.push(sub.parent(v).map_or(under, |p| map[p as usize]));
     }
     map
 }
 
-/// Grafts `sub` under `under` and records the copy's layers.
+/// Grafts `sub` (BFS order `bfs`) under `under` and records the copy's layers.
 fn graft_layers(
     parent: &mut Vec<u32>,
     layer: &mut Vec<usize>,
     under: u32,
     sub: &BipolarTree,
+    bfs: &[u32],
 ) -> Vec<u32> {
-    let map = graft(parent, under, &sub.tree);
+    let map = graft(parent, under, &sub.tree, bfs);
     layer.resize(parent.len(), usize::MAX);
     for (old, &new) in map.iter().enumerate() {
         layer[new as usize] = sub.layer[old];
@@ -105,9 +106,10 @@ pub fn extend(inner: &BipolarTree, delta: usize, x: usize, new_layer: usize) -> 
         .map(|v| v.checked_sub(1).unwrap_or(FlatTree::NO_PARENT))
         .collect();
     let mut layer = vec![new_layer; x];
+    let inner_index = inner.tree.level_index();
     for v in 0..x as u32 {
         for _ in 0..delta.saturating_sub(1) {
-            graft_layers(&mut parent, &mut layer, v, inner);
+            graft_layers(&mut parent, &mut layer, v, inner, inner_index.bfs_order());
         }
     }
     BipolarTree {
@@ -142,7 +144,14 @@ pub fn t_x_i_j(delta: usize, x: usize, i: usize, j: usize) -> BipolarTree {
 pub fn concatenate(left: &BipolarTree, right: &BipolarTree) -> BipolarTree {
     let mut parent = left.tree.parent_array().to_vec();
     let mut layer = left.layer.clone();
-    let map = graft_layers(&mut parent, &mut layer, left.t, right);
+    let right_index = right.tree.level_index();
+    let map = graft_layers(
+        &mut parent,
+        &mut layer,
+        left.t,
+        right,
+        right_index.bfs_order(),
+    );
     BipolarTree {
         tree: FlatTree::from_parent_array(parent),
         s: left.s,
@@ -270,7 +279,7 @@ mod tests {
     fn graft_preserves_shape() {
         let mut parent = vec![FlatTree::NO_PARENT];
         let sub = FlatTree::balanced(2, 2);
-        let map = graft(&mut parent, 0, &sub);
+        let map = graft(&mut parent, 0, &sub, sub.level_index().bfs_order());
         let base = FlatTree::from_parent_array(parent);
         assert_eq!(base.len(), 1 + sub.len());
         assert_eq!(base.num_children(0), 1);
