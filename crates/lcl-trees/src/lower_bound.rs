@@ -65,31 +65,23 @@ impl BipolarTree {
     }
 }
 
-/// Appends a copy of `sub` to the parent array `parent`, making `sub`'s root a
-/// child of `under`. The copy's nodes get the next ids in `sub`'s BFS order
-/// `bfs`, so each node's children stay consecutive and in port order. Returns
-/// the mapping from `sub` node ids to the new ids.
-fn graft(parent: &mut Vec<u32>, under: u32, sub: &FlatTree, bfs: &[u32]) -> Vec<u32> {
-    let mut map = vec![u32::MAX; sub.len()];
-    for &v in bfs {
-        map[v as usize] = parent.len() as u32;
-        parent.push(sub.parent(v).map_or(under, |p| map[p as usize]));
-    }
-    map
-}
-
-/// Grafts `sub` (BFS order `bfs`) under `under` and records the copy's layers.
-fn graft_layers(
+/// Appends a copy of `sub` to the parent array `parent` and its layers to
+/// `layer` (both indexed by node id), making `sub`'s root a child of `under`.
+/// The copy's nodes get the next ids in `sub`'s BFS order `bfs`, so each
+/// node's children stay consecutive and in port order. Returns the mapping
+/// from `sub` node ids to the new ids.
+fn graft(
     parent: &mut Vec<u32>,
     layer: &mut Vec<usize>,
     under: u32,
     sub: &BipolarTree,
     bfs: &[u32],
 ) -> Vec<u32> {
-    let map = graft(parent, under, &sub.tree, bfs);
-    layer.resize(parent.len(), usize::MAX);
-    for (old, &new) in map.iter().enumerate() {
-        layer[new as usize] = sub.layer[old];
+    let mut map = vec![u32::MAX; sub.tree.len()];
+    for &v in bfs {
+        map[v as usize] = parent.len() as u32;
+        parent.push(sub.tree.parent(v).map_or(under, |p| map[p as usize]));
+        layer.push(sub.layer[v as usize]);
     }
     map
 }
@@ -106,10 +98,10 @@ pub fn extend(inner: &BipolarTree, delta: usize, x: usize, new_layer: usize) -> 
         .map(|v| v.checked_sub(1).unwrap_or(FlatTree::NO_PARENT))
         .collect();
     let mut layer = vec![new_layer; x];
-    let inner_index = inner.tree.level_index();
+    let index = inner.tree.level_index();
     for v in 0..x as u32 {
         for _ in 0..delta.saturating_sub(1) {
-            graft_layers(&mut parent, &mut layer, v, inner, inner_index.bfs_order());
+            graft(&mut parent, &mut layer, v, inner, index.bfs_order());
         }
     }
     BipolarTree {
@@ -144,14 +136,8 @@ pub fn t_x_i_j(delta: usize, x: usize, i: usize, j: usize) -> BipolarTree {
 pub fn concatenate(left: &BipolarTree, right: &BipolarTree) -> BipolarTree {
     let mut parent = left.tree.parent_array().to_vec();
     let mut layer = left.layer.clone();
-    let right_index = right.tree.level_index();
-    let map = graft_layers(
-        &mut parent,
-        &mut layer,
-        left.t,
-        right,
-        right_index.bfs_order(),
-    );
+    let index = right.tree.level_index();
+    let map = graft(&mut parent, &mut layer, left.t, right, index.bfs_order());
     BipolarTree {
         tree: FlatTree::from_parent_array(parent),
         s: left.s,
@@ -277,13 +263,20 @@ mod tests {
 
     #[test]
     fn graft_preserves_shape() {
-        let mut parent = vec![FlatTree::NO_PARENT];
-        let sub = FlatTree::balanced(2, 2);
-        let map = graft(&mut parent, 0, &sub, sub.level_index().bfs_order());
+        let (mut parent, mut layer) = (vec![FlatTree::NO_PARENT], vec![9]);
+        let sub = t_x_k(2, 2, 1);
+        let map = graft(
+            &mut parent,
+            &mut layer,
+            0,
+            &sub,
+            sub.tree.level_index().bfs_order(),
+        );
         let base = FlatTree::from_parent_array(parent);
-        assert_eq!(base.len(), 1 + sub.len());
+        assert_eq!(base.len(), 1 + sub.tree.len());
         assert_eq!(base.num_children(0), 1);
-        assert_eq!(base.num_children(map[sub.root() as usize]), 2);
+        assert_eq!(base.num_children(map[sub.s as usize]), 2);
+        assert_eq!(layer, [9, 1, 1, 0, 0]);
         base.validate().unwrap();
     }
 
