@@ -18,10 +18,11 @@
 //!   level pass performs **zero** heap allocations (pinned by the
 //!   counting-allocator test in `tests/zero_alloc_flat.rs`).
 //!
-//! Measured phases are measured on the input (the flat Cole–Vishkin path
-//! reproduces the `lcl-sim` simulator metrics exactly), charged phases use
-//! the paper's constants, and the per-seed round accounting is pinned by the
-//! golden file of `tests/flat_agreement.rs`. The labeling itself is only
+//! Measured phases are measured on the input (the Cole–Vishkin rounds are the
+//! closed form of the identifier range, pinned equal to the `lcl-sim`
+//! simulator's rounds), charged phases use the paper's constants, and the
+//! per-seed round accounting is pinned by the golden file of
+//! `tests/flat_agreement.rs`. The labeling itself is only
 //! required to be valid: both checkers must accept it, which the fuzz oracle
 //! in `lcl-verify` enforces.
 
@@ -32,7 +33,7 @@ use lcl_core::{
     solvable_labels, ClassificationReport, Complexity, Configuration, ConstantCertificate, Label,
     LabelSet, LclProblem, LogCertificate, LogStarCertificate, PolyCertificate,
 };
-use lcl_sim::flat::{chain_color_reduction_flat, CvScratch};
+use lcl_sim::programs::ChainColorReduction;
 use lcl_sim::IdAssignment;
 use lcl_trees::rcp::{rcp_partition_flat, RemovalKind};
 use lcl_trees::{FlatTree, LevelIndex};
@@ -90,11 +91,11 @@ const EMPTY_BLOCK: BlockState = BlockState {
 #[derive(Debug)]
 pub struct SolveScratch {
     workers: usize,
-    cv: CvScratch,
     block: Vec<BlockState>,
     code: Vec<u8>,
     glabels: Vec<Label>,
     comp_depth: Vec<u32>,
+    piece_depth: Vec<u32>,
     labels_id: Vec<Label>,
     in_u: Vec<bool>,
     done: Vec<bool>,
@@ -120,11 +121,11 @@ impl SolveScratch {
     pub fn with_workers(workers: usize) -> Self {
         SolveScratch {
             workers: workers.max(1),
-            cv: CvScratch::new(),
             block: Vec::new(),
             code: Vec::new(),
             glabels: Vec::new(),
             comp_depth: Vec::new(),
+            piece_depth: Vec::new(),
             labels_id: Vec::new(),
             in_u: Vec::new(),
             done: Vec::new(),
@@ -145,12 +146,6 @@ impl SolveScratch {
     /// Reconfigures the worker bound.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
-    }
-
-    /// The flat Cole–Vishkin buffers, for driving
-    /// [`chain_color_reduction_flat`] directly.
-    pub fn cv_mut(&mut self) -> &mut CvScratch {
-        &mut self.cv
     }
 
     /// The Π_k partition of the most recent [`pi_k_partition_pass`], by node id.
@@ -383,10 +378,20 @@ fn fill_and_scatter(
     scatter_labels(idx, |pos| block[pos].label)
 }
 
-/// The certificate-driven O(log* n) algorithm of Theorem 6.3: a sharded flat
-/// Cole–Vishkin phase (measured; the Θ(log* n) term), the coprime-counter
-/// splitting into blocks of the certificate depth (charged O(d)), and sharded
-/// per-level block completion from the certificate trees.
+/// The certificate-driven O(log* n) algorithm of Theorem 6.3: a Cole–Vishkin
+/// phase (measured; the Θ(log* n) term), the coprime-counter splitting into
+/// blocks of the certificate depth (charged O(d)), and sharded per-level
+/// block completion from the certificate trees.
+///
+/// The Cole–Vishkin rounds depend on the identifier range alone, so they are
+/// recorded as [`ChainColorReduction::rounds`] of [`IdAssignment::id_bits`]
+/// without running the reduction (the certificate fill never reads its
+/// colours); `lcl-sim`'s `tests/cv_rounds.rs` pins that closed form equal to
+/// the rounds of the simulator run.
+///
+/// # Panics
+///
+/// Panics if `ids` does not cover exactly the tree's nodes.
 pub fn solve_log_star_flat(
     problem: &LclProblem,
     cert: &LogStarCertificate,
@@ -395,10 +400,12 @@ pub fn solve_log_star_flat(
     ids: &IdAssignment,
     scratch: &mut SolveScratch,
 ) -> FlatOutcome {
+    assert_eq!(ids.len(), tree.len(), "one identifier per node is required");
     let mut rounds = RoundReport::new();
-    let workers = scratch.workers;
-    let metrics = chain_color_reduction_flat(tree, ids, workers, &mut scratch.cv);
-    rounds.measured("Cole–Vishkin colour reduction", metrics.rounds);
+    rounds.measured(
+        "Cole–Vishkin colour reduction",
+        ChainColorReduction::rounds(ids.id_bits()),
+    );
 
     let d = cert.depth;
     rounds.charged("coprime counter splitting (O(d))", 4 * d + 2);
@@ -589,7 +596,9 @@ fn assign_children_flat(
 /// rake nodes extend their label downwards inside Σ(Π_pf), compress runs are
 /// filled by a walk of the exact run length in the automaton M(Π_pf). The
 /// layer count is measured (the Θ(log n) term, Lemma 5.9); layer computation
-/// and completion are charged O(k) per layer (Lemma 5.10).
+/// and completion are charged O(k) per layer (Lemma 5.10). The ruling sets'
+/// distance-k colouring is Cole–Vishkin on the identifiers `1..=n`, recorded
+/// as [`ChainColorReduction::rounds`] of their range without running it.
 pub fn solve_log_flat(
     _problem: &LclProblem,
     cert: &LogCertificate,
@@ -685,15 +694,9 @@ pub fn solve_log_flat(
     let labels = labels.clone();
 
     let mut rounds = RoundReport::new();
-    let metrics = chain_color_reduction_flat(
-        tree,
-        &IdAssignment::sequential_len(n),
-        scratch.workers,
-        &mut scratch.cv,
-    );
     rounds.measured(
         "distance-k colouring for ruling sets (Cole–Vishkin)",
-        metrics.rounds,
+        ChainColorReduction::rounds(IdAssignment::sequential_id_bits(n)),
     );
     rounds.charged("RCP(k) layer computation (Lemma 5.10)", 2 * k * num_layers);
     rounds.charged("per-layer completion", (2 * k + 2) * num_layers);
@@ -1129,9 +1132,8 @@ pub fn solve_poly_flat(
     }
     let labels = labels.clone();
 
-    let rounds = poly_rounds(&partition.iteration_depths, cert, |kind| {
-        flat_piece_depths(tree, order, &partition.part, kind)
-    });
+    let (rake_depth, core_depth) = piece_depths(idx, &partition.part, &mut scratch.piece_depth);
+    let rounds = poly_rounds(&partition.iteration_depths, cert, rake_depth, core_depth);
     Ok(FlatOutcome {
         labels,
         rounds,
@@ -1139,28 +1141,34 @@ pub fn solve_poly_flat(
     })
 }
 
-/// The maximal within-piece depth (in nodes) over all pieces of the selected
-/// kind — the measured completion cost of that phase.
-fn flat_piece_depths(
-    tree: &FlatTree,
-    order: &[u32],
-    part: &[PolyPart],
-    kind: fn(PolyPart) -> bool,
-) -> usize {
-    let mut depth = vec![0usize; part.len()];
-    let mut max_depth = 0usize;
-    for &v in order {
-        if !kind(part[v as usize]) {
-            continue;
-        }
-        let d = match tree.parent(v) {
-            Some(p) if part[p as usize] == part[v as usize] => depth[p as usize] + 1,
-            _ => 1,
+/// The maximal within-piece depths (in nodes) of the rake pieces and of the
+/// core components — the measured completion costs of those phases — in one
+/// pass over BFS positions. A piece is a maximal connected set of nodes in
+/// the same part; `depth[pos]` is the depth of the node at `pos` inside its
+/// piece, read by its children only when they share its part (chain nodes
+/// are skipped, so their entries are never read).
+fn piece_depths(idx: &LevelIndex, part: &[PolyPart], depth: &mut Vec<u32>) -> (usize, usize) {
+    let order = idx.bfs_order();
+    let parent_pos = idx.parent_positions();
+    reset(depth, order.len(), 0);
+    let (mut rake, mut core) = (0u32, 0u32);
+    for (pos, &v) in order.iter().enumerate() {
+        let pv = part[v as usize];
+        let max = match pv {
+            PolyPart::Rake(_) => &mut rake,
+            PolyPart::Core => &mut core,
+            PolyPart::Chain(_) => continue,
         };
-        depth[v as usize] = d;
-        max_depth = max_depth.max(d);
+        let pp = parent_pos[pos];
+        let d = if pp != LevelIndex::NO_POS && part[order[pp as usize] as usize] == pv {
+            depth[pp as usize] + 1
+        } else {
+            1
+        };
+        depth[pos] = d;
+        *max = (*max).max(d);
     }
-    max_depth
+    (rake as usize, core as usize)
 }
 
 // ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@
 //!
 //! ## Round accounting
 //!
-//! The asymptotically dominant phases are *measured*: Cole–Vishkin colour
-//! reduction runs as the flat port of the `lcl-sim` program and reproduces its
-//! simulator metrics exactly, the number of rake-and-compress layers is computed
-//! from the actual input tree, and the recursion depth of the Π_k partition is
-//! measured. Constant-round completion phases (certificate filling, ruling-set
+//! The asymptotically dominant phases are *measured*: the Cole–Vishkin colour
+//! reduction rounds come from the identifier range, as the closed form
+//! `ChainColorReduction::rounds(ids.id_bits())` of `lcl-sim` (no solver reads
+//! the colours, so none runs the reduction; `lcl-sim`'s `tests/cv_rounds.rs`
+//! pins the closed form equal to the rounds of the simulator run), the number
+//! of rake-and-compress layers is computed from the actual input tree, and the
+//! recursion depth of the Π_k partition is measured. Constant-round completion phases (certificate filling, ruling-set
 //! chunk completion) are executed centrally and charged the constant round cost
 //! derived in the paper; the [`RoundReport`] returned by every solver itemizes
 //! both kinds of contributions so experiments can plot exactly what was measured.

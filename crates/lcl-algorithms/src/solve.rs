@@ -183,8 +183,8 @@ pub enum PolyPart {
 /// The algorithm tag of the generalized partition solver.
 pub(crate) const POLY_ALGORITHM: &str = "generalized B/X partition (exact exponent certificate)";
 
-/// Builds the round report of the generalized partition solver; `depths(kind)`
-/// must return the maximal piece depth of the selected parts.
+/// Builds the round report of the generalized partition solver from the
+/// maximal rake-piece and core-component depths (in nodes).
 ///
 /// Round accounting: `k − 1` measured subtree-size explorations of ≤ n^{1/k}
 /// levels each, a charged constant per iteration for the ruling-set chain
@@ -193,7 +193,8 @@ pub(crate) const POLY_ALGORITHM: &str = "generalized B/X partition (exact expone
 pub(crate) fn poly_rounds(
     iteration_depths: &[usize],
     cert: &PolyCertificate,
-    depths: impl Fn(fn(PolyPart) -> bool) -> usize,
+    rake_depth: usize,
+    core_depth: usize,
 ) -> RoundReport {
     let mut rounds = RoundReport::new();
     for (i, depth) in iteration_depths.iter().enumerate() {
@@ -208,15 +209,9 @@ pub(crate) fn poly_rounds(
             .map(|level| 2 * level.chain_threshold + 2)
             .sum();
         rounds.charged("chain completion via ruling sets", ruling);
-        rounds.measured(
-            "rake completion (max rake piece depth)",
-            depths(|p| matches!(p, PolyPart::Rake(_))),
-        );
+        rounds.measured("rake completion (max rake piece depth)", rake_depth);
     }
-    rounds.measured(
-        "core completion (max core component depth)",
-        depths(|p| matches!(p, PolyPart::Core)),
-    );
+    rounds.measured("core completion (max core component depth)", core_depth);
     rounds
 }
 

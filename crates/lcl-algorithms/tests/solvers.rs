@@ -14,6 +14,7 @@ use lcl_core::{
 };
 use lcl_problems::{coloring, extras, mis, pi_k};
 use lcl_sim::flat::{chain_color_reduction_flat, CvScratch};
+use lcl_sim::programs::ChainColorReduction;
 use lcl_sim::{IdAssignment, Simulator};
 use lcl_trees::rcp::rcp_partition_flat;
 use lcl_trees::{generators, FlatTree};
@@ -197,6 +198,39 @@ fn log_star_rounds_are_constants_plus_log_star() {
     let (r_small, r_large) = (rounds(101), rounds(20_001));
     // 200× more nodes: the round count barely moves (log* growth).
     assert!(r_large <= r_small + 3, "small {r_small}, large {r_large}");
+}
+
+#[test]
+fn log_star_colouring_phase_counts_the_simulator_rounds() {
+    // The solver records the Cole–Vishkin rounds without running the
+    // reduction; they must be the rounds of the message-passing program on
+    // the same identifiers, sparse ones (up to n³) included.
+    let problem = coloring::three_coloring_binary();
+    let cert = log_star_cert(&problem);
+    for (n, seed) in [(5, 1), (11, 0), (501, 3), (4097, 2)] {
+        let tree = FlatTree::random_full(2, n, seed);
+        for ids in [
+            IdAssignment::random_permutation_len(tree.len(), seed),
+            IdAssignment::random_sparse_len(tree.len(), seed),
+        ] {
+            let outcome = log_star(&problem, &cert, &tree, &ids);
+            let (_, metrics) = Simulator::new(&tree, ids).run(&ChainColorReduction);
+            let phase = &outcome.rounds.phases()[0];
+            assert_eq!(phase.0, "Cole–Vishkin colour reduction");
+            assert_eq!(phase.1, metrics.rounds, "n = {n}, seed = {seed}");
+            assert!(phase.2, "the colouring phase is measured");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "one identifier per node is required")]
+fn log_star_solver_rejects_identifiers_of_another_size() {
+    let problem = coloring::three_coloring_binary();
+    let cert = log_star_cert(&problem);
+    let tree = FlatTree::random_full(2, 101, 1);
+    let ids = IdAssignment::sequential_len(tree.len() - 1);
+    log_star(&problem, &cert, &tree, &ids);
 }
 
 #[test]

@@ -473,7 +473,7 @@ impl CanonicalFamily {
     /// of `ClassificationEngine::sweep_resumable_bitsliced`, which takes
     /// `lanes = 64`. No problem is materialized; lanes carry only the mask
     /// and its orbit size, and candidate masks are canonicity-filtered in
-    /// 64-mask windows through [`Self::window`]. Block formation
+    /// 64-mask windows through `Self::window`. Block formation
     /// is a function of the starting mask and `lanes` alone (≤ `lanes`
     /// canonical masks are taken in ascending order), so resuming from a
     /// committed block's [`MaskBlock::next_mask`] at the same lane count

@@ -21,7 +21,7 @@
 //!   idle workers blocked on it, which take them at once. Otherwise the
 //!   response says `Connection: close` and the socket closes.
 //!   Closing on every non-`2xx` keeps hostile peers from holding workers.
-//! * **Idle yield.** Between requests the worker waits in [`POLL`] slices and
+//! * **Idle yield.** Between requests the worker waits in 25 ms slices and
 //!   closes the connection without a response as soon as shutdown begins, a
 //!   connection is waiting (as above), or `read_timeout` passes idle. A busy
 //!   connection therefore gives up its worker as soon as another connection
@@ -41,7 +41,7 @@
 //! * **Shutdown** ([`Server::shutdown`] + [`Server::join`], the SIGTERM path)
 //!   stops accepting, lets workers drain the queue and their in-flight
 //!   requests (each bounded by the timeouts above, so the drain is too) and
-//!   close kept-alive connections within one [`POLL`], then
+//!   close kept-alive connections within one 25 ms idle slice, then
 //!   flushes the engine memo atomically. A SIGKILL instead loses at most the
 //!   memo delta since the last flush — the snapshot file itself can't tear.
 

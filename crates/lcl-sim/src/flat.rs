@@ -2,17 +2,20 @@
 //!
 //! The message-passing [`Simulator`](crate::Simulator) is the semantic
 //! reference: it runs any [`NodeProgram`](crate::NodeProgram) faithfully, one
-//! boxed message slot per edge. For the solvers in `lcl-algorithms` the only
-//! program on the hot path is Cole–Vishkin chain colour reduction, whose data
-//! flow is trivially regular — each node reads its parent's previous colour —
-//! so this module executes it directly over double-buffered `u64` arrays on a
-//! [`FlatTree`]: no per-node state structs and no message slots.
+//! boxed message slot per edge. Cole–Vishkin chain colour reduction has a
+//! trivially regular data flow — each node reads its parent's previous colour
+//! — so this module executes it directly over double-buffered `u64` arrays on
+//! a [`FlatTree`]: no per-node state structs and no message slots.
 //!
 //! [`chain_color_reduction_flat`] reproduces the simulator run *exactly*: the
 //! same colours and the same [`Metrics`] (rounds, message count, bit totals)
-//! as `Simulator::run(&ChainColorReduction)` with the same identifiers, so the
-//! Cole–Vishkin phases the flat solvers report as measured are the rounds of
-//! the message-passing program. Each reduction round is sharded across
+//! as `Simulator::run(&ChainColorReduction)` with the same identifiers. Both
+//! take their step count from the identifier range
+//! ([`IdAssignment::id_bits`]), so a run lasts
+//! [`ChainColorReduction::rounds`] rounds whatever the tree; the flat solvers
+//! of `lcl-algorithms` report that closed form as their measured Cole–Vishkin
+//! phase without running the reduction, and `tests/cv_rounds.rs` pins it
+//! equal to both runs. Each reduction round is sharded across
 //! `std::thread::scope` workers over contiguous node ranges (reads go to the
 //! previous buffer, so workers only ever write their own chunk).
 
@@ -89,8 +92,7 @@ pub fn chain_color_reduction_flat(
     cur.copy_from_slice(ids.as_slice());
     reset(next, n);
 
-    let id_bits = (64 - (n as u64).leading_zeros()) as usize;
-    let iters = ChainColorReduction::iterations_needed(id_bits);
+    let iters = ChainColorReduction::iterations_needed(ids.id_bits());
     let mut metrics = Metrics::default();
 
     // Round 1 announces the initial colours; reduction steps follow in

@@ -67,10 +67,18 @@ impl IdAssignment {
         self.ids.is_empty()
     }
 
-    /// The number of bits needed to write any identifier of this assignment.
+    /// The number of bits needed to write any identifier of this assignment:
+    /// the bit length of the largest identifier, the identifier range the
+    /// Cole–Vishkin round count depends on.
     pub fn id_bits(&self) -> usize {
-        let max = self.ids.iter().copied().max().unwrap_or(1);
-        64 - max.leading_zeros() as usize
+        bit_length(self.ids.iter().copied().max().unwrap_or(1))
+    }
+
+    /// The [`id_bits`](Self::id_bits) of [`sequential_len(n)`](Self::sequential_len)
+    /// and of every [`random_permutation_len(n, _)`](Self::random_permutation_len),
+    /// without building the assignment: the bit length of `n`.
+    pub fn sequential_id_bits(n: usize) -> usize {
+        bit_length(n.max(1) as u64)
     }
 
     /// Replays a [`lcl_trees::DynamicTree`] edit journal so identifiers follow
@@ -110,6 +118,11 @@ impl IdAssignment {
     }
 }
 
+/// The number of bits in the binary representation of `x`.
+fn bit_length(x: u64) -> usize {
+    (u64::BITS - x.leading_zeros()) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,6 +133,16 @@ mod tests {
         assert_eq!(ids.as_slice()[0], 1);
         assert_eq!(ids.len(), 7);
         assert_eq!(ids.id_bits(), 3);
+        for n in [1, 2, 7, 8, 1000, 1 << 20] {
+            assert_eq!(
+                IdAssignment::sequential_id_bits(n),
+                IdAssignment::sequential_len(n).id_bits()
+            );
+            assert_eq!(
+                IdAssignment::sequential_id_bits(n),
+                IdAssignment::random_permutation_len(n, 3).id_bits()
+            );
+        }
     }
 
     #[test]

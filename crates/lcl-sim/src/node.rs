@@ -1,5 +1,6 @@
 //! The initial knowledge of a node (Section 4.2): its identifier, degree, the
-//! total number of nodes `n`, δ, and which incident edge leads to the parent.
+//! total number of nodes `n`, the identifier range, δ, and which incident edge
+//! leads to the parent.
 
 /// Everything a node knows before the first communication round.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -8,6 +9,9 @@ pub struct NodeInfo {
     pub id: u64,
     /// Total number of nodes in the tree.
     pub n: usize,
+    /// The bit length of the largest identifier in the tree: every identifier
+    /// lies below `2^id_bits` (the identifier range, known to all nodes).
+    pub id_bits: usize,
     /// Number of children of this node (0 for leaves).
     pub num_children: usize,
     /// `true` unless this node is the root.
@@ -38,6 +42,7 @@ mod tests {
         let leaf = NodeInfo {
             id: 5,
             n: 10,
+            id_bits: 4,
             num_children: 0,
             has_parent: true,
             delta: 2,
@@ -47,6 +52,7 @@ mod tests {
         let root = NodeInfo {
             id: 1,
             n: 10,
+            id_bits: 4,
             num_children: 2,
             has_parent: false,
             delta: 2,

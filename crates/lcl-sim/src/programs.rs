@@ -1,7 +1,7 @@
 //! Built-in node programs: small, genuinely message-passing building blocks. The
 //! flat solvers of `lcl-algorithms` are checked against their simulator runs
-//! (the flat Cole–Vishkin path reproduces [`ChainColorReduction`] exactly), and
-//! the experiments and examples run them directly.
+//! (they record [`ChainColorReduction::rounds`], pinned equal to the rounds of
+//! the program), and the experiments and examples run them directly.
 
 use crate::node::NodeInfo;
 use crate::program::{broadcast, NodeProgram, RoundAction};
@@ -85,8 +85,9 @@ impl NodeProgram for SubtreeSize {
 ///
 /// Starting from the unique identifiers, every node repeatedly replaces its colour
 /// by the position-and-value of the lowest bit in which it differs from its
-/// parent's colour. After `iterations(n)` rounds (a log*-type function of the
-/// identifier range) all colours lie in `{0, …, 5}` and neighbouring (parent/child)
+/// parent's colour. After [`iterations_needed`](Self::iterations_needed)
+/// steps (a log*-type function of the identifier range, the bit length of the
+/// largest identifier) all colours lie in `{0, …, 5}` and neighbouring (parent/child)
 /// colours differ. The root plays against a virtual parent whose colour always
 /// differs in the lowest bit.
 pub struct ChainColorReduction;
@@ -118,6 +119,15 @@ impl ChainColorReduction {
         steps + 1
     }
 
+    /// The rounds of a run on identifiers below `2^id_bits`: one round that
+    /// announces the identifiers plus one round per reduction step. The run
+    /// ends when every node has output, and every node outputs after the
+    /// same number of steps, so the count depends on `id_bits` alone —
+    /// neither on the tree's shape nor on its size.
+    pub fn rounds(id_bits: usize) -> usize {
+        Self::iterations_needed(id_bits) + 1
+    }
+
     pub(crate) fn cv_step(own: u64, parent: u64) -> u64 {
         let differing = own ^ parent;
         debug_assert!(differing != 0, "proper colouring is preserved by CV steps");
@@ -132,10 +142,9 @@ impl NodeProgram for ChainColorReduction {
     type Output = u8;
 
     fn init(&self, info: &NodeInfo) -> Self::State {
-        let id_bits = (64 - (info.n as u64).leading_zeros()) as usize;
         CvState {
             color: info.id,
-            remaining: Self::iterations_needed(id_bits),
+            remaining: Self::iterations_needed(info.id_bits),
         }
     }
 

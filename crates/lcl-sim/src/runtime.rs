@@ -15,6 +15,8 @@ pub struct Simulator<'a> {
     /// The global maximum degree δ, computed once at construction so per-node
     /// queries stay O(1).
     delta: usize,
+    /// The identifier range ([`IdAssignment::id_bits`]), computed once.
+    id_bits: usize,
 }
 
 impl<'a> Simulator<'a> {
@@ -31,9 +33,10 @@ impl<'a> Simulator<'a> {
             .unwrap_or(0);
         Simulator {
             tree,
-            ids,
             max_rounds: 4 * tree.len() + 16,
             delta,
+            id_bits: ids.id_bits(),
+            ids,
         }
     }
 
@@ -53,6 +56,7 @@ impl<'a> Simulator<'a> {
         NodeInfo {
             id: self.ids.as_slice()[v as usize],
             n: self.tree.len(),
+            id_bits: self.id_bits,
             num_children: self.tree.num_children(v),
             has_parent: self.tree.parent(v).is_some(),
             delta: self.delta,

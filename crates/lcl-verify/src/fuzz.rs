@@ -7,7 +7,7 @@
 //! * **solvable** verdicts must be *constructive* — the matching solver from
 //!   `lcl-algorithms` must produce a labeling on every generated tree shape
 //!   (random full, balanced, hairy path), and that labeling must pass both
-//!   the CSR [`LabelingValidator`](crate::LabelingValidator) and the
+//!   the CSR [`LabelingValidator`] and the
 //!   independent reference checker [`Labeling::verify`](lcl_core::Labeling::verify),
 //!   with identical verdicts;
 //! * **unsolvable** verdicts must be *unbeatable* — the greedy O(n) sweep
